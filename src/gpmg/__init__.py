@@ -13,12 +13,7 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
-    energy,
-    h1_norm,
-    l2_norm,
-    prolongate,
     prolongation_matrix,
-    residual_F,
 )
 from .config import RunConfig, load_config
 from .eigsolve import ScfConfig, scf_solve, smallest_eigpair
@@ -35,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .expr import Expr, evaluate, parse
-from .linsolve import BorderedSystem, SolverConfig, solve_bordered, solve_spd
+from .linsolve import BorderedSystem, SolverConfig, solve_bordered
 from .mesh import (
     BoxDomain,
     MeshHierarchy,
@@ -52,10 +47,10 @@ from .newton import (
     multigrid_mixing,
     multigrid_newton,
     newton_fixed_space,
-    newton_iteration,
+    newton_step,
     resi,
 )
 from .nonlinearity import Nonlinearity, check_assumptions
-from .state import IterateX, RunTrace, TraceRow
+from .state import IterateX, TraceRow
 
 __version__ = "0.1.0"

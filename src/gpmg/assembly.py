@@ -21,14 +21,9 @@ __all__ = [
     "assemble_weighted_mass",
     "assemble_field_weighted_mass",
     "assemble_nonlinear_load",
-    "residual_F",
-    "energy",
-    "h1_norm",
-    "l2_norm",
     "evaluate_field",
     "interpolate_field",
     "prolongation_matrix",
-    "prolongate",
     "Operators",
 ]
 
@@ -73,7 +68,7 @@ class FemSpace:
     def dim(self):
         return self.mesh.dim
 
-    # Default quadrature degrees: 2p for bilinear terms, 2p+2 for terms
+    # Quadrature degrees: 2p for bilinear terms, 2p+2 for terms
     # carrying a nonconstant coefficient (exact for the cubic GPE weight
     # with P1; a declared variational crime beyond that).
     @property
@@ -119,10 +114,6 @@ class FieldCoeffs:
             )
         self.space = space
         self.values = values
-
-    @staticmethod
-    def zeros(space):
-        return FieldCoeffs(space, np.zeros(space.n_dofs))
 
 
 def _coeffs(u):
@@ -181,10 +172,9 @@ def _spatial_weight_values(space, weight, rule):
     return vals.reshape(pts.shape[0], pts.shape[1])
 
 
-def assemble_weighted_mass(space, weight, exact_degree=None):
+def assemble_weighted_mass(space, weight):
     """Mass matrix weighted by a spatial function (Expr or callable)."""
-    degree = space.weighted_degree if exact_degree is None else exact_degree
-    rule, phi, _ = space.rule(degree)
+    rule, phi, _ = space.rule(space.weighted_degree)
     wvals = _spatial_weight_values(space, weight, rule)
     return _weighted_mass_from_values(space, wvals, rule, phi)
 
@@ -195,19 +185,17 @@ def field_values_at_quad(space, u, rule_key):
     return np.einsum("ci,qi->cq", u_loc, phi), rule, phi
 
 
-def assemble_field_weighted_mass(space, u, transform, exact_degree=None):
+def assemble_field_weighted_mass(space, u, transform):
     """Mass matrix weighted by transform(u(x)) with u a FEM field."""
-    degree = space.weighted_degree if exact_degree is None else exact_degree
-    uq, rule, phi = field_values_at_quad(space, u, degree)
+    uq, rule, phi = field_values_at_quad(space, u, space.weighted_degree)
     return _weighted_mass_from_values(space, transform(uq), rule, phi)
 
 
-def assemble_nonlinear_load(space, u0, which, nl, exact_degree=None):
+def assemble_nonlinear_load(space, u0, which, nl):
     """Load vector (f(u0^2) u0, phi_i) or (f'(u0^2) u0^3, phi_i)."""
     if which not in ("f_u", "fprime_u3"):
         raise UsageError(f"unknown load kind {which!r}")
-    degree = space.weighted_degree if exact_degree is None else exact_degree
-    uq, rule, phi = field_values_at_quad(space, u0, degree)
+    uq, rule, phi = field_values_at_quad(space, u0, space.weighted_degree)
     if which == "f_u":
         g = f_eval(nl, uq**2) * uq
     else:
@@ -217,65 +205,6 @@ def assemble_nonlinear_load(space, u0, which, nl, exact_degree=None):
     vec = np.zeros(space.n_dofs)
     np.add.at(vec, space.cell_dofs.ravel(), elem.ravel())
     return vec
-
-
-def eliminate_dirichlet(space, mat):
-    """Reduce a full-dof matrix to the interior block (idempotent on it)."""
-    if mat.shape[0] == space.interior_dofs.size:
-        return mat
-    ix = space.interior_dofs
-    return mat[ix][:, ix].tocsr()
-
-
-def l2_norm(space, u, mass=None):
-    m = assemble_mass(space) if mass is None else mass
-    v = _coeffs(u)
-    return float(np.sqrt(max(v @ (m @ v), 0.0)))
-
-
-def h1_norm(space, u, h1_mat=None):
-    """sqrt(u' (K_I + M) u) with identity-coefficient stiffness."""
-    if h1_mat is None:
-        h1_mat = assemble_stiffness(space) + assemble_mass(space)
-    v = _coeffs(u)
-    return float(np.sqrt(max(v @ (h1_mat @ v), 0.0)))
-
-
-def energy(space, u, nl, potential=None, a_coeff=None):
-    """E(u) = 1/2 a(u,u) + 1/2 integral F(u^2)."""
-    v = _coeffs(u)
-    k = assemble_stiffness(space, a_coeff)
-    quad = 0.5 * (v @ (k @ v))
-    if potential is not None:
-        mv = assemble_weighted_mass(space, potential)
-        quad += 0.5 * (v @ (mv @ v))
-    uq, rule, _ = field_values_at_quad(space, u, space.weighted_degree)
-    _, _, det, _ = space.geometry()
-    quad += 0.5 * float(
-        np.einsum("cq,q,c->", F_eval(nl, uq**2), rule.weights, det)
-    )
-    return quad
-
-
-def residual_F(space, lam, u, nl, potential=None, a_coeff=None, mats=None):
-    """Vector of <F(lam,u), phi_i> with boundary rows zeroed.
-
-    `mats` may carry precomputed (stiffness_plus_potential, mass) to avoid
-    reassembly inside iteration loops.
-    """
-    v = _coeffs(u)
-    if mats is None:
-        k = assemble_stiffness(space, a_coeff)
-        if potential is not None:
-            k = k + assemble_weighted_mass(space, potential)
-        m = assemble_mass(space)
-    else:
-        k, m = mats
-    r = k @ v - lam * (m @ v)
-    if nl.zeta != 0:
-        r = r + assemble_nonlinear_load(space, u, "f_u", nl)
-    r[space.boundary_dofs] = 0.0
-    return r
 
 
 def evaluate_field(space, u, points):
@@ -322,11 +251,6 @@ def prolongation_matrix(coarse, fine):
     return p
 
 
-def prolongate(coarse, fine, coeffs):
-    """Transfer coefficients to the refined space, representing the same function."""
-    return prolongation_matrix(coarse, fine) @ _coeffs(coeffs)
-
-
 class Operators:
     """Per-space cache of the u-independent operators of one problem."""
 
@@ -339,6 +263,10 @@ class Operators:
         self.mass = assemble_mass(space)
         if potential is not None:
             self.mass_potential = assemble_weighted_mass(space, potential)
+            if not np.isfinite(self.mass_potential.data).all():
+                raise ConfigurationError(
+                    "problem.potential evaluates to inf or nan on the domain"
+                )
             self.linear_part = (self.stiffness + self.mass_potential).tocsr()
         else:
             self.mass_potential = None
@@ -349,15 +277,22 @@ class Operators:
             self.h1_mat = (assemble_stiffness(space) + self.mass).tocsr()
 
     def residual(self, lam, u):
-        return residual_F(
-            self.space, lam, u, self.nl, mats=(self.linear_part, self.mass)
-        )
+        """Vector of <F(lam,u), phi_i> with boundary rows zeroed."""
+        v = _coeffs(u)
+        r = self.linear_part @ v - lam * (self.mass @ v)
+        if self.nl.zeta != 0:
+            r = r + assemble_nonlinear_load(self.space, u, "f_u", self.nl)
+        r[self.space.boundary_dofs] = 0.0
+        return r
 
     def l2_norm(self, u):
-        return l2_norm(self.space, u, mass=self.mass)
+        v = _coeffs(u)
+        return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
 
     def h1_norm(self, u):
-        return h1_norm(self.space, u, h1_mat=self.h1_mat)
+        """sqrt(u' (K_I + M) u) with identity-coefficient stiffness."""
+        v = _coeffs(u)
+        return float(np.sqrt(max(v @ (self.h1_mat @ v), 0.0)))
 
     def rayleigh_lambda(self, u):
         """lambda = a(u,u) + (f(u^2)u, u) for mass-normalized u."""

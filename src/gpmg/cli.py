@@ -16,7 +16,6 @@ import time
 
 import numpy as np
 
-from .assembly import FemSpace, prolongation_matrix
 from .config import load_config
 from .eigsolve import scf_solve
 from .errors import (
@@ -26,7 +25,14 @@ from .errors import (
     UsageError,
 )
 from .mesh import build_hierarchy
-from .newton import MixingParams, build_contexts, multigrid_mixing, multigrid_newton
+from .newton import (
+    MixingParams,
+    _finalize,
+    _prolong_to_finest,
+    build_contexts,
+    multigrid_mixing,
+    multigrid_newton,
+)
 
 __all__ = ["main", "cmd_solve", "cmd_study", "cmd_bench"]
 
@@ -39,18 +45,15 @@ def _fmt(value, spec="{:.12g}"):
     return spec.format(value)
 
 
-def _report_rows(trace, err_h1_by_level=None):
+def _report_rows(trace):
     lines = [CSV_HEADER]
     for row in trace:
-        err_h1 = None
-        if err_h1_by_level is not None:
-            err_h1 = err_h1_by_level.get(row.level)
         lines.append(",".join([
             str(row.level),
             str(row.n_dofs),
             _fmt(row.lam, "{:.12e}"),
             _fmt(row.err_lambda, "{:.6e}"),
-            _fmt(err_h1, "{:.6e}"),
+            _fmt(row.err_h1, "{:.6e}"),
             _fmt(row.resi, "{:.6e}"),
             _fmt(row.theta),
             _fmt(row.wall_time_ms, "{:.3f}"),
@@ -95,44 +98,30 @@ def cmd_solve(cfg, out_path=None, renormalize=False):
 def cmd_study(cfg, out_path=None, renormalize=False):
     """Per-level errors against a reference, plus fitted convergence orders.
 
-    The eigenfunction reference is always one extra level of the same run;
-    the eigenvalue reference is cfg.reference_lambda when configured, the
+    One run one level deeper than configured: its final iterate is the
+    eigenfunction reference, and its rows hold every level's iterate. The
+    eigenvalue reference is cfg.reference_lambda when configured, the
     extra level's value otherwise.
     """
     contexts = _build(cfg, levels=cfg.levels + 1)
     x_ref, trace = _run(cfg, contexts, renormalize=renormalize)
-    ref_space = contexts[-1].space
     ref_ops = contexts[-1].ops
     ref_lam = (cfg.reference_lambda if cfg.reference_lambda is not None
                else x_ref.lam)
 
-    # re-run level iterates are not stored in the trace; recompute the
-    # per-level fields by solving again level-by-level would be wasteful,
-    # so the study instead runs once per depth to recover each iterate
-    err_h1 = {}
-    err_lam = {}
-    iterates = {}
-    for depth in range(1, cfg.levels + 1):
-        x_k, _ = _run(cfg, contexts[:depth], renormalize=renormalize)
-        iterates[depth] = x_k
-    for depth, x_k in iterates.items():
-        v = x_k.u.values
-        for idx in range(depth - 1, len(contexts) - 1):
-            v = prolongation_matrix(contexts[idx].space,
-                                    contexts[idx + 1].space) @ v
+    rows = trace[:cfg.levels]
+    for idx, row in enumerate(rows):
+        x_k = _finalize(contexts[idx].ops, row.x) if renormalize else row.x
+        v = _prolong_to_finest(contexts, x_k.u.values, idx)
         sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u.values)) >= 0 else -1.0
-        err_h1[depth] = ref_ops.h1_norm(sign * v - x_ref.u.values)
-        err_lam[depth] = abs(x_k.lam - ref_lam)
+        row.err_h1 = ref_ops.h1_norm(sign * v - x_ref.u.values)
+        row.err_lambda = abs(x_k.lam - ref_lam)
+    lines = _report_rows(rows)
 
-    rows = [r for r in trace if r.level <= cfg.levels]
-    for row in rows:
-        row.err_lambda = err_lam[row.level]
-    lines = _report_rows(rows, err_h1_by_level=err_h1)
-
-    hs = [contexts[d - 1].space.mesh.h for d in range(1, cfg.levels + 1)]
-    for name, errs in (("err_lambda", err_lam), ("err_h1", err_h1)):
-        pts = [(math.log(hs[d - 1]), math.log(errs[d]))
-               for d in range(1, cfg.levels + 1) if errs[d] > 0]
+    hs = [ctx.space.mesh.h for ctx in contexts[:cfg.levels]]
+    for name in ("err_lambda", "err_h1"):
+        pts = [(math.log(h), math.log(getattr(row, name)))
+               for h, row in zip(hs, rows) if getattr(row, name) > 0]
         if len(pts) >= 2:
             slope = np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
             lines.append(f"# slope_{name},{slope:.4f}")
@@ -144,27 +133,26 @@ BENCH_HEADER = "level,n_dofs,mg_time_ms,direct_time_ms"
 
 
 def cmd_bench(cfg, out_path=None, direct=False):
-    """Cumulative multigrid-driver time per level; optionally a from-scratch
+    """Cumulative multigrid step time per level, from one driver run (the
+    finest-space resi diagnostic excluded); optionally a from-scratch
     nonlinear solve on each level for comparison (capped rows marked '-')."""
     contexts = _build(cfg)
+    _, trace = _run(cfg, contexts)
     lines = [BENCH_HEADER]
-    for depth in range(1, cfg.levels + 1):
-        t0 = time.perf_counter()
-        _run(cfg, contexts[:depth])
-        mg_ms = (time.perf_counter() - t0) * 1e3
+    mg_ms = 0.0
+    for ctx, row in zip(contexts, trace):
+        mg_ms += row.step_ms
         direct_cell = ""
         if direct:
-            ctx = contexts[depth - 1]
             try:
                 t0 = time.perf_counter()
-                scf_solve(ctx.space, ctx.nl, potential=ctx.potential,
-                          cfg=cfg.coarse, ops=ctx.ops)
+                scf_solve(ctx.ops, cfg.coarse)
                 direct_cell = f"{(time.perf_counter() - t0) * 1e3:.3f}"
             except ResourceLimitError:
                 direct_cell = "-"
         lines.append(",".join([
-            str(depth),
-            str(contexts[depth - 1].space.n_dofs),
+            str(row.level),
+            str(row.n_dofs),
             f"{mg_ms:.3f}",
             direct_cell,
         ]))

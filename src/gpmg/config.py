@@ -189,10 +189,6 @@ def parse_config_text(text, origin="<config>"):
         pre_smooth=values.get("solver.pre_smooth", 2),
         post_smooth=values.get("solver.post_smooth", 2),
     )
-    if cfg.solver.method not in ("auto", "direct", "cg", "mg_cg"):
-        raise ConfigurationError(
-            f"solver.method: unknown method {cfg.solver.method!r}"
-        )
     cfg.coarse = ScfConfig(
         tol=values.get("coarse.tol", 1e-10),
         max_outer=values.get("coarse.max_outer", 500),
@@ -200,12 +196,6 @@ def parse_config_text(text, origin="<config>"):
         inner=values.get("coarse.inner", "auto"),
         dof_cap=values.get("coarse.dof_cap", 50_000),
     )
-    if cfg.coarse.inner not in ("auto", "inverse_iteration", "dense_fallback"):
-        raise ConfigurationError(
-            f"coarse.inner: unknown method {cfg.coarse.inner!r}"
-        )
-    if not 0.0 < cfg.coarse.alpha <= 1.0:
-        raise ConfigurationError("coarse.alpha must be in (0, 1]")
     cfg.mixing = MixingConfig(
         enabled=values.get("mixing.enabled", False),
         theta_init=values.get("mixing.theta_init", 1.0),

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse.linalg as spla
 
-from .assembly import FieldCoeffs, Operators, assemble_field_weighted_mass
+from .assembly import FieldCoeffs, assemble_field_weighted_mass
 from .errors import (
     ConfigurationError,
     NonConvergenceError,
@@ -93,21 +93,20 @@ def smallest_eigpair(kfull, m, cfg=None):
     )
 
 
-def scf_solve(space, nl, potential=None, cfg=None, ops=None, a_coeff=None):
-    """Damped SCF for the discrete nonlinear eigenvalue problem.
+def scf_solve(ops, cfg=None):
+    """Damped SCF for the discrete nonlinear eigenvalue problem on ops' space.
 
     Returns an IterateX with ||u||_0 = 1 and lambda from the Rayleigh
     identity lambda = a(u,u) + (f(u^2)u, u). The iterate's u has
     nonnegative mean (ground-state sign convention).
     """
     cfg = cfg or ScfConfig()
+    space, nl = ops.space, ops.nl
     if space.n_dofs > cfg.dof_cap:
         raise ResourceLimitError(
             f"scf_solve on {space.n_dofs} dofs exceeds the coarse-space cap "
             f"{cfg.dof_cap}"
         )
-    if ops is None:
-        ops = Operators(space, nl, potential=potential, a_coeff=a_coeff)
     ix = space.interior_dofs
     a0 = ops.linear_part[ix][:, ix].tocsr()
     m_int = ops.mass[ix][:, ix].tocsr()

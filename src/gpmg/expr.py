@@ -22,6 +22,10 @@ __all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "pretty"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 
+# Nesting depth (parentheses, calls, unary minus, exponents) the parser
+# accepts; deeper input would exhaust the Python stack.
+MAX_DEPTH = 100
+
 
 class ParseError(ConfigurationError):
     def __init__(self, message, offset):
@@ -49,6 +53,7 @@ class _Parser:
         self.src = src
         self.dim = dim
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg, offset=None):
         raise ParseError(msg, self.pos if offset is None else offset)
@@ -98,10 +103,14 @@ class _Parser:
             node = ("bin", op, node, self.unary(), off)
 
     def unary(self):
+        # every nesting construct recurses through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
         off = self.pos
-        if self.accept("-"):
-            return ("neg", self.unary(), off)
-        return self.power()
+        node = ("neg", self.unary(), off) if self.accept("-") else self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -214,8 +223,10 @@ def evaluate(e, points):
             f"expected points of dimension {e.dim}, got {pts.shape[1]}"
         )
     cols = [pts[:, i] for i in range(e.dim)]
-    vals = np.broadcast_to(np.asarray(_eval_node(e.root, cols), dtype=float),
-                           (pts.shape[0],))
+    # overflow yields inf or nan, which Operators rejects as a config error
+    with np.errstate(all="ignore"):
+        vals = np.asarray(_eval_node(e.root, cols), dtype=float)
+    vals = np.broadcast_to(vals, (pts.shape[0],))
     return float(vals[0]) if single else vals.copy()
 
 

@@ -19,9 +19,7 @@ __all__ = [
     "BorderedSystem",
     "BorderedSolution",
     "VCycleHierarchy",
-    "vcycle_apply",
     "SpdSolver",
-    "solve_spd",
     "solve_bordered",
 ]
 
@@ -90,10 +88,6 @@ class VCycleHierarchy:
         for _ in range(self.post_smooth):
             x += spla.spsolve_triangular(self.upper[lvl], b - k @ x, lower=False)
         return x
-
-
-def vcycle_apply(hierarchy, b, level=None):
-    return hierarchy.apply(b, level=level)
 
 
 class SpdSolver:
@@ -169,11 +163,6 @@ class SpdSolver:
                 achieved=achieved,
             )
         return x
-
-
-def solve_spd(k, b, cfg=None, vcycle=None):
-    """Solve K x = b to ||Kx - b|| <= rel_tol * ||b||."""
-    return SpdSolver(k, cfg or SolverConfig(), vcycle=vcycle).solve(b)
 
 
 @dataclass

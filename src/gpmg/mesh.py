@@ -200,18 +200,10 @@ def _perm_rank_lookup(d):
 
 @dataclass
 class MeshHierarchy:
-    """Nested mesh sequence with dyadic refinement index beta=2."""
+    """Nested mesh sequence, each level the dyadic refinement of the last."""
 
     domain: BoxDomain
     levels: list = field(default_factory=list)
-    beta: int = 2
-
-    @property
-    def n_levels(self):
-        return len(self.levels)
-
-    def finest(self):
-        return self.levels[-1]
 
 
 def build_initial_mesh(domain, n0):

@@ -20,22 +20,24 @@ from .assembly import (
     FemSpace,
     FieldCoeffs,
     Operators,
+    _coeffs,
     assemble_field_weighted_mass,
     assemble_nonlinear_load,
+    interpolate_field,
     prolongation_matrix,
 )
-from .eigsolve import ScfConfig, scf_solve
+from .eigsolve import scf_solve
 from .errors import DivergenceError, StagnationError, UsageError
 from .linsolve import BorderedSystem, SolverConfig, VCycleHierarchy, solve_bordered
 from .nonlinearity import f_eval, fprime_eval
-from .state import IterateX, RunTrace, TraceRow
+from .state import IterateX, TraceRow
 
 __all__ = [
     "LevelContext",
     "MixingParams",
     "build_contexts",
     "assemble_newton_system",
-    "newton_iteration",
+    "newton_step",
     "newton_fixed_space",
     "resi",
     "mixing_iteration",
@@ -63,8 +65,6 @@ class LevelContext:
     def __init__(self, space, nl, potential=None, a_coeff=None):
         self.space = space
         self.nl = nl
-        self.potential = potential
-        self.a_coeff = a_coeff
         self.ops = Operators(space, nl, potential=potential, a_coeff=a_coeff)
         self._riesz_lu = None
 
@@ -90,7 +90,7 @@ def resi(ctx, x):
     """Computable residual: H1 Riesz norm of the eigen-residual functional
     plus half the normalization defect."""
     r = ctx.ops.residual(x.lam, x.u)
-    v = x.u.values if isinstance(x.u, FieldCoeffs) else x.u
+    v = _coeffs(x.u)
     defect = abs(1.0 - float(v @ (ctx.ops.mass @ v)))
     return ctx.riesz_norm(r) + 0.5 * defect
 
@@ -110,7 +110,7 @@ def _newton_matrix(ctx, lam0, u0_full):
 def assemble_newton_system(ctx, x0):
     """Bordered system of the Newton step at x0 (already on ctx's space)."""
     space = ctx.space
-    u0 = x0.u.values if isinstance(x0.u, FieldCoeffs) else np.asarray(x0.u)
+    u0 = _coeffs(x0.u)
     if u0.shape != (space.n_dofs,):
         raise UsageError("x0 must live on the target space; prolongate first")
     ix = space.interior_dofs
@@ -134,15 +134,10 @@ def _build_vcycle(contexts, target_level_idx, lam0, u0_full, cfg):
     the linearization point interpolated down the hierarchy."""
     mats = []
     prolongs = []
-    fine_ctx = contexts[target_level_idx]
     u_by_level = {target_level_idx: u0_full}
     for idx in range(target_level_idx - 1, -1, -1):
-        from .assembly import interpolate_field
-
         u_by_level[idx] = interpolate_field(
-            fine_ctx.space if idx + 1 == target_level_idx else contexts[idx + 1].space,
-            contexts[idx].space,
-            u_by_level[idx + 1],
+            contexts[idx + 1].space, contexts[idx].space, u_by_level[idx + 1]
         )
     for idx in range(target_level_idx + 1):
         ctx = contexts[idx]
@@ -159,39 +154,30 @@ def _build_vcycle(contexts, target_level_idx, lam0, u0_full, cfg):
 
 def _prolong_iterate(x0, coarse_space, fine_space):
     p = prolongation_matrix(coarse_space, fine_space)
-    u = x0.u.values if isinstance(x0.u, FieldCoeffs) else np.asarray(x0.u)
     return IterateX(
         lam=x0.lam,
-        u=FieldCoeffs(fine_space, p @ u),
+        u=FieldCoeffs(fine_space, p @ _coeffs(x0.u)),
         level=fine_space.mesh.level,
     )
 
 
-def _solve_newton(ctx, x0_on_space, cfg, contexts=None, level_idx=None):
-    system = assemble_newton_system(ctx, x0_on_space)
+def newton_step(ctx, x0, cfg=None, contexts=None, level_idx=None):
+    """One Newton step from x0, an iterate already on ctx's space. The
+    mg_cg method needs the level contexts and ctx's index among them."""
+    cfg = cfg or SolverConfig()
+    system = assemble_newton_system(ctx, x0)
     vcycle = None
     n = system.k.shape[0]
     if cfg.resolved_method(n, contexts is not None) == "mg_cg":
         if contexts is None or level_idx is None:
             raise UsageError("mg_cg needs the level contexts")
-        u0 = x0_on_space.u.values
-        vcycle = _build_vcycle(contexts, level_idx, x0_on_space.lam, u0, cfg)
+        vcycle = _build_vcycle(contexts, level_idx, x0.lam, x0.u.values, cfg)
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u
     return IterateX(
         lam=sol.lam, u=FieldCoeffs(ctx.space, u1), level=ctx.space.mesh.level
     )
-
-
-def newton_iteration(x0, coarse_space, fine_ctx, cfg=None, contexts=None,
-                     level_idx=None):
-    """One Newton step from a coarse iterate into the next finer space."""
-    cfg = cfg or SolverConfig()
-    x0p = x0 if coarse_space is None else _prolong_iterate(
-        x0, coarse_space, fine_ctx.space
-    )
-    return _solve_newton(fine_ctx, x0p, cfg, contexts, level_idx)
 
 
 def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
@@ -207,7 +193,7 @@ def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
     for _ in range(max_steps):
         if history[-1] <= tol:
             break
-        x_new = _solve_newton(ctx, x, cfg)
+        x_new = newton_step(ctx, x, cfg)
         history.append(resi(ctx, x_new))
         if history[-1] > history[-2]:
             growths += 1
@@ -222,26 +208,22 @@ def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
     return x, history
 
 
-def mixing_iteration(x0, coarse_space, fine_ctx, params=None, cfg=None,
-                     contexts=None, level_idx=None):
-    """Damped Newton step: solve once, then halve theta until the residual
-    on the fine space decreases. Never re-solves during the line search."""
+def mixing_iteration(x0, ctx, params=None, cfg=None, contexts=None,
+                     level_idx=None):
+    """Damped Newton step from x0, an iterate already on ctx's space: solve
+    once, then halve theta until the residual decreases. Never re-solves
+    during the line search."""
     params = params or MixingParams()
-    cfg = cfg or SolverConfig()
-    x0p = x0 if coarse_space is None else _prolong_iterate(
-        x0, coarse_space, fine_ctx.space
-    )
-    resi_old = resi(fine_ctx, x0p)
-    xhat = _solve_newton(fine_ctx, x0p, cfg, contexts, level_idx)
+    resi_old = resi(ctx, x0)
+    xhat = newton_step(ctx, x0, cfg, contexts, level_idx)
     theta = params.theta_init
     while theta >= params.theta_min:
-        lam = (1.0 - theta) * x0p.lam + theta * xhat.lam
-        u = (1.0 - theta) * x0p.u.values + theta * xhat.u.values
+        lam = (1.0 - theta) * x0.lam + theta * xhat.lam
+        u = (1.0 - theta) * x0.u.values + theta * xhat.u.values
         x_new = IterateX(
-            lam=lam, u=FieldCoeffs(fine_ctx.space, u),
-            level=fine_ctx.space.mesh.level,
+            lam=lam, u=FieldCoeffs(ctx.space, u), level=ctx.space.mesh.level,
         )
-        resi_new = resi(fine_ctx, x_new)
+        resi_new = resi(ctx, x_new)
         if resi_new <= resi_old:
             return x_new, theta
         theta *= 0.5
@@ -253,25 +235,27 @@ def mixing_iteration(x0, coarse_space, fine_ctx, params=None, cfg=None,
     )
 
 
-def _finalize(contexts, x, renormalize):
-    if not renormalize:
-        return x
-    ctx = contexts[-1]
-    v = x.u.values.copy()
-    v /= ctx.ops.l2_norm(v)
-    u = FieldCoeffs(ctx.space, v)
-    return IterateX(lam=ctx.ops.rayleigh_lambda(v), u=u, level=x.level)
+def _finalize(ops, x):
+    """x L2-normalized on ops' space, lambda from the Rayleigh identity."""
+    v = x.u.values / ops.l2_norm(x.u.values)
+    return IterateX(lam=ops.rayleigh_lambda(v), u=FieldCoeffs(ops.space, v),
+                    level=x.level)
+
+
+def _prolong_to_finest(contexts, v, level_idx):
+    """Coefficients v on contexts[level_idx] carried up to contexts[-1]."""
+    for idx in range(level_idx, len(contexts) - 1):
+        v = prolongation_matrix(
+            contexts[idx].space, contexts[idx + 1].space
+        ) @ v
+    return v
 
 
 def _traced_resi(contexts, x, level_idx):
     """Trace currency: resi of the iterate measured on the finest space of
     the run, so rows of one trace are compared in the same discrete norm.
     (The mixing acceptance test still compares on the step's own space.)"""
-    v = x.u.values
-    for idx in range(level_idx, len(contexts) - 1):
-        v = prolongation_matrix(
-            contexts[idx].space, contexts[idx + 1].space
-        ) @ v
+    v = _prolong_to_finest(contexts, x.u.values, level_idx)
     fin = contexts[-1]
     return resi(fin, IterateX(lam=x.lam, u=FieldCoeffs(fin.space, v),
                               level=fin.space.mesh.level))
@@ -297,51 +281,37 @@ def multigrid_mixing(contexts, params=None, scf_cfg=None, solver_cfg=None,
 
 def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
                 reference_lambda):
-    scf_cfg = scf_cfg or ScfConfig()
+    """The final iterate (renormalized on request) and one TraceRow per
+    level, each holding that level's raw iterate."""
     solver_cfg = solver_cfg or SolverConfig()
-    trace = RunTrace()
-    t0 = time.perf_counter()
-    ctx0 = contexts[0]
-    x = scf_solve(ctx0.space, ctx0.nl, potential=ctx0.potential,
-                  cfg=scf_cfg, ops=ctx0.ops)
-    trace.add(TraceRow(
-        level=1,
-        n_dofs=ctx0.space.n_dofs,
-        lam=x.lam,
-        resi=_traced_resi(contexts, x, 0),
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        err_lambda=(abs(x.lam - reference_lambda)
-                    if reference_lambda is not None else None),
-        scf_iterations=getattr(x, "scf_iterations", None),
-    ))
-
-    for idx in range(1, len(contexts)):
-        ctx = contexts[idx]
-        coarse_space = contexts[idx - 1].space
+    rows = []
+    for idx, ctx in enumerate(contexts):
         t0 = time.perf_counter()
         theta = None
-        if mixing:
-            try:
-                x, theta = mixing_iteration(
-                    x, coarse_space, ctx, params=params, cfg=solver_cfg,
-                    contexts=contexts, level_idx=idx,
-                )
-            except StagnationError as err:
-                raise StagnationError(
-                    f"level {idx + 1}: {err}", err.resi_old, err.resi_new
-                ) from err
+        if idx == 0:
+            x = scf_solve(ctx.ops, scf_cfg)
         else:
-            x0p = _prolong_iterate(x, coarse_space, ctx.space)
-            resi_old = resi(ctx, x0p)
-            x = _solve_newton(ctx, x0p, solver_cfg, contexts, idx)
-            resi_new = resi(ctx, x)
-            if resi_new > max(RESI_GROWTH_FACTOR * resi_old, RESI_FLOOR):
-                raise DivergenceError(
-                    f"level {idx + 1}: Newton step grew the residual "
-                    f"({resi_old:.6e} -> {resi_new:.6e}); rerun with the "
-                    "mixing driver (--mixing)"
-                )
-        trace.add(TraceRow(
+            x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
+            if mixing:
+                try:
+                    x, theta = mixing_iteration(x0p, ctx, params, solver_cfg,
+                                                contexts, idx)
+                except StagnationError as err:
+                    raise StagnationError(
+                        f"level {idx + 1}: {err}", err.resi_old, err.resi_new
+                    ) from err
+            else:
+                resi_old = resi(ctx, x0p)
+                x = newton_step(ctx, x0p, solver_cfg, contexts, idx)
+                resi_new = resi(ctx, x)
+                if resi_new > max(RESI_GROWTH_FACTOR * resi_old, RESI_FLOOR):
+                    raise DivergenceError(
+                        f"level {idx + 1}: Newton step grew the residual "
+                        f"({resi_old:.6e} -> {resi_new:.6e}); rerun with the "
+                        "mixing driver (--mixing)"
+                    )
+        step_ms = (time.perf_counter() - t0) * 1e3
+        rows.append(TraceRow(
             level=idx + 1,
             n_dofs=ctx.space.n_dofs,
             lam=x.lam,
@@ -350,5 +320,10 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
             err_lambda=(abs(x.lam - reference_lambda)
                         if reference_lambda is not None else None),
+            scf_iterations=getattr(x, "scf_iterations", None),
+            step_ms=step_ms,
+            x=x,
         ))
-    return _finalize(contexts, x, renormalize), trace
+    if renormalize:
+        x = _finalize(contexts[-1].ops, x)
+    return x, rows

@@ -5,7 +5,7 @@ from typing import Optional
 
 from .assembly import FieldCoeffs
 
-__all__ = ["IterateX", "TraceRow", "RunTrace"]
+__all__ = ["IterateX", "TraceRow"]
 
 
 @dataclass
@@ -28,17 +28,8 @@ class TraceRow:
     err_lambda: Optional[float] = None
     err_h1: Optional[float] = None
     scf_iterations: Optional[int] = None
-
-
-@dataclass
-class RunTrace:
-    rows: list = field(default_factory=list)
-
-    def add(self, row):
-        self.rows.append(row)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
+    # time of the level's step alone, without the finest-space resi
+    # diagnostic that wall_time_ms includes
+    step_ms: float = 0.0
+    # the level's raw iterate, before any renormalization
+    x: Optional[IterateX] = field(default=None, repr=False)

@@ -13,9 +13,10 @@ import scipy.sparse as sp
 from gpmg.assembly import (
     FemSpace,
     FieldCoeffs,
+    Operators,
     assemble_mass,
     evaluate_field,
-    prolongate,
+    prolongation_matrix,
 )
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.elements import (
@@ -31,14 +32,13 @@ from gpmg.newton import (
     LevelContext,
     MixingParams,
     _prolong_iterate,
-    _solve_newton,
     assemble_newton_system,
     build_contexts,
     mixing_iteration,
     multigrid_mixing,
     multigrid_newton,
     newton_fixed_space,
-    newton_iteration,
+    newton_step,
     resi,
 )
 from gpmg.nonlinearity import Nonlinearity
@@ -80,9 +80,7 @@ def test_acceptance_2_oracle_equivalence():
     ctxs = build_contexts(hier, 2, nl, potential=potential)
     n_dofs = ctxs[-1].space.n_dofs
     x, _ = multigrid_newton(ctxs)
-    oracle = scf_solve(ctxs[-1].space, nl, potential=potential,
-                       cfg=ScfConfig(tol=1e-12, max_outer=2000),
-                       ops=ctxs[-1].ops)
+    oracle = scf_solve(ctxs[-1].ops, ScfConfig(tol=1e-12, max_outer=2000))
     dlam = abs(x.lam - oracle.lam)
     dh1 = ctxs[-1].ops.h1_norm(x.u.values - oracle.u.values)
     elapsed = time.perf_counter() - t0
@@ -117,8 +115,7 @@ def test_acceptance_4_newton_quadratic_decay():
     nl = Nonlinearity(zeta=1.0)
     potential = parse(EX1_POTENTIAL, 3)
     ctx = LevelContext(space, nl, potential=potential)
-    x_scf = scf_solve(space, nl, potential=potential,
-                      cfg=ScfConfig(tol=1e-2), ops=ctx.ops)
+    x_scf = scf_solve(ctx.ops, ScfConfig(tol=1e-2))
     # push the start to the edge of the basin so several quadratic steps
     # are visible before the solver-tolerance floor
     rng = np.random.default_rng(0)
@@ -151,14 +148,13 @@ def test_acceptance_5_mixing_monotonicity():
     params = MixingParams(theta_init=0.5)
 
     # replay the driver level by level to observe the acceptance contract
-    x = scf_solve(ctxs[0].space, nl, potential=potential, ops=ctxs[0].ops)
+    x = scf_solve(ctxs[0].ops)
     thetas = []
     accept_ok = True
     for idx in range(1, 3):
         x0p = _prolong_iterate(x, ctxs[idx - 1].space, ctxs[idx].space)
         resi_old = resi(ctxs[idx], x0p)
-        x, theta = mixing_iteration(x, ctxs[idx - 1].space, ctxs[idx],
-                                    params=params)
+        x, theta = mixing_iteration(x0p, ctxs[idx], params=params)
         accept_ok = accept_ok and resi(ctxs[idx], x) <= resi_old
         thetas.append(theta)
 
@@ -252,7 +248,7 @@ def test_acceptance_8_linear_complexity():
 
     hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 5)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
-    x = scf_solve(ctxs[0].space, ctxs[0].nl, ops=ctxs[0].ops)
+    x = scf_solve(ctxs[0].ops)
     per_dof, ratios = [], []
     for idx in range(1, 5):
         ctx = ctxs[idx]
@@ -267,7 +263,7 @@ def test_acceptance_8_linear_complexity():
             system, SolverConfig(method="direct")))
         per_dof.append(t_mg / ctx.space.n_dofs)
         ratios.append(t_dir / t_mg)
-        x = _solve_newton(ctx, x0p, SolverConfig())
+        x = newton_step(ctx, x0p, SolverConfig())
     med = float(np.median(per_dof))
     within = all(med / 3.0 <= p <= 3.0 * med for p in per_dof)
     monotone = all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
@@ -297,7 +293,7 @@ def test_acceptance_9_invariant_suites():
         pts = rng.random((40, 3))
         worst_p = max(worst_p, float(np.max(np.abs(
             evaluate_field(cs, u, pts)
-            - evaluate_field(fs, prolongate(cs, fs, u), pts)))))
+            - evaluate_field(fs, prolongation_matrix(cs, fs) @ u, pts)))))
     details.append(f"prolongation dev {worst_p:.1e}")
 
     # quadrature exactness sweep (monomial oracle)
@@ -325,14 +321,14 @@ def test_acceptance_9_invariant_suites():
     # normalization after scf_solve
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 2)
     nl = Nonlinearity(zeta=5.0)
-    xs = scf_solve(space, nl)
+    xs = scf_solve(Operators(space, nl))
     m = assemble_mass(space)
     norm_def = abs(float(xs.u.values @ (m @ xs.u.values)) - 1.0)
     details.append(f"|u'Mu - 1| {norm_def:.1e}")
 
     # border-equation exactness after a Newton solve
     ctx = LevelContext(space, nl)
-    x1 = newton_iteration(xs, None, ctx)
+    x1 = newton_step(ctx, xs)
     mu0 = m @ xs.u.values
     border = abs(-float(mu0 @ x1.u.values)
                  - (-0.5 - 0.5 * float(xs.u.values @ mu0)))

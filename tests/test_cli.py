@@ -1,12 +1,22 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpmg.newton as newton_mod
+from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main
 from gpmg.config import load_config, parse_config_text
 from gpmg.errors import ConfigurationError
+from gpmg.mesh import build_hierarchy
+from gpmg.newton import (
+    MixingParams,
+    build_contexts,
+    multigrid_mixing,
+    multigrid_newton,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gpmg" / "configs"
 
@@ -204,6 +214,69 @@ def test_study_p2_h1_slope(tmp_path, capsys):
         assert parts[3] != "" and parts[4] != ""  # both error columns
 
 
+def study_oracle(cfg, renormalize):
+    """(err_lambda, err_h1) per level from one driver run per depth."""
+    hier = build_hierarchy(cfg.domain, (cfg.n0,) * cfg.dim, cfg.levels + 1)
+    ctxs = build_contexts(hier, cfg.degree, cfg.nonlinearity,
+                          potential=cfg.potential)
+
+    def run(contexts):
+        if cfg.mixing.enabled:
+            params = MixingParams(cfg.mixing.theta_init, cfg.mixing.theta_min)
+            return multigrid_mixing(contexts, params=params,
+                                    scf_cfg=cfg.coarse, solver_cfg=cfg.solver,
+                                    renormalize=renormalize)[0]
+        return multigrid_newton(contexts, scf_cfg=cfg.coarse,
+                                solver_cfg=cfg.solver,
+                                renormalize=renormalize)[0]
+
+    x_ref = run(ctxs)
+    ref_ops = ctxs[-1].ops
+    ref_lam = (cfg.reference_lambda if cfg.reference_lambda is not None
+               else x_ref.lam)
+    errors = []
+    for depth in range(1, cfg.levels + 1):
+        x = run(ctxs[:depth])
+        v = x.u.values
+        for idx in range(depth - 1, len(ctxs) - 1):
+            v = prolongation_matrix(ctxs[idx].space, ctxs[idx + 1].space) @ v
+        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u.values)) >= 0 else -1.0
+        errors.append((abs(x.lam - ref_lam),
+                       ref_ops.h1_norm(sign * v - x_ref.u.values)))
+    return errors
+
+
+@pytest.mark.parametrize("flags", [[], ["--mixing"], ["--renormalize"]])
+def test_study_errors_match_per_depth_runs(tmp_path, capsys, flags):
+    path = write(tmp_path, GPE_1D)
+    code, out, _ = run_cli(capsys, "study", "--config", path, *flags)
+    assert code == 0
+    cfg = load_config(path)
+    cfg.mixing.enabled = "--mixing" in flags
+    want = study_oracle(cfg, renormalize="--renormalize" in flags)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]
+            if not line.startswith("#")]
+    assert [(r[3], r[4]) for r in rows] == [
+        (f"{e_lam:.6e}", f"{e_h1:.6e}") for e_lam, e_h1 in want
+    ]
+
+
+@pytest.mark.parametrize("command", ["study", "bench"])
+def test_study_and_bench_run_the_driver_once(tmp_path, capsys, monkeypatch,
+                                             command):
+    calls = []
+    run_driver = newton_mod._run_driver
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_driver(*args, **kwargs)
+
+    monkeypatch.setattr(newton_mod, "_run_driver", counted)
+    code, _, _ = run_cli(capsys, command, "--config", write(tmp_path, GPE_1D))
+    assert code == 0
+    assert len(calls) == 1
+
+
 # ---- bench ----
 
 def test_bench_emits_timing_table(tmp_path, capsys):
@@ -217,6 +290,16 @@ def test_bench_emits_timing_table(tmp_path, capsys):
         parts = line.split(",")
         assert float(parts[2]) > 0
         assert parts[3] == "-" or float(parts[3]) > 0
+
+
+def test_bench_time_is_cumulative(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "bench", "--config",
+                           write(tmp_path, LIN_1D))
+    assert code == 0
+    times = [float(line.split(",")[2])
+             for line in out.strip().splitlines()[1:]]
+    assert len(times) == 4
+    assert all(b >= a for a, b in zip(times, times[1:]))
 
 
 def test_bench_direct_cap_marks_dash(tmp_path, capsys):
@@ -246,3 +329,26 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     cfg = GPE_1D + "coarse.dof_cap = 5\n"
     code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, cfg))
     assert code == 4 and "error" in err
+
+
+def test_deeply_nested_potential_is_config_error(tmp_path, capsys):
+    deep = "(" * 5000 + "x1" + ")" * 5000
+    cfg = GPE_1D.replace("problem.potential = x1^2",
+                         f"problem.potential = {deep}")
+    code, out, err = run_cli(capsys, "solve", "--config", write(tmp_path, cfg))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "nested deeper" in err and "Traceback" not in err
+
+
+def test_overflowing_potential_is_config_error(tmp_path, capsys):
+    cfg = GPE_1D.replace("problem.potential = x1^2",
+                         "problem.potential = exp(1000*x1)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning escapes
+        code, _, err = run_cli(capsys, "solve", "--config",
+                               write(tmp_path, cfg))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "problem.potential" in err

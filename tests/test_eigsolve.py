@@ -43,7 +43,7 @@ def test_1d_laplacian_eigenvalue():
 def test_scf_linear_problem_equals_eigensolve():
     space, k, m = interior_pencil(n=16)
     nl = Nonlinearity(zeta=0.0)
-    x = scf_solve(space, nl)
+    x = scf_solve(Operators(space, nl))
     lam, _ = smallest_eigpair(k, m)
     assert np.isclose(x.lam, lam, rtol=1e-12)
     assert x.scf_iterations == 0
@@ -53,7 +53,7 @@ def test_scf_normalization_and_sign():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (24,)), 2)
     nl = Nonlinearity(zeta=10.0)
     ops = Operators(space, nl, potential=parse("x1^2", 1))
-    x = scf_solve(space, nl, potential=parse("x1^2", 1), ops=ops)
+    x = scf_solve(ops)
     mass = ops.mass
     assert abs(x.u.values @ (mass @ x.u.values) - 1.0) <= 1e-10
     assert float(np.sum(mass @ x.u.values)) >= 0.0  # sign convention
@@ -65,7 +65,7 @@ def test_scf_residual_small_at_convergence():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 2)
     nl = Nonlinearity(zeta=5.0)
     ops = Operators(space, nl)
-    x = scf_solve(space, nl, cfg=ScfConfig(tol=1e-12), ops=ops)
+    x = scf_solve(ops, ScfConfig(tol=1e-12))
     r = ops.residual(x.lam, x.u)
     assert np.max(np.abs(r[space.interior_dofs])) <= 1e-9
 
@@ -73,7 +73,7 @@ def test_scf_residual_small_at_convergence():
 def test_scf_energy_history_recorded():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 1)
     nl = Nonlinearity(zeta=2.0)
-    x = scf_solve(space, nl)
+    x = scf_solve(Operators(space, nl))
     assert len(x.scf_energies) == x.scf_iterations + 1
     assert np.isfinite(x.scf_energies).all()
 
@@ -82,13 +82,14 @@ def test_scf_nonconvergence_error():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 1)
     nl = Nonlinearity(zeta=50.0)
     with pytest.raises(NonConvergenceError):
-        scf_solve(space, nl, cfg=ScfConfig(tol=1e-13, max_outer=2))
+        scf_solve(Operators(space, nl), ScfConfig(tol=1e-13, max_outer=2))
 
 
 def test_scf_dof_cap():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (64,)), 1)
     with pytest.raises(ResourceLimitError):
-        scf_solve(space, Nonlinearity(zeta=1.0), cfg=ScfConfig(dof_cap=10))
+        scf_solve(Operators(space, Nonlinearity(zeta=1.0)),
+                  ScfConfig(dof_cap=10))
 
 
 def test_scf_strong_coupling_backs_off_damping():
@@ -96,7 +97,7 @@ def test_scf_strong_coupling_backs_off_damping():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 2)
     nl = Nonlinearity(zeta=200.0)
     ops = Operators(space, nl)
-    x = scf_solve(space, nl, cfg=ScfConfig(alpha=1.0), ops=ops)
+    x = scf_solve(ops, ScfConfig(alpha=1.0))
     assert abs(x.u.values @ (ops.mass @ x.u.values) - 1.0) <= 1e-10
     r = ops.residual(x.lam, x.u)
     assert np.max(np.abs(r[space.interior_dofs])) <= 1e-8

@@ -7,9 +7,9 @@ from gpmg.errors import CoercivityError, ConfigurationError, SolverError
 from gpmg.linsolve import (
     BorderedSystem,
     SolverConfig,
+    SpdSolver,
     VCycleHierarchy,
     solve_bordered,
-    solve_spd,
 )
 from gpmg.mesh import BoxDomain, build_hierarchy
 
@@ -34,10 +34,10 @@ def test_direct_cg_mgcg_agree():
     k = mats[-1]
     rng = np.random.default_rng(0)
     b = rng.standard_normal(k.shape[0])
-    x_dir = solve_spd(k, b, SolverConfig(method="direct"))
-    x_cg = solve_spd(k, b, SolverConfig(method="cg"))
+    x_dir = SpdSolver(k, SolverConfig(method="direct")).solve(b)
+    x_cg = SpdSolver(k, SolverConfig(method="cg")).solve(b)
     vc = VCycleHierarchy(mats, prolongs)
-    x_mg = solve_spd(k, b, SolverConfig(method="mg_cg"), vcycle=vc)
+    x_mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc).solve(b)
     assert np.allclose(x_dir, x_cg, atol=1e-8)
     assert np.allclose(x_dir, x_mg, atol=1e-8)
 
@@ -61,8 +61,8 @@ def test_vcycle_contracts_error():
 def test_mg_cg_requires_hierarchy():
     mats, _ = poisson_hierarchy()
     with pytest.raises(ConfigurationError):
-        solve_spd(mats[-1], np.ones(mats[-1].shape[0]),
-                  SolverConfig(method="mg_cg"))
+        SpdSolver(mats[-1], SolverConfig(method="mg_cg")).solve(
+            np.ones(mats[-1].shape[0]))
 
 
 def test_cg_failure_reports_achieved_residual():
@@ -70,7 +70,7 @@ def test_cg_failure_reports_achieved_residual():
     k = mats[-1]
     b = np.ones(k.shape[0])
     with pytest.raises(SolverError) as exc:
-        solve_spd(k, b, SolverConfig(method="cg", max_iter=2))
+        SpdSolver(k, SolverConfig(method="cg", max_iter=2)).solve(b)
     assert exc.value.achieved is not None
 
 
@@ -145,7 +145,7 @@ def test_backward_error_contract_near_singular():
     vals = sla.eigh(k.toarray(), m.toarray(), eigvals_only=True)
     shifted = (k - (vals[0] * (1 + 1e-7)) * m).tocsr()
     b = np.ones(shifted.shape[0])
-    x = solve_spd(shifted, b, SolverConfig(method="direct"))
+    x = SpdSolver(shifted, SolverConfig(method="direct")).solve(b)
     knorm = np.max(np.abs(shifted).sum(axis=1))
     res = np.linalg.norm(shifted @ x - b)
     assert res <= 1e-10 * (knorm * np.linalg.norm(x) + np.linalg.norm(b))

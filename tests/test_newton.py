@@ -11,13 +11,14 @@ from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
     LevelContext,
     MixingParams,
+    _prolong_iterate,
     assemble_newton_system,
     build_contexts,
     mixing_iteration,
     multigrid_mixing,
     multigrid_newton,
     newton_fixed_space,
-    newton_iteration,
+    newton_step,
     resi,
 )
 from gpmg.nonlinearity import Nonlinearity
@@ -48,7 +49,7 @@ def test_newton_fixed_point():
     # an exact discrete solution is a fixed point of the Newton step
     ctx = ctx_1d(zeta=0.0)
     x0 = linear_eigenpair(ctx)
-    x1 = newton_iteration(x0, None, ctx)
+    x1 = newton_step(ctx, x0)
     assert abs(x1.lam - x0.lam) <= 1e-9
     assert np.max(np.abs(x1.u.values - x0.u.values)) <= 1e-8
 
@@ -64,7 +65,7 @@ def test_newton_contracts_from_perturbed_start():
     x0 = IterateX(lam=x_star.lam + 0.3, u=FieldCoeffs(ctx.space, u),
                   level=x_star.level)
     r0 = np.linalg.norm(ctx.ops.residual(x0.lam, x0.u))
-    x1 = newton_iteration(x0, None, ctx)
+    x1 = newton_step(ctx, x0)
     r1 = np.linalg.norm(ctx.ops.residual(x1.lam, x1.u))
     assert r1 <= r0 / 10.0
 
@@ -73,9 +74,8 @@ def test_border_equation_exact_after_solve():
     # the returned iterate satisfies the normalization border equation:
     # -(u0, u1) = -1/2 - (u0,u0)/2 up to solver tolerance
     ctx = ctx_1d(zeta=2.0, potential=parse("x1^2", 1))
-    x0 = scf_solve(ctx.space, ctx.nl, potential=ctx.potential,
-                   cfg=ScfConfig(tol=1e-6), ops=ctx.ops)
-    x1 = newton_iteration(x0, None, ctx)
+    x0 = scf_solve(ctx.ops, ScfConfig(tol=1e-6))
+    x1 = newton_step(ctx, x0)
     mu0 = ctx.ops.mass @ x0.u.values
     lhs = -float(mu0 @ x1.u.values)
     rhs = -0.5 - 0.5 * float(x0.u.values @ mu0)
@@ -92,7 +92,7 @@ def test_newton_requires_matching_space():
 
 def test_jacobian_matches_finite_differences():
     # bordered matrix [[K, -m], [-m', 0]] vs FD Jacobian of
-    # G(u, lam) = (residual_F(lam, u)_int ; 1/2 - (u,u)/2)
+    # G(u, lam) = (residual(lam, u)_int ; 1/2 - (u,u)/2)
     ctx = ctx_1d(n=12, zeta=1.0, potential=parse("x1^2", 1))
     space = ctx.space
     ix = space.interior_dofs
@@ -129,7 +129,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_resi_zero_at_discrete_solution():
     ctx = ctx_1d(zeta=3.0)
-    x = scf_solve(ctx.space, ctx.nl, cfg=ScfConfig(tol=1e-13), ops=ctx.ops)
+    x = scf_solve(ctx.ops, ScfConfig(tol=1e-13))
     assert resi(ctx, x) <= 1e-8
 
 
@@ -145,8 +145,7 @@ def test_resi_scales_linearly():
 
 def test_newton_fixed_space_quadratic_history():
     ctx = ctx_1d(n=16, zeta=10.0, potential=parse("x1^2", 1))
-    x0 = scf_solve(ctx.space, ctx.nl, potential=ctx.potential,
-                   cfg=ScfConfig(tol=1e-2), ops=ctx.ops)
+    x0 = scf_solve(ctx.ops, ScfConfig(tol=1e-2))
     x, history = newton_fixed_space(x0, ctx, tol=1e-11)
     assert history[-1] <= 1e-11
     assert all(history[i + 1] < history[i] for i in range(len(history) - 1))
@@ -157,7 +156,7 @@ def test_newton_fixed_space_divergence_error(monkeypatch):
     import gpmg.newton as newton_mod
 
     ctx = ctx_1d(n=8, zeta=1.0)
-    x0 = scf_solve(ctx.space, ctx.nl, cfg=ScfConfig(tol=1e-4), ops=ctx.ops)
+    x0 = scf_solve(ctx.ops, ScfConfig(tol=1e-4))
     growing = iter([1.0, 2.0, 4.0, 8.0, 16.0])
     monkeypatch.setattr(newton_mod, "resi", lambda *_: next(growing))
     with pytest.raises(DivergenceError):
@@ -166,8 +165,8 @@ def test_newton_fixed_space_divergence_error(monkeypatch):
 
 def test_mixing_accepts_theta_one_when_newton_decreases():
     ctx = ctx_1d(zeta=1.0)
-    x0 = scf_solve(ctx.space, ctx.nl, cfg=ScfConfig(tol=1e-4), ops=ctx.ops)
-    x1, theta = mixing_iteration(x0, None, ctx)
+    x0 = scf_solve(ctx.ops, ScfConfig(tol=1e-4))
+    x1, theta = mixing_iteration(x0, ctx)
     assert theta == 1.0
     assert resi(ctx, x1) <= resi(ctx, x0)
 
@@ -181,20 +180,16 @@ def test_mixing_halves_theta_on_overshoot():
     hier = build_hierarchy(BoxDomain.unit(3), (2, 2, 2), 2)
     ctxs = build_contexts(hier, 2, Nonlinearity(zeta=100.0),
                           potential=potential)
-    x0 = scf_solve(ctxs[0].space, ctxs[0].nl, potential=potential,
-                   ops=ctxs[0].ops)
-    x1, theta = mixing_iteration(x0, ctxs[0].space, ctxs[1])
-    assert theta < 1.0
-    from gpmg.newton import _prolong_iterate
-
+    x0 = scf_solve(ctxs[0].ops)
     x0p = _prolong_iterate(x0, ctxs[0].space, ctxs[1].space)
+    x1, theta = mixing_iteration(x0p, ctxs[1])
+    assert theta < 1.0
     assert resi(ctxs[1], x1) <= resi(ctxs[1], x0p)
 
 
 def test_mixing_stagnation_error():
     ctx = ctx_1d(n=8, zeta=1.0)
-    x_star = scf_solve(ctx.space, ctx.nl, cfg=ScfConfig(tol=1e-12),
-                       ops=ctx.ops)
+    x_star = scf_solve(ctx.ops, ScfConfig(tol=1e-12))
     # at the exact solution every damped move away increases the residual,
     # except theta ~ 0; a large theta_min forces stagnation
     params = MixingParams(theta_init=1.0, theta_min=0.9)
@@ -202,7 +197,7 @@ def test_mixing_stagnation_error():
     u[ctx.space.interior_dofs] *= 1.5
     x0 = IterateX(lam=x_star.lam * 2.0, u=FieldCoeffs(ctx.space, u), level=1)
     try:
-        x1, theta = mixing_iteration(x0, None, ctx, params=params)
+        x1, theta = mixing_iteration(x0, ctx, params=params)
         assert resi(ctx, x1) <= resi(ctx, x0)
     except StagnationError as err:
         assert err.resi_old is not None and err.resi_new is not None
@@ -217,7 +212,7 @@ def test_multigrid_newton_trace_fields():
     assert [r.level for r in trace] == [1, 2, 3]
     assert [r.n_dofs for r in trace] == [c.space.n_dofs for c in ctxs]
     assert all(r.err_lambda is not None for r in trace)
-    assert trace.rows[0].theta is None
+    assert trace[0].theta is None
     assert x.level == hier.levels[-1].level
 
 
@@ -227,7 +222,7 @@ def test_multigrid_mixing_monotone_resi_trace():
     x, trace = multigrid_mixing(ctxs)
     resis = [r.resi for r in trace]
     assert all(resis[i + 1] <= resis[i] for i in range(len(resis) - 1))
-    assert all(r.theta is not None for r in trace.rows[1:])
+    assert all(r.theta is not None for r in trace[1:])
 
 
 def test_renormalize_final_iterate():
@@ -249,7 +244,5 @@ def test_multigrid_newton_matches_oracle_each_level():
     ctxs = build_contexts(hier, 2, Nonlinearity(zeta=2.0),
                           potential=parse("x1^2", 1))
     x, trace = multigrid_newton(ctxs)
-    oracle = scf_solve(ctxs[-1].space, ctxs[-1].nl, potential=ctxs[-1].potential,
-                       cfg=ScfConfig(tol=1e-12, max_outer=2000),
-                       ops=ctxs[-1].ops)
+    oracle = scf_solve(ctxs[-1].ops, ScfConfig(tol=1e-12, max_outer=2000))
     assert abs(x.lam - oracle.lam) <= 1e-8
