@@ -3,6 +3,8 @@
 Covers stiffness/mass/weighted-mass matrices, nonlinear load vectors, the
 eigenvalue residual functional, the energy, and coarse-to-fine transfer.
 Dirichlet conditions are handled by reduction to the interior dof set.
+All forms share one kernel: per-cell weights times a reference table that
+the space caches per quadrature rule (`RuleTables`).
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import scipy.sparse as sp
 from . import expr as expr_mod
 from .elements import quadrature, reference_element, shape_gradients, shape_values
 from .errors import ConfigurationError, UsageError
-from .nonlinearity import F_eval, f_eval, fprime_eval
+from .nonlinearity import F_eval, f_eval
 
 __all__ = [
     "FemSpace",
@@ -20,7 +22,7 @@ __all__ = [
     "assemble_mass",
     "assemble_weighted_mass",
     "assemble_field_weighted_mass",
-    "assemble_nonlinear_load",
+    "assemble_field_load",
     "evaluate_field",
     "interpolate_field",
     "prolongation_matrix",
@@ -82,10 +84,7 @@ class FemSpace:
     def rule(self, exact_degree):
         key = int(exact_degree)
         if key not in self._quad_cache:
-            rule = quadrature(self.dim, key)
-            phi = shape_values(self.elem, rule.points)
-            grad = shape_gradients(self.elem, rule.points)
-            self._quad_cache[key] = (rule, phi, grad)
+            self._quad_cache[key] = RuleTables(self.elem, key)
         return self._quad_cache[key]
 
     def geometry(self):
@@ -97,10 +96,25 @@ class FemSpace:
             self._geom = (verts, jac, det, inv)
         return self._geom
 
-    def quad_points_physical(self, rule):
-        """Physical coordinates of quadrature points, (n_cells, nq, dim)."""
-        verts, _, _, _ = self.geometry()
-        return np.einsum("qk,ckd->cqd", rule.points, verts)
+
+class RuleTables:
+    """A quadrature rule on the reference cell and the tables the forms
+    contract against: w, w phi_i (nq, nb), w phi_i phi_j (nq, nb^2), and
+    the stiffness table sum_q w d_a phi_i d_b phi_j shaped (d^2, nb^2)."""
+
+    def __init__(self, elem, exact_degree):
+        rule = quadrature(elem.dim, exact_degree)
+        phi = shape_values(elem, rule.points)
+        grad = shape_gradients(elem, rule.points)
+        nq, nb = phi.shape
+        self.points = rule.points
+        self.phi = phi
+        self.w = rule.weights
+        self.wphi = self.w[:, None] * phi
+        self.wphiphi = (self.wphi[:, :, None] * phi[:, None, :]).reshape(nq, -1)
+        self.stiffness = np.einsum(
+            "q,qia,qjb->abij", self.w, grad, grad
+        ).reshape(elem.dim**2, nb * nb)
 
 
 class FieldCoeffs:
@@ -120,12 +134,15 @@ def _coeffs(u):
     return u.values if isinstance(u, FieldCoeffs) else np.asarray(u, dtype=float)
 
 
-def _scatter(space, elem_mats):
+def _scatter(space, cell_weights, table):
+    """The matrix kernel: row c of cell_weights @ table is cell c's element
+    matrix, flattened nb x nb."""
     nb = space.elem.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
     mat = sp.coo_matrix(
-        (elem_mats.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)
+        ((cell_weights @ table).ravel(), (rows, cols)),
+        shape=(space.n_dofs, space.n_dofs),
     ).tocsr()
     return (mat + mat.T) * 0.5
 
@@ -140,30 +157,30 @@ def assemble_stiffness(space, a_coeff=None):
         raise ConfigurationError("A_coeff must be a symmetric dim x dim matrix")
     if np.any(np.linalg.eigvalsh(a_coeff) <= 0):
         raise ConfigurationError("A_coeff must be positive definite")
-    rule, _, grad = space.rule(space.bilinear_degree)
     _, _, det, inv = space.geometry()
-    t = np.einsum("q,qia,qjb->ijab", rule.weights, grad, grad)
     # physical gradient is inv @ grad_ref, so the cell metric is inv' A inv
-    b = np.einsum("c,cka,kl,clb->cab", det, inv, a_coeff, inv)
+    b = det[:, None, None] * (inv.transpose(0, 2, 1) @ a_coeff @ inv)
     b = (b + b.transpose(0, 2, 1)) * 0.5
-    return _scatter(space, np.einsum("ijab,cab->cij", t, b))
+    tables = space.rule(space.bilinear_degree)
+    return _scatter(space, b.reshape(len(b), d * d), tables.stiffness)
 
 
 def assemble_mass(space):
-    rule, phi, _ = space.rule(space.bilinear_degree)
+    tables = space.rule(space.bilinear_degree)
     _, _, det, _ = space.geometry()
-    p = np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-    return _scatter(space, det[:, None, None] * p[None, :, :])
+    return _scatter(space, det[:, None] * np.ones(len(tables.w)), tables.wphiphi)
 
 
-def _weighted_mass_from_values(space, wvals, rule, phi):
+def _weighted_mass(space, vals):
+    """Mass matrix weighted by vals (n_cells, nq) at the weighted rule's points."""
     _, _, det, _ = space.geometry()
-    elem = np.einsum("cq,q,qi,qj->cij", wvals * det[:, None], rule.weights, phi, phi)
-    return _scatter(space, elem)
+    tables = space.rule(space.weighted_degree)
+    return _scatter(space, vals * det[:, None], tables.wphiphi)
 
 
-def _spatial_weight_values(space, weight, rule):
-    pts = space.quad_points_physical(rule)
+def _spatial_weight_values(space, weight):
+    verts, _, _, _ = space.geometry()
+    pts = space.rule(space.weighted_degree).points @ verts  # (nc, nq, dim)
     flat = pts.reshape(-1, space.dim)
     if isinstance(weight, expr_mod.Expr):
         vals = expr_mod.evaluate(weight, flat)
@@ -174,37 +191,27 @@ def _spatial_weight_values(space, weight, rule):
 
 def assemble_weighted_mass(space, weight):
     """Mass matrix weighted by a spatial function (Expr or callable)."""
-    rule, phi, _ = space.rule(space.weighted_degree)
-    wvals = _spatial_weight_values(space, weight, rule)
-    return _weighted_mass_from_values(space, wvals, rule, phi)
+    return _weighted_mass(space, _spatial_weight_values(space, weight))
 
 
-def field_values_at_quad(space, u, rule_key):
-    rule, phi, _ = space.rule(rule_key)
-    u_loc = _coeffs(u)[space.cell_dofs]
-    return np.einsum("ci,qi->cq", u_loc, phi), rule, phi
+def _field_at_quad(space, u):
+    """Values of the FEM field u at the weighted rule's points, (n_cells, nq)."""
+    return _coeffs(u)[space.cell_dofs] @ space.rule(space.weighted_degree).phi.T
 
 
 def assemble_field_weighted_mass(space, u, transform):
     """Mass matrix weighted by transform(u(x)) with u a FEM field."""
-    uq, rule, phi = field_values_at_quad(space, u, space.weighted_degree)
-    return _weighted_mass_from_values(space, transform(uq), rule, phi)
+    return _weighted_mass(space, transform(_field_at_quad(space, u)))
 
 
-def assemble_nonlinear_load(space, u0, which, nl):
-    """Load vector (f(u0^2) u0, phi_i) or (f'(u0^2) u0^3, phi_i)."""
-    if which not in ("f_u", "fprime_u3"):
-        raise UsageError(f"unknown load kind {which!r}")
-    uq, rule, phi = field_values_at_quad(space, u0, space.weighted_degree)
-    if which == "f_u":
-        g = f_eval(nl, uq**2) * uq
-    else:
-        g = fprime_eval(nl, uq**2) * uq**3
+def assemble_field_load(space, u, transform):
+    """Load vector (transform(u(x)), phi_i) with u a FEM field."""
     _, _, det, _ = space.geometry()
-    elem = np.einsum("cq,q,qi->ci", g * det[:, None], rule.weights, phi)
-    vec = np.zeros(space.n_dofs)
-    np.add.at(vec, space.cell_dofs.ravel(), elem.ravel())
-    return vec
+    g = transform(_field_at_quad(space, u)) * det[:, None]
+    elem = g @ space.rule(space.weighted_degree).wphi
+    return np.bincount(
+        space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dofs
+    )
 
 
 def evaluate_field(space, u, points):
@@ -213,7 +220,7 @@ def evaluate_field(space, u, points):
     cid, bary = space.mesh.locate(pts)
     phi = shape_values(space.elem, bary)  # (npts, nb)
     dofs = space.cell_dofs[cid]  # (npts, nb)
-    vals = np.einsum("pi,pi->p", phi, _coeffs(u)[dofs])
+    vals = np.sum(phi * _coeffs(u)[dofs], axis=1)
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
 
 
@@ -257,22 +264,18 @@ class Operators:
     def __init__(self, space, nl, potential=None, a_coeff=None):
         self.space = space
         self.nl = nl
-        self.potential = potential
-        self.a_coeff = a_coeff
-        self.stiffness = assemble_stiffness(space, a_coeff)
+        stiffness = assemble_stiffness(space, a_coeff)
         self.mass = assemble_mass(space)
+        self.linear_part = stiffness
         if potential is not None:
-            self.mass_potential = assemble_weighted_mass(space, potential)
-            if not np.isfinite(self.mass_potential.data).all():
+            vals = _spatial_weight_values(space, potential)
+            if not np.isfinite(vals).all():
                 raise ConfigurationError(
                     "problem.potential evaluates to inf or nan on the domain"
                 )
-            self.linear_part = (self.stiffness + self.mass_potential).tocsr()
-        else:
-            self.mass_potential = None
-            self.linear_part = self.stiffness
+            self.linear_part = (stiffness + _weighted_mass(space, vals)).tocsr()
         if a_coeff is None:
-            self.h1_mat = (self.stiffness + self.mass).tocsr()
+            self.h1_mat = (stiffness + self.mass).tocsr()
         else:
             self.h1_mat = (assemble_stiffness(space) + self.mass).tocsr()
 
@@ -281,7 +284,9 @@ class Operators:
         v = _coeffs(u)
         r = self.linear_part @ v - lam * (self.mass @ v)
         if self.nl.zeta != 0:
-            r = r + assemble_nonlinear_load(self.space, u, "f_u", self.nl)
+            r = r + assemble_field_load(
+                self.space, u, lambda t: f_eval(self.nl, t**2) * t
+            )
         r[self.space.boundary_dofs] = 0.0
         return r
 
@@ -295,21 +300,15 @@ class Operators:
         return float(np.sqrt(max(v @ (self.h1_mat @ v), 0.0)))
 
     def rayleigh_lambda(self, u):
-        """lambda = a(u,u) + (f(u^2)u, u) for mass-normalized u."""
-        v = _coeffs(u)
-        val = v @ (self.linear_part @ v)
-        if self.nl.zeta != 0:
-            val += v @ assemble_nonlinear_load(self.space, u, "f_u", self.nl)
-        return float(val)
+        """lambda = <F(0,u), u> = a(u,u) + (f(u^2)u, u) for mass-normalized
+        u with zero boundary values."""
+        return float(_coeffs(u) @ self.residual(0.0, u))
 
     def energy(self, u):
         v = _coeffs(u)
         quad = 0.5 * (v @ (self.linear_part @ v))
-        uq, rule, _ = field_values_at_quad(
-            self.space, u, self.space.weighted_degree
-        )
         _, _, det, _ = self.space.geometry()
-        quad += 0.5 * float(
-            np.einsum("cq,q,c->", F_eval(self.nl, uq**2), rule.weights, det)
-        )
+        big_f = F_eval(self.nl, _field_at_quad(self.space, u) ** 2) * det[:, None]
+        w = self.space.rule(self.space.weighted_degree).w
+        quad += 0.5 * float(np.sum(big_f @ w))
         return quad

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigurationError
-from .expr import parse as parse_expr
+from .expr import ParseError, parse as parse_expr
 from .eigsolve import ScfConfig
 from .linsolve import SolverConfig
 from .mesh import BoxDomain
@@ -205,7 +205,10 @@ def parse_config_text(text, origin="<config>"):
         raise ConfigurationError("mixing.theta_init must be in (0, 1]")
 
     # fail early on a malformed potential rather than mid-run
-    cfg.potential
+    try:
+        cfg.potential
+    except ParseError as err:
+        raise ConfigurationError(f"problem.potential: {err}") from err
     cfg.nonlinearity
     return cfg
 

@@ -12,6 +12,7 @@ Functions: sin, cos, exp, abs. Variables: x1..x<dim>.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import ConfigurationError, GpmgError
 __all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "pretty"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": np.power}
 
 # Nesting depth (parentheses, calls, unary minus, exponents) the parser
 # accepts; deeper input would exhaust the Python stack.
@@ -40,7 +43,9 @@ class EvalError(GpmgError):
 
 
 # AST nodes: ("num", v, off) ("var", idx, off) ("neg", e, off)
-# ("bin", op, lhs, rhs, off) ("call", name, arg, off)
+# ("call", name, arg, off) ("chain", first, ((op, operand, off), ...)).
+# A chain is applied left to right in a loop, so a long `+`/`*` run costs
+# no stack depth; `a^b` is a chain of one.
 @dataclass(frozen=True)
 class Expr:
     root: tuple
@@ -84,23 +89,18 @@ class _Parser:
             self.error("unexpected trailing input")
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
+    def expr(self, ops="+-"):
+        """Terms joined by '+'/'-' or, for ops "*/", a term: unaries joined
+        by '*'/'/'. One flat chain node, or the lone operand."""
+        items = []
+        op = off = None
+        while not items or op:
+            operand = self.expr("*/") if ops == "+-" else self.unary()
+            items.append((op, operand, off))
             off = self.pos
-            op = self.accept("+-")
-            if not op:
-                return node
-            node = ("bin", op, node, self.term(), off)
-
-    def term(self):
-        node = self.unary()
-        while True:
-            off = self.pos
-            op = self.accept("*/")
-            if not op:
-                return node
-            node = ("bin", op, node, self.unary(), off)
+            op = self.accept(ops)
+        first = items[0][1]
+        return ("chain", first, tuple(items[1:])) if len(items) > 1 else first
 
     def unary(self):
         # every nesting construct recurses through here
@@ -116,7 +116,7 @@ class _Parser:
         node = self.atom()
         off = self.pos
         if self.accept("^"):
-            return ("bin", "^", node, self.unary(), off)
+            return ("chain", node, (("^", self.unary(), off),))
         return node
 
     def atom(self):
@@ -197,20 +197,13 @@ def _eval_node(node, cols):
         return -_eval_node(node[1], cols)
     if kind == "call":
         return _FUNCS[node[1]](_eval_node(node[2], cols))
-    _, op, lhs, rhs, off = node
-    a = _eval_node(lhs, cols)
-    b = _eval_node(rhs, cols)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if np.any(np.asarray(b) == 0):
+    a = _eval_node(node[1], cols)
+    for op, rhs, off in node[2]:
+        b = _eval_node(rhs, cols)
+        if op == "/" and np.any(np.asarray(b) == 0):
             raise EvalError("division by zero", off)
-        return a / b
-    return np.power(a, b)
+        a = _BINARY[op](a, b)
+    return a
 
 
 def evaluate(e, points):
@@ -240,7 +233,8 @@ def _pretty_node(node):
         return f"(-{_pretty_node(node[1])})"
     if kind == "call":
         return f"{node[1]}({_pretty_node(node[2])})"
-    return f"({_pretty_node(node[2])}{node[1]}{_pretty_node(node[3])})"
+    rest = "".join(op + _pretty_node(rhs) for op, rhs, _ in node[2])
+    return f"({_pretty_node(node[1])}{rest})"
 
 
 def pretty(e):

@@ -21,8 +21,8 @@ from .assembly import (
     FieldCoeffs,
     Operators,
     _coeffs,
+    assemble_field_load,
     assemble_field_weighted_mass,
-    assemble_nonlinear_load,
     interpolate_field,
     prolongation_matrix,
 )
@@ -98,12 +98,11 @@ def resi(ctx, x):
 def _newton_matrix(ctx, lam0, u0_full):
     k = ctx.ops.linear_part - lam0 * ctx.ops.mass
     if ctx.nl.zeta != 0:
-        k = k + assemble_field_weighted_mass(
-            ctx.space, u0_full, lambda t: f_eval(ctx.nl, t**2)
-        )
-        k = k + 2.0 * assemble_field_weighted_mass(
-            ctx.space, u0_full, lambda t: fprime_eval(ctx.nl, t**2) * t**2
-        )
+        def weight(t):
+            t2 = t**2
+            return f_eval(ctx.nl, t2) + 2.0 * fprime_eval(ctx.nl, t2) * t2
+
+        k = k + assemble_field_weighted_mass(ctx.space, u0_full, weight)
     return k.tocsr()
 
 
@@ -119,7 +118,10 @@ def assemble_newton_system(ctx, x0):
     m = mu0[ix].copy()
     r = -x0.lam * mu0[ix]
     if ctx.nl.zeta != 0:
-        r = r + assemble_nonlinear_load(space, u0, "fprime_u3", ctx.nl)[ix] * 2.0
+        load = assemble_field_load(
+            space, u0, lambda t: fprime_eval(ctx.nl, t**2) * t**3
+        )
+        r = r + load[ix] * 2.0
     c = -0.5 - 0.5 * float(u0 @ mu0)
     return BorderedSystem(k=k, m=m, r=r, c=c)
 

@@ -18,11 +18,8 @@ __all__ = ["Nonlinearity", "AssumptionReport", "f_eval", "fprime_eval", "F_eval"
 class Nonlinearity:
     zeta: float
     sigma: int = 1
-    kind: str = "power"
 
     def __post_init__(self):
-        if self.kind != "power":
-            raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}")
         if self.zeta < 0:
             raise ConfigurationError(f"zeta must be >= 0, got {self.zeta}")
         if self.sigma < 1:

@@ -5,6 +5,8 @@ from gpmg.assembly import (
     FemSpace,
     FieldCoeffs,
     Operators,
+    assemble_field_load,
+    assemble_field_weighted_mass,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
@@ -12,10 +14,12 @@ from gpmg.assembly import (
     interpolate_field,
     prolongation_matrix,
 )
+from gpmg.elements import quadrature, shape_gradients, shape_values
 from gpmg.errors import UsageError
-from gpmg.expr import parse
+from gpmg.expr import evaluate, parse
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
-from gpmg.nonlinearity import Nonlinearity
+from gpmg.newton import LevelContext, _newton_matrix
+from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
 
 
 def space_1d(n=8, degree=2):
@@ -165,3 +169,121 @@ def test_field_coeffs_shape_validation():
     space = space_1d(4)
     with pytest.raises(UsageError):
         FieldCoeffs(space, np.zeros(space.n_dofs + 1))
+
+
+# Reference assembly: the per-cell einsum formulas the table kernel
+# replaced, accumulated into dense matrices.
+def _ref_rule(space, degree):
+    rule = quadrature(space.dim, degree)
+    pts = rule.points
+    return rule.weights, shape_values(space.elem, pts), shape_gradients(
+        space.elem, pts), pts
+
+
+def _ref_matrix(space, elem):
+    nb = space.elem.n_basis
+    rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nb)).ravel()
+    mat = np.zeros((space.n_dofs, space.n_dofs))
+    np.add.at(mat, (rows, cols), elem.ravel())
+    return (mat + mat.T) * 0.5
+
+
+def _ref_stiffness(space, a):
+    w, _, grad, _ = _ref_rule(space, space.bilinear_degree)
+    _, _, det, inv = space.geometry()
+    t = np.einsum("q,qia,qjb->ijab", w, grad, grad)
+    b = np.einsum("c,cka,kl,clb->cab", det, inv, a, inv)
+    b = (b + b.transpose(0, 2, 1)) * 0.5
+    return _ref_matrix(space, np.einsum("ijab,cab->cij", t, b))
+
+
+def _ref_quad_values(space, u):
+    w, phi, _, _ = _ref_rule(space, space.weighted_degree)
+    return np.einsum("ci,qi->cq", u[space.cell_dofs], phi), w, phi
+
+
+def _ref_weighted_mass(space, vals):
+    w, phi, _, _ = _ref_rule(space, space.weighted_degree)
+    _, _, det, _ = space.geometry()
+    return _ref_matrix(space, np.einsum("cq,q,qi,qj->cij",
+                                        vals * det[:, None], w, phi, phi))
+
+
+def _ref_potential_values(space, potential):
+    _, _, _, pts = _ref_rule(space, space.weighted_degree)
+    verts, _, _, _ = space.geometry()
+    phys = np.einsum("qk,ckd->cqd", pts, verts)
+    return evaluate(potential, phys.reshape(-1, space.dim)).reshape(
+        phys.shape[:2])
+
+
+def _ref_load(space, g):
+    w, phi, _, _ = _ref_rule(space, space.weighted_degree)
+    _, _, det, _ = space.geometry()
+    elem = np.einsum("cq,q,qi->ci", g * det[:, None], w, phi)
+    vec = np.zeros(space.n_dofs)
+    np.add.at(vec, space.cell_dofs.ravel(), elem.ravel())
+    return vec
+
+
+def _assert_close(got, want):
+    got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+KERNEL_CASES = {
+    2: ((3, 2), [[2.0, 0.5], [0.5, 1.0]], "x1^2 + 2*x2^2 + sin(3*x1*x2)"),
+    3: ((2, 2, 2), [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]],
+        "x1^2 + 2*x2^2 + 4*x3^2 + sin(2*pi*x3)^2"),
+}
+
+
+@pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+def kernel_case(request):
+    dim = request.param
+    cells, a, potential = KERNEL_CASES[dim]
+    dom = BoxDomain(dim, (0.0,) * dim, (1.5,) + (1.0,) * (dim - 1))
+    space = FemSpace(build_initial_mesh(dom, cells), 2)
+    u = np.random.default_rng(dim).standard_normal(space.n_dofs)
+    return space, np.array(a), parse(potential, dim), u
+
+
+def test_kernel_matches_einsum_reference(kernel_case):
+    space, a, potential, u = kernel_case
+    _assert_close(assemble_stiffness(space, a), _ref_stiffness(space, a))
+    _assert_close(assemble_mass(space), _ref_weighted_mass(
+        space, np.ones((space.mesh.n_cells, 1))))
+    _assert_close(assemble_weighted_mass(space, potential), _ref_weighted_mass(
+        space, _ref_potential_values(space, potential)))
+    uq, _, _ = _ref_quad_values(space, u)
+    _assert_close(assemble_field_weighted_mass(space, u, lambda t: 1.0 + t**2),
+                  _ref_weighted_mass(space, 1.0 + uq**2))
+    _assert_close(assemble_field_load(space, u, lambda t: t**3),
+                  _ref_load(space, uq**3))
+
+
+def test_energy_matches_einsum_reference(kernel_case):
+    space, a, potential, u = kernel_case
+    nl = Nonlinearity(zeta=2.5)
+    ops = Operators(space, nl, potential=potential, a_coeff=a)
+    linear = _ref_stiffness(space, a) + _ref_weighted_mass(
+        space, _ref_potential_values(space, potential))
+    uq, w, _ = _ref_quad_values(space, u)
+    _, _, det, _ = space.geometry()
+    want = 0.5 * (u @ (linear @ u)) + 0.5 * np.einsum(
+        "cq,q,c->", F_eval(nl, uq**2), w, det)
+    assert np.isclose(ops.energy(u), want, rtol=1e-13, atol=0.0)
+
+
+def test_newton_matrix_sums_the_separate_masses(kernel_case):
+    space, a, potential, u = kernel_case
+    nl = Nonlinearity(zeta=2.5)
+    ctx = LevelContext(space, nl, potential=potential, a_coeff=a)
+    lam0 = 3.7
+    want = (ctx.ops.linear_part - lam0 * ctx.ops.mass
+            + assemble_field_weighted_mass(space, u, lambda t: f_eval(nl, t**2))
+            + 2.0 * assemble_field_weighted_mass(
+                space, u, lambda t: fprime_eval(nl, t**2) * t**2))
+    _assert_close(_newton_matrix(ctx, lam0, u), want.toarray())

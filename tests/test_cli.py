@@ -331,15 +331,20 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     assert code == 4 and "error" in err
 
 
-def test_deeply_nested_potential_is_config_error(tmp_path, capsys):
-    deep = "(" * 5000 + "x1" + ")" * 5000
+@pytest.mark.parametrize("potential, reason", [
+    ("(" * 5000 + "x1" + ")" * 5000, "nested deeper"),
+    ("sqrt(x1)", "unknown identifier"),
+], ids=["deep", "sqrt"])
+def test_deeply_nested_potential_is_config_error(tmp_path, capsys, potential,
+                                                 reason):
     cfg = GPE_1D.replace("problem.potential = x1^2",
-                         f"problem.potential = {deep}")
+                         f"problem.potential = {potential}")
     code, out, err = run_cli(capsys, "solve", "--config", write(tmp_path, cfg))
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert "nested deeper" in err and "Traceback" not in err
+    assert reason in err and "Traceback" not in err
+    assert "problem.potential" in err
 
 
 def test_overflowing_potential_is_config_error(tmp_path, capsys):

@@ -65,6 +65,16 @@ def test_division_by_zero_is_eval_error():
         ev("1 / x1", 1, [[0.0]])
 
 
+def test_long_chains_evaluate_without_recursion():
+    pts = np.array([[0.5], [1.0], [3.0]])
+    total = parse("+".join(["x1"] * 5000), 1)
+    assert np.array_equal(evaluate(total, pts), 5000 * pts[:, 0])
+    product = parse("*".join(["x1"] * 5000), 1)
+    assert evaluate(product, np.array([[1.0]]))[0] == 1.0
+    again = parse(pretty(total), 1)
+    assert np.array_equal(evaluate(again, pts), 5000 * pts[:, 0])
+
+
 def test_pretty_round_trip():
     for src in ("x1 + 2*x2^2", "-sin(x1) * (x2 - 3)", "exp(-x1^2) / 2"):
         e = parse(src, 2)

@@ -46,8 +46,6 @@ def test_validation():
         Nonlinearity(zeta=-1.0)
     with pytest.raises(ConfigurationError):
         Nonlinearity(zeta=1.0, sigma=0.5)
-    with pytest.raises(ConfigurationError):
-        Nonlinearity(zeta=1.0, kind="exotic")
     nl = Nonlinearity(zeta=1.0)
     with pytest.raises(UsageError):
         f_eval(nl, np.array([-0.1]))
