@@ -8,7 +8,6 @@ residual decrease.
 
 from .assembly import (
     FemSpace,
-    FieldCoeffs,
     Operators,
     assemble_mass,
     assemble_stiffness,

@@ -17,14 +17,12 @@ from .nonlinearity import F_eval, f_eval
 
 __all__ = [
     "FemSpace",
-    "FieldCoeffs",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_weighted_mass",
     "assemble_field_weighted_mass",
     "assemble_field_load",
     "evaluate_field",
-    "interpolate_field",
     "prolongation_matrix",
     "Operators",
 ]
@@ -117,23 +115,6 @@ class RuleTables:
         ).reshape(elem.dim**2, nb * nb)
 
 
-class FieldCoeffs:
-    """Coefficient vector bound to its space (boundary entries zero)."""
-
-    def __init__(self, space, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (space.n_dofs,):
-            raise UsageError(
-                f"expected {space.n_dofs} coefficients, got {values.shape}"
-            )
-        self.space = space
-        self.values = values
-
-
-def _coeffs(u):
-    return u.values if isinstance(u, FieldCoeffs) else np.asarray(u, dtype=float)
-
-
 def _scatter(space, cell_weights, table):
     """The matrix kernel: row c of cell_weights @ table is cell c's element
     matrix, flattened nb x nb."""
@@ -196,7 +177,7 @@ def assemble_weighted_mass(space, weight):
 
 def _field_at_quad(space, u):
     """Values of the FEM field u at the weighted rule's points, (n_cells, nq)."""
-    return _coeffs(u)[space.cell_dofs] @ space.rule(space.weighted_degree).phi.T
+    return u[space.cell_dofs] @ space.rule(space.weighted_degree).phi.T
 
 
 def assemble_field_weighted_mass(space, u, transform):
@@ -220,13 +201,8 @@ def evaluate_field(space, u, points):
     cid, bary = space.mesh.locate(pts)
     phi = shape_values(space.elem, bary)  # (npts, nb)
     dofs = space.cell_dofs[cid]  # (npts, nb)
-    vals = np.sum(phi * _coeffs(u)[dofs], axis=1)
+    vals = np.sum(phi * u[dofs], axis=1)
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
-
-
-def interpolate_field(from_space, to_space, coeffs):
-    """Nodal interpolation onto another space (exact when spaces are nested)."""
-    return evaluate_field(from_space, coeffs, to_space.dof_coords)
 
 
 def _check_nested(coarse, fine):
@@ -261,11 +237,12 @@ def prolongation_matrix(coarse, fine):
 class Operators:
     """Per-space cache of the u-independent operators of one problem."""
 
-    def __init__(self, space, nl, potential=None, a_coeff=None):
+    def __init__(self, space, nl, potential=None):
         self.space = space
         self.nl = nl
-        stiffness = assemble_stiffness(space, a_coeff)
+        stiffness = assemble_stiffness(space)
         self.mass = assemble_mass(space)
+        self.h1_mat = (stiffness + self.mass).tocsr()
         self.linear_part = stiffness
         if potential is not None:
             vals = _spatial_weight_values(space, potential)
@@ -274,15 +251,10 @@ class Operators:
                     "problem.potential evaluates to inf or nan on the domain"
                 )
             self.linear_part = (stiffness + _weighted_mass(space, vals)).tocsr()
-        if a_coeff is None:
-            self.h1_mat = (stiffness + self.mass).tocsr()
-        else:
-            self.h1_mat = (assemble_stiffness(space) + self.mass).tocsr()
 
     def residual(self, lam, u):
         """Vector of <F(lam,u), phi_i> with boundary rows zeroed."""
-        v = _coeffs(u)
-        r = self.linear_part @ v - lam * (self.mass @ v)
+        r = self.linear_part @ u - lam * (self.mass @ u)
         if self.nl.zeta != 0:
             r = r + assemble_field_load(
                 self.space, u, lambda t: f_eval(self.nl, t**2) * t
@@ -291,22 +263,19 @@ class Operators:
         return r
 
     def l2_norm(self, u):
-        v = _coeffs(u)
-        return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
+        return float(np.sqrt(max(u @ (self.mass @ u), 0.0)))
 
     def h1_norm(self, u):
-        """sqrt(u' (K_I + M) u) with identity-coefficient stiffness."""
-        v = _coeffs(u)
-        return float(np.sqrt(max(v @ (self.h1_mat @ v), 0.0)))
+        """sqrt(u' (K + M) u)."""
+        return float(np.sqrt(max(u @ (self.h1_mat @ u), 0.0)))
 
     def rayleigh_lambda(self, u):
         """lambda = <F(0,u), u> = a(u,u) + (f(u^2)u, u) for mass-normalized
         u with zero boundary values."""
-        return float(_coeffs(u) @ self.residual(0.0, u))
+        return float(u @ self.residual(0.0, u))
 
     def energy(self, u):
-        v = _coeffs(u)
-        quad = 0.5 * (v @ (self.linear_part @ v))
+        quad = 0.5 * (u @ (self.linear_part @ u))
         _, _, det, _ = self.space.geometry()
         big_f = F_eval(self.nl, _field_at_quad(self.space, u) ** 2) * det[:, None]
         w = self.space.rule(self.space.weighted_degree).w

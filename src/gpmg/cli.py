@@ -6,7 +6,7 @@ values left empty. `study` appends fitted convergence slopes as `#`
 comment lines; `bench` uses its own timing header.
 
 Exit codes: 0 ok, 2 configuration error, 3 solver non-convergence,
-4 resource cap exceeded.
+4 resource cap exceeded, 5 internal error (an unexpected exception).
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .newton import (
     multigrid_newton,
 )
 
-__all__ = ["main", "cmd_solve", "cmd_study", "cmd_bench"]
+__all__ = ["main", "run", "cmd_solve", "cmd_study", "cmd_bench"]
 
 CSV_HEADER = "level,n_dofs,lambda,err_lambda,err_h1,resi,theta,time_ms"
 
@@ -112,9 +112,9 @@ def cmd_study(cfg, out_path=None, renormalize=False):
     rows = trace[:cfg.levels]
     for idx, row in enumerate(rows):
         x_k = _finalize(contexts[idx].ops, row.x) if renormalize else row.x
-        v = _prolong_to_finest(contexts, x_k.u.values, idx)
-        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u.values)) >= 0 else -1.0
-        row.err_h1 = ref_ops.h1_norm(sign * v - x_ref.u.values)
+        v = _prolong_to_finest(contexts, x_k.u, idx)
+        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u)) >= 0 else -1.0
+        row.err_h1 = ref_ops.h1_norm(sign * v - x_ref.u)
         row.err_lambda = abs(x_k.lam - ref_lam)
     lines = _report_rows(rows)
 
@@ -213,5 +213,21 @@ def main(argv=None):
         return 3
 
 
+def run(argv=None):
+    """The `gpmg` script: main, with any exception that is not a GpmgError
+    reported on one stderr line as exit 5. main itself lets such an
+    exception reach an in-process caller."""
+    try:
+        # a non-finite intermediate ends in an error; numpy's warnings
+        # about it would only add stderr lines
+        with np.errstate(all="ignore"):
+            return main(argv)
+    except Exception as err:
+        message = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {message}",
+              file=sys.stderr)
+        return 5
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

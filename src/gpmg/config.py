@@ -5,6 +5,7 @@ lines ignored. Keys are validated against the known schema before any
 compute; unknown keys are configuration errors naming the offending line.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,9 +75,14 @@ def _to_int(key, raw):
 
 def _to_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"{key}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{key}: expected a finite number, got {raw!r}"
+        )
+    return value
 
 
 def _to_str(key, raw):
@@ -203,6 +209,10 @@ def parse_config_text(text, origin="<config>"):
     )
     if not 0.0 < cfg.mixing.theta_init <= 1.0:
         raise ConfigurationError("mixing.theta_init must be in (0, 1]")
+    if not 0.0 < cfg.mixing.theta_min <= cfg.mixing.theta_init:
+        raise ConfigurationError(
+            "mixing.theta_min must be in (0, mixing.theta_init]"
+        )
 
     # fail early on a malformed potential rather than mid-run
     try:

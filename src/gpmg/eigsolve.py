@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse.linalg as spla
 
-from .assembly import FieldCoeffs, assemble_field_weighted_mass
+from .assembly import assemble_field_weighted_mass
 from .errors import (
     ConfigurationError,
     NonConvergenceError,
@@ -41,6 +41,8 @@ class ScfConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ConfigurationError("scf tol must be positive")
+        if self.max_outer < 1:
+            raise ConfigurationError("scf max_outer must be at least 1")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("scf damping alpha must be in (0, 1]")
         if self.inner not in ("auto", "inverse_iteration", "dense_fallback"):
@@ -154,7 +156,7 @@ def scf_solve(ops, cfg=None):
     if np.sum(ops.mass @ u_full) < 0:
         u_full = -u_full
     lam = ops.rayleigh_lambda(u_full)
-    it = IterateX(lam=lam, u=FieldCoeffs(space, u_full), level=space.mesh.level)
+    it = IterateX(lam=lam, u=u_full)
     it.scf_iterations = iterations
     it.scf_energies = energies
     return it

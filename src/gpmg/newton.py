@@ -18,12 +18,9 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     FemSpace,
-    FieldCoeffs,
     Operators,
-    _coeffs,
     assemble_field_load,
     assemble_field_weighted_mass,
-    interpolate_field,
     prolongation_matrix,
 )
 from .eigsolve import scf_solve
@@ -55,6 +52,8 @@ class MixingParams:
     def __init__(self, theta_init=1.0, theta_min=2.0**-20):
         if not 0.0 < theta_init <= 1.0:
             raise UsageError("theta_init must be in (0, 1]")
+        if not 0.0 < theta_min <= theta_init:
+            raise UsageError("theta_min must be in (0, theta_init]")
         self.theta_init = theta_init
         self.theta_min = theta_min
 
@@ -62,10 +61,10 @@ class MixingParams:
 class LevelContext:
     """One mesh level of a problem: space, cached operators, Riesz solver."""
 
-    def __init__(self, space, nl, potential=None, a_coeff=None):
+    def __init__(self, space, nl, potential=None):
         self.space = space
         self.nl = nl
-        self.ops = Operators(space, nl, potential=potential, a_coeff=a_coeff)
+        self.ops = Operators(space, nl, potential=potential)
         self._riesz_lu = None
 
     def riesz_norm(self, functional):
@@ -79,9 +78,9 @@ class LevelContext:
         return float(np.sqrt(max(z @ r, 0.0)))
 
 
-def build_contexts(hierarchy, degree, nl, potential=None, a_coeff=None):
+def build_contexts(hierarchy, degree, nl, potential=None):
     return [
-        LevelContext(FemSpace(mesh, degree), nl, potential, a_coeff)
+        LevelContext(FemSpace(mesh, degree), nl, potential)
         for mesh in hierarchy.levels
     ]
 
@@ -90,8 +89,7 @@ def resi(ctx, x):
     """Computable residual: H1 Riesz norm of the eigen-residual functional
     plus half the normalization defect."""
     r = ctx.ops.residual(x.lam, x.u)
-    v = _coeffs(x.u)
-    defect = abs(1.0 - float(v @ (ctx.ops.mass @ v)))
+    defect = abs(1.0 - float(x.u @ (ctx.ops.mass @ x.u)))
     return ctx.riesz_norm(r) + 0.5 * defect
 
 
@@ -109,7 +107,7 @@ def _newton_matrix(ctx, lam0, u0_full):
 def assemble_newton_system(ctx, x0):
     """Bordered system of the Newton step at x0 (already on ctx's space)."""
     space = ctx.space
-    u0 = _coeffs(x0.u)
+    u0 = x0.u
     if u0.shape != (space.n_dofs,):
         raise UsageError("x0 must live on the target space; prolongate first")
     ix = space.interior_dofs
@@ -131,16 +129,25 @@ def _interior_prolongation(coarse_space, fine_space):
     return p[fine_space.interior_dofs][:, coarse_space.interior_dofs].tocsr()
 
 
+def _nested_dofs(coarse_space, fine_space):
+    """The fine dof at each coarse dof's node: the row of the 1 in that
+    column of the prolongation (every other entry of the column is < 1)."""
+    p = prolongation_matrix(coarse_space, fine_space).tocoo()
+    first = np.lexsort((-p.data, p.col))
+    starts = np.searchsorted(p.col[first], np.arange(coarse_space.n_dofs))
+    return p.row[first[starts]]
+
+
 def _build_vcycle(contexts, target_level_idx, lam0, u0_full, cfg):
     """Per-level Newton matrices for mg_cg, re-assembled (not Galerkin) at
-    the linearization point interpolated down the hierarchy."""
+    the linearization point injected down the hierarchy."""
     mats = []
     prolongs = []
     u_by_level = {target_level_idx: u0_full}
     for idx in range(target_level_idx - 1, -1, -1):
-        u_by_level[idx] = interpolate_field(
-            contexts[idx + 1].space, contexts[idx].space, u_by_level[idx + 1]
-        )
+        u_by_level[idx] = u_by_level[idx + 1][
+            _nested_dofs(contexts[idx].space, contexts[idx + 1].space)
+        ]
     for idx in range(target_level_idx + 1):
         ctx = contexts[idx]
         ix = ctx.space.interior_dofs
@@ -156,11 +163,7 @@ def _build_vcycle(contexts, target_level_idx, lam0, u0_full, cfg):
 
 def _prolong_iterate(x0, coarse_space, fine_space):
     p = prolongation_matrix(coarse_space, fine_space)
-    return IterateX(
-        lam=x0.lam,
-        u=FieldCoeffs(fine_space, p @ _coeffs(x0.u)),
-        level=fine_space.mesh.level,
-    )
+    return IterateX(lam=x0.lam, u=p @ x0.u)
 
 
 def newton_step(ctx, x0, cfg=None, contexts=None, level_idx=None):
@@ -173,13 +176,11 @@ def newton_step(ctx, x0, cfg=None, contexts=None, level_idx=None):
     if cfg.resolved_method(n, contexts is not None) == "mg_cg":
         if contexts is None or level_idx is None:
             raise UsageError("mg_cg needs the level contexts")
-        vcycle = _build_vcycle(contexts, level_idx, x0.lam, x0.u.values, cfg)
+        vcycle = _build_vcycle(contexts, level_idx, x0.lam, x0.u, cfg)
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u
-    return IterateX(
-        lam=sol.lam, u=FieldCoeffs(ctx.space, u1), level=ctx.space.mesh.level
-    )
+    return IterateX(lam=sol.lam, u=u1)
 
 
 def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
@@ -221,10 +222,8 @@ def mixing_iteration(x0, ctx, params=None, cfg=None, contexts=None,
     theta = params.theta_init
     while theta >= params.theta_min:
         lam = (1.0 - theta) * x0.lam + theta * xhat.lam
-        u = (1.0 - theta) * x0.u.values + theta * xhat.u.values
-        x_new = IterateX(
-            lam=lam, u=FieldCoeffs(ctx.space, u), level=ctx.space.mesh.level,
-        )
+        u = (1.0 - theta) * x0.u + theta * xhat.u
+        x_new = IterateX(lam=lam, u=u)
         resi_new = resi(ctx, x_new)
         if resi_new <= resi_old:
             return x_new, theta
@@ -239,9 +238,8 @@ def mixing_iteration(x0, ctx, params=None, cfg=None, contexts=None,
 
 def _finalize(ops, x):
     """x L2-normalized on ops' space, lambda from the Rayleigh identity."""
-    v = x.u.values / ops.l2_norm(x.u.values)
-    return IterateX(lam=ops.rayleigh_lambda(v), u=FieldCoeffs(ops.space, v),
-                    level=x.level)
+    v = x.u / ops.l2_norm(x.u)
+    return IterateX(lam=ops.rayleigh_lambda(v), u=v)
 
 
 def _prolong_to_finest(contexts, v, level_idx):
@@ -257,10 +255,8 @@ def _traced_resi(contexts, x, level_idx):
     """Trace currency: resi of the iterate measured on the finest space of
     the run, so rows of one trace are compared in the same discrete norm.
     (The mixing acceptance test still compares on the step's own space.)"""
-    v = _prolong_to_finest(contexts, x.u.values, level_idx)
-    fin = contexts[-1]
-    return resi(fin, IterateX(lam=x.lam, u=FieldCoeffs(fin.space, v),
-                              level=fin.space.mesh.level))
+    v = _prolong_to_finest(contexts, x.u, level_idx)
+    return resi(contexts[-1], IterateX(lam=x.lam, u=v))
 
 
 def multigrid_newton(contexts, scf_cfg=None, solver_cfg=None, renormalize=False,

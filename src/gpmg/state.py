@@ -3,18 +3,18 @@
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .assembly import FieldCoeffs
+import numpy as np
 
 __all__ = ["IterateX", "TraceRow"]
 
 
 @dataclass
 class IterateX:
-    """Product-space iterate (lambda, u) tagged with its mesh level."""
+    """Product-space iterate (lambda, u): u is the coefficient array on
+    one space, boundary entries zero."""
 
     lam: float
-    u: FieldCoeffs
-    level: int
+    u: np.ndarray
 
 
 @dataclass

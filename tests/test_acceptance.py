@@ -12,7 +12,6 @@ import scipy.sparse as sp
 
 from gpmg.assembly import (
     FemSpace,
-    FieldCoeffs,
     Operators,
     assemble_mass,
     evaluate_field,
@@ -82,7 +81,7 @@ def test_acceptance_2_oracle_equivalence():
     x, _ = multigrid_newton(ctxs)
     oracle = scf_solve(ctxs[-1].ops, ScfConfig(tol=1e-12, max_outer=2000))
     dlam = abs(x.lam - oracle.lam)
-    dh1 = ctxs[-1].ops.h1_norm(x.u.values - oracle.u.values)
+    dh1 = ctxs[-1].ops.h1_norm(x.u - oracle.u)
     elapsed = time.perf_counter() - t0
     ok = n_dofs <= 200 and dlam <= 1e-8 and dh1 <= 1e-7 and elapsed < 10.0
     verdict(2, "oracle equivalence", ok,
@@ -119,12 +118,12 @@ def test_acceptance_4_newton_quadratic_decay():
     # push the start to the edge of the basin so several quadratic steps
     # are visible before the solver-tolerance floor
     rng = np.random.default_rng(0)
-    u = x_scf.u.values.copy()
+    u = x_scf.u.copy()
     ix = space.interior_dofs
     u[ix] += 0.6 * rng.standard_normal(ix.size) / math.sqrt(ix.size) \
         * np.linalg.norm(u)
     u /= ctx.ops.l2_norm(u)
-    x0 = IterateX(lam=x_scf.lam + 5.0, u=FieldCoeffs(space, u), level=1)
+    x0 = IterateX(lam=x_scf.lam + 5.0, u=u)
     x, hist = newton_fixed_space(x0, ctx, tol=1e-11, max_steps=12)
     elapsed = time.perf_counter() - t0
     ratios = [hist[i + 1] / hist[i] ** 2 for i in range(len(hist) - 1)
@@ -184,8 +183,7 @@ def test_acceptance_6_jacobian_correctness():
     u0[ix] = 0.8 + 0.2 * rng.standard_normal(n)
     u0 /= ctx.ops.l2_norm(u0)
     lam0 = ctx.ops.rayleigh_lambda(u0)
-    system = assemble_newton_system(
-        ctx, IterateX(lam=lam0, u=FieldCoeffs(space, u0), level=1))
+    system = assemble_newton_system(ctx, IterateX(lam=lam0, u=u0))
     jac = np.zeros((n + 1, n + 1))
     jac[:n, :n] = system.k.toarray()
     jac[:n, n] = -system.m
@@ -256,7 +254,7 @@ def test_acceptance_8_linear_complexity():
         system = assemble_newton_system(ctx, x0p)
         from gpmg.newton import _build_vcycle
 
-        vc = _build_vcycle(ctxs, idx, x0p.lam, x0p.u.values, SolverConfig())
+        vc = _build_vcycle(ctxs, idx, x0p.lam, x0p.u, SolverConfig())
         t_mg = timed(lambda: solve_bordered(
             system, SolverConfig(method="mg_cg"), vcycle=vc))
         t_dir = timed(lambda: solve_bordered(
@@ -323,15 +321,15 @@ def test_acceptance_9_invariant_suites():
     nl = Nonlinearity(zeta=5.0)
     xs = scf_solve(Operators(space, nl))
     m = assemble_mass(space)
-    norm_def = abs(float(xs.u.values @ (m @ xs.u.values)) - 1.0)
+    norm_def = abs(float(xs.u @ (m @ xs.u)) - 1.0)
     details.append(f"|u'Mu - 1| {norm_def:.1e}")
 
     # border-equation exactness after a Newton solve
     ctx = LevelContext(space, nl)
     x1 = newton_step(ctx, xs)
-    mu0 = m @ xs.u.values
-    border = abs(-float(mu0 @ x1.u.values)
-                 - (-0.5 - 0.5 * float(xs.u.values @ mu0)))
+    mu0 = m @ xs.u
+    border = abs(-float(mu0 @ x1.u)
+                 - (-0.5 - 0.5 * float(xs.u @ mu0)))
     details.append(f"border eq dev {border:.1e}")
 
     ok = (nested and worst_p <= 1e-12 and worst_q <= 1e-13

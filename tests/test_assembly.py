@@ -3,7 +3,6 @@ import pytest
 
 from gpmg.assembly import (
     FemSpace,
-    FieldCoeffs,
     Operators,
     assemble_field_load,
     assemble_field_weighted_mass,
@@ -11,7 +10,6 @@ from gpmg.assembly import (
     assemble_stiffness,
     assemble_weighted_mass,
     evaluate_field,
-    interpolate_field,
     prolongation_matrix,
 )
 from gpmg.elements import quadrature, shape_gradients, shape_values
@@ -120,7 +118,7 @@ def test_interpolate_field_between_degrees():
     mesh = build_initial_mesh(BoxDomain.unit(1), (8,))
     p1, p2 = FemSpace(mesh, 1), FemSpace(mesh, 2)
     u1 = p1.dof_coords[:, 0]  # linear: exactly representable in both
-    u2 = interpolate_field(p1, p2, u1)
+    u2 = evaluate_field(p1, u1, p2.dof_coords)
     assert np.allclose(u2, p2.dof_coords[:, 0], atol=1e-13)
 
 
@@ -163,12 +161,6 @@ def test_operators_rayleigh_identity():
     # lambda must make the residual M-orthogonal to u
     r = ops.residual(lam, u)
     assert abs(u @ r) <= 1e-12 * max(1.0, abs(lam))
-
-
-def test_field_coeffs_shape_validation():
-    space = space_1d(4)
-    with pytest.raises(UsageError):
-        FieldCoeffs(space, np.zeros(space.n_dofs + 1))
 
 
 # Reference assembly: the per-cell einsum formulas the table kernel
@@ -265,10 +257,10 @@ def test_kernel_matches_einsum_reference(kernel_case):
 
 
 def test_energy_matches_einsum_reference(kernel_case):
-    space, a, potential, u = kernel_case
+    space, _, potential, u = kernel_case
     nl = Nonlinearity(zeta=2.5)
-    ops = Operators(space, nl, potential=potential, a_coeff=a)
-    linear = _ref_stiffness(space, a) + _ref_weighted_mass(
+    ops = Operators(space, nl, potential=potential)
+    linear = _ref_stiffness(space, np.eye(space.dim)) + _ref_weighted_mass(
         space, _ref_potential_values(space, potential))
     uq, w, _ = _ref_quad_values(space, u)
     _, _, det, _ = space.geometry()
@@ -278,9 +270,9 @@ def test_energy_matches_einsum_reference(kernel_case):
 
 
 def test_newton_matrix_sums_the_separate_masses(kernel_case):
-    space, a, potential, u = kernel_case
+    space, _, potential, u = kernel_case
     nl = Nonlinearity(zeta=2.5)
-    ctx = LevelContext(space, nl, potential=potential, a_coeff=a)
+    ctx = LevelContext(space, nl, potential=potential)
     lam0 = 3.7
     want = (ctx.ops.linear_part - lam0 * ctx.ops.mass
             + assemble_field_weighted_mass(space, u, lambda t: f_eval(nl, t**2))

@@ -7,9 +7,9 @@ import pytest
 
 import gpmg.newton as newton_mod
 from gpmg.assembly import prolongation_matrix
-from gpmg.cli import CSV_HEADER, main
+from gpmg.cli import CSV_HEADER, main, run
 from gpmg.config import load_config, parse_config_text
-from gpmg.errors import ConfigurationError
+from gpmg.errors import ConfigurationError, UsageError
 from gpmg.mesh import build_hierarchy
 from gpmg.newton import (
     MixingParams,
@@ -237,12 +237,12 @@ def study_oracle(cfg, renormalize):
     errors = []
     for depth in range(1, cfg.levels + 1):
         x = run(ctxs[:depth])
-        v = x.u.values
+        v = x.u
         for idx in range(depth - 1, len(ctxs) - 1):
             v = prolongation_matrix(ctxs[idx].space, ctxs[idx + 1].space) @ v
-        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u.values)) >= 0 else -1.0
+        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u)) >= 0 else -1.0
         errors.append((abs(x.lam - ref_lam),
-                       ref_ops.h1_norm(sign * v - x_ref.u.values)))
+                       ref_ops.h1_norm(sign * v - x_ref.u)))
     return errors
 
 
@@ -329,6 +329,51 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     cfg = GPE_1D + "coarse.dof_cap = 5\n"
     code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, cfg))
     assert code == 4 and "error" in err
+
+
+def _one_line_exit(tmp_path, capsys, cfg, *flags):
+    """Exit code and stderr of the `gpmg` script on a config that fails."""
+    code = run(["solve", "--config", write(tmp_path, cfg), *flags])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("value", ["2", "nan", "0"])
+def test_theta_min_outside_range_is_config_error(tmp_path, capsys, value):
+    cfg = GPE_1D + f"mixing.theta_min = {value}\n"
+    code, err = _one_line_exit(tmp_path, capsys, cfg, "--mixing")
+    assert code == 2 and "mixing.theta_min" in err
+
+
+def test_mixing_params_reject_theta_min_outside_range():
+    for theta_min in (0.0, 0.75, float("nan")):
+        with pytest.raises(UsageError, match="theta_min"):
+            MixingParams(theta_init=0.5, theta_min=theta_min)
+
+
+def test_zero_scf_iterations_is_config_error(tmp_path, capsys):
+    code, err = _one_line_exit(tmp_path, capsys,
+                               GPE_1D + "coarse.max_outer = 0\n")
+    assert code == 2 and "max_outer" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, value):
+    cfg = GPE_1D.replace("problem.zeta = 10.0", f"problem.zeta = {value}")
+    code, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert code == 2 and "problem.zeta" in err and "finite" in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys):
+    # finite but so large that f(u^2) overflows inside the linear algebra
+    cfg = GPE_1D.replace("problem.zeta = 10.0", "problem.zeta = 1e308")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # an overflow warning would print
+        code, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert code == 5 and err.startswith("internal error: ")
+    assert caught == []
 
 
 @pytest.mark.parametrize("potential, reason", [

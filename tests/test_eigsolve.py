@@ -55,8 +55,8 @@ def test_scf_normalization_and_sign():
     ops = Operators(space, nl, potential=parse("x1^2", 1))
     x = scf_solve(ops)
     mass = ops.mass
-    assert abs(x.u.values @ (mass @ x.u.values) - 1.0) <= 1e-10
-    assert float(np.sum(mass @ x.u.values)) >= 0.0  # sign convention
+    assert abs(x.u @ (mass @ x.u) - 1.0) <= 1e-10
+    assert float(np.sum(mass @ x.u)) >= 0.0  # sign convention
     # the nonlinear Rayleigh identity at the converged iterate
     assert np.isclose(x.lam, ops.rayleigh_lambda(x.u), rtol=1e-12)
 
@@ -98,6 +98,6 @@ def test_scf_strong_coupling_backs_off_damping():
     nl = Nonlinearity(zeta=200.0)
     ops = Operators(space, nl)
     x = scf_solve(ops, ScfConfig(alpha=1.0))
-    assert abs(x.u.values @ (ops.mass @ x.u.values) - 1.0) <= 1e-10
+    assert abs(x.u @ (ops.mass @ x.u) - 1.0) <= 1e-10
     r = ops.residual(x.lam, x.u)
     assert np.max(np.abs(r[space.interior_dofs])) <= 1e-8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gpmg.assembly import FemSpace, FieldCoeffs, assemble_mass, assemble_stiffness
+from gpmg.assembly import FemSpace, evaluate_field
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import DivergenceError, StagnationError, UsageError
 from gpmg.expr import parse
@@ -11,6 +11,7 @@ from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
     LevelContext,
     MixingParams,
+    _nested_dofs,
     _prolong_iterate,
     assemble_newton_system,
     build_contexts,
@@ -41,8 +42,7 @@ def linear_eigenpair(ctx):
     u[ix] = vecs[:, 0]
     if u.sum() < 0:
         u = -u
-    return IterateX(lam=vals[0], u=FieldCoeffs(space, u),
-                    level=space.mesh.level)
+    return IterateX(lam=vals[0], u=u)
 
 
 def test_newton_fixed_point():
@@ -51,19 +51,18 @@ def test_newton_fixed_point():
     x0 = linear_eigenpair(ctx)
     x1 = newton_step(ctx, x0)
     assert abs(x1.lam - x0.lam) <= 1e-9
-    assert np.max(np.abs(x1.u.values - x0.u.values)) <= 1e-8
+    assert np.max(np.abs(x1.u - x0.u)) <= 1e-8
 
 
 def test_newton_contracts_from_perturbed_start():
     ctx = ctx_1d(zeta=0.0)
     x_star = linear_eigenpair(ctx)
     rng = np.random.default_rng(8)
-    u = x_star.u.values.copy()
+    u = x_star.u.copy()
     u[ctx.space.interior_dofs] += 0.05 * rng.standard_normal(
         ctx.space.interior_dofs.size
     )
-    x0 = IterateX(lam=x_star.lam + 0.3, u=FieldCoeffs(ctx.space, u),
-                  level=x_star.level)
+    x0 = IterateX(lam=x_star.lam + 0.3, u=u)
     r0 = np.linalg.norm(ctx.ops.residual(x0.lam, x0.u))
     x1 = newton_step(ctx, x0)
     r1 = np.linalg.norm(ctx.ops.residual(x1.lam, x1.u))
@@ -76,10 +75,25 @@ def test_border_equation_exact_after_solve():
     ctx = ctx_1d(zeta=2.0, potential=parse("x1^2", 1))
     x0 = scf_solve(ctx.ops, ScfConfig(tol=1e-6))
     x1 = newton_step(ctx, x0)
-    mu0 = ctx.ops.mass @ x0.u.values
-    lhs = -float(mu0 @ x1.u.values)
-    rhs = -0.5 - 0.5 * float(x0.u.values @ mu0)
+    mu0 = ctx.ops.mass @ x0.u
+    lhs = -float(mu0 @ x1.u)
+    rhs = -0.5 - 0.5 * float(x0.u @ mu0)
     assert abs(lhs - rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("dim,degree,levels", [(2, 1, 4), (3, 2, 3)],
+                         ids=["2d-p1", "3d-p2"])
+def test_nested_dofs_gather_equals_point_evaluation(dim, degree, levels):
+    # gathering a fine field at the nested dofs is its nodal interpolant
+    # on the coarse space, bit for bit
+    hier = build_hierarchy(BoxDomain.unit(dim), (2,) * dim, levels)
+    spaces = [FemSpace(m, degree) for m in hier.levels]
+    rng = np.random.default_rng(dim)
+    for coarse, fine in zip(spaces, spaces[1:]):
+        u = rng.standard_normal(fine.n_dofs)
+        gathered = u[_nested_dofs(coarse, fine)]
+        assert np.array_equal(gathered,
+                              evaluate_field(fine, u, coarse.dof_coords))
 
 
 def test_newton_requires_matching_space():
@@ -101,7 +115,7 @@ def test_jacobian_matches_finite_differences():
     u0[ix] = 0.5 + 0.1 * rng.standard_normal(ix.size)
     u0 /= ctx.ops.l2_norm(u0)
     lam0 = ctx.ops.rayleigh_lambda(u0)
-    x0 = IterateX(lam=lam0, u=FieldCoeffs(space, u0), level=1)
+    x0 = IterateX(lam=lam0, u=u0)
     system = assemble_newton_system(ctx, x0)
     n = ix.size
     jac = np.zeros((n + 1, n + 1))
@@ -137,9 +151,9 @@ def test_resi_scales_linearly():
     # doubling the residual functional doubles the Riesz-norm term
     ctx = ctx_1d(zeta=0.0)
     x_star = linear_eigenpair(ctx)
-    u = x_star.u.values
-    x_a = IterateX(lam=x_star.lam + 0.5, u=FieldCoeffs(ctx.space, u), level=1)
-    x_b = IterateX(lam=x_star.lam + 1.0, u=FieldCoeffs(ctx.space, u), level=1)
+    u = x_star.u
+    x_a = IterateX(lam=x_star.lam + 0.5, u=u)
+    x_b = IterateX(lam=x_star.lam + 1.0, u=u)
     assert np.isclose(resi(ctx, x_b), 2.0 * resi(ctx, x_a), rtol=1e-8)
 
 
@@ -193,9 +207,9 @@ def test_mixing_stagnation_error():
     # at the exact solution every damped move away increases the residual,
     # except theta ~ 0; a large theta_min forces stagnation
     params = MixingParams(theta_init=1.0, theta_min=0.9)
-    u = x_star.u.values.copy()
+    u = x_star.u.copy()
     u[ctx.space.interior_dofs] *= 1.5
-    x0 = IterateX(lam=x_star.lam * 2.0, u=FieldCoeffs(ctx.space, u), level=1)
+    x0 = IterateX(lam=x_star.lam * 2.0, u=u)
     try:
         x1, theta = mixing_iteration(x0, ctx, params=params)
         assert resi(ctx, x1) <= resi(ctx, x0)
@@ -213,7 +227,7 @@ def test_multigrid_newton_trace_fields():
     assert [r.n_dofs for r in trace] == [c.space.n_dofs for c in ctxs]
     assert all(r.err_lambda is not None for r in trace)
     assert trace[0].theta is None
-    assert x.level == hier.levels[-1].level
+    assert x.u.shape == (ctxs[-1].space.n_dofs,)
 
 
 def test_multigrid_mixing_monotone_resi_trace():
