@@ -1,7 +1,8 @@
 """Finite element spaces and assembly of all discrete operators.
 
 Covers stiffness/mass/weighted-mass matrices, nonlinear load vectors, the
-eigenvalue residual functional, the energy, and coarse-to-fine transfer.
+eigenvalue residual functional, its H1 Riesz norm, the energy, and
+coarse-to-fine transfer.
 Dirichlet conditions are handled by reduction to the interior dof set.
 All forms share one kernel: per-cell weights times a reference table that
 the space caches per quadrature rule (`RuleTables`).
@@ -9,6 +10,7 @@ the space caches per quadrature rule (`RuleTables`).
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import expr as expr_mod
 from .elements import quadrature, reference_element, shape_gradients, shape_values
@@ -235,11 +237,13 @@ def prolongation_matrix(coarse, fine):
 
 
 class Operators:
-    """Per-space cache of the u-independent operators of one problem."""
+    """One mesh level of a problem: its space, the cached u-independent
+    operators, and the lazily factored H1 Riesz solver."""
 
     def __init__(self, space, nl, potential=None):
         self.space = space
         self.nl = nl
+        self._riesz_lu = None
         stiffness = assemble_stiffness(space)
         self.mass = assemble_mass(space)
         self.h1_mat = (stiffness + self.mass).tocsr()
@@ -261,6 +265,15 @@ class Operators:
             )
         r[self.space.boundary_dofs] = 0.0
         return r
+
+    def riesz_norm(self, functional):
+        """H1 norm of the Riesz representative of an interior functional."""
+        ix = self.space.interior_dofs
+        if self._riesz_lu is None:
+            self._riesz_lu = spla.splu(self.h1_mat[ix][:, ix].tocsc())
+        r = functional[ix]
+        z = self._riesz_lu.solve(r)
+        return float(np.sqrt(max(z @ r, 0.0)))
 
     def l2_norm(self, u):
         return float(np.sqrt(max(u @ (self.mass @ u), 0.0)))

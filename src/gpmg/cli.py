@@ -105,13 +105,13 @@ def cmd_study(cfg, out_path=None, renormalize=False):
     """
     contexts = _build(cfg, levels=cfg.levels + 1)
     x_ref, trace = _run(cfg, contexts, renormalize=renormalize)
-    ref_ops = contexts[-1].ops
+    ref_ops = contexts[-1]
     ref_lam = (cfg.reference_lambda if cfg.reference_lambda is not None
                else x_ref.lam)
 
     rows = trace[:cfg.levels]
     for idx, row in enumerate(rows):
-        x_k = _finalize(contexts[idx].ops, row.x) if renormalize else row.x
+        x_k = _finalize(contexts[idx], row.x) if renormalize else row.x
         v = _prolong_to_finest(contexts, x_k.u, idx)
         sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u)) >= 0 else -1.0
         row.err_h1 = ref_ops.h1_norm(sign * v - x_ref.u)
@@ -146,7 +146,7 @@ def cmd_bench(cfg, out_path=None, direct=False):
         if direct:
             try:
                 t0 = time.perf_counter()
-                scf_solve(ctx.ops, cfg.coarse)
+                scf_solve(ctx, cfg.coarse)
                 direct_cell = f"{(time.perf_counter() - t0) * 1e3:.3f}"
             except ResourceLimitError:
                 direct_cell = "-"

@@ -26,6 +26,10 @@ from .state import IterateX
 __all__ = ["ScfConfig", "smallest_eigpair", "scf_solve"]
 
 DENSE_EIG_LIMIT = 2000
+# shift-and-invert iteration above DENSE_EIG_LIMIT: residual tolerance
+# relative to ||x|| and the iteration cap
+EIG_TOL = 1e-10
+EIG_MAX_ITER = 500
 
 
 @dataclass
@@ -35,8 +39,6 @@ class ScfConfig:
     alpha: float = 0.5
     inner: str = "auto"  # auto | inverse_iteration | dense_fallback
     dof_cap: int = 50_000
-    eig_tol: float = 1e-10
-    eig_max_iter: int = 500
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -74,7 +76,7 @@ def smallest_eigpair(kfull, m, cfg=None):
     sigma = 0.0
     x = np.ones(n)
     x /= np.sqrt(x @ (mc @ x))
-    for it in range(cfg.eig_max_iter):
+    for it in range(EIG_MAX_ITER):
         y = lu.solve(mc @ x)
         y /= np.sqrt(max(y @ (mc @ y), 1e-300))
         if y @ (mc @ x) < 0:
@@ -82,14 +84,14 @@ def smallest_eigpair(kfull, m, cfg=None):
         x = y
         rho = float(x @ (kfull @ x))  # x is M-normalized
         res = float(np.linalg.norm(kfull @ x - rho * (mc @ x)))
-        if res <= cfg.eig_tol * float(np.linalg.norm(x)):
+        if res <= EIG_TOL * float(np.linalg.norm(x)):
             return rho, x
         # Rayleigh shift update: refactor once the fixed shift stalls.
         if it > 0 and it % 20 == 0:
             sigma = rho * (1.0 - 1e-3)
             lu = spla.splu((kc - sigma * m.tocsc()).tocsc())
     raise SolverError(
-        f"eigensolver did not reach {cfg.eig_tol:.1e} in {cfg.eig_max_iter} "
+        f"eigensolver did not reach {EIG_TOL:.1e} in {EIG_MAX_ITER} "
         f"iterations (last residual {res:.3e})",
         achieved=res,
     )
@@ -121,7 +123,6 @@ def scf_solve(ops, cfg=None):
     # Initial iterate: ground state of the linear part (f frozen at zero).
     lam, u_int = smallest_eigpair(a0, m_int, cfg)
     u_full = expand(u_int)
-    energies = [ops.energy(u_full)]
     iterations = 0
     if nl.zeta != 0:
         alpha = cfg.alpha
@@ -144,7 +145,6 @@ def scf_solve(ops, cfg=None):
             prev_diff = diff
             u_int = new_int
             u_full = expand(u_int)
-            energies.append(ops.energy(u_full))
             iterations = outer
             if diff <= cfg.tol:
                 break
@@ -158,5 +158,4 @@ def scf_solve(ops, cfg=None):
     lam = ops.rayleigh_lambda(u_full)
     it = IterateX(lam=lam, u=u_full)
     it.scf_iterations = iterations
-    it.scf_energies = energies
     return it

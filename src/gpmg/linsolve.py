@@ -6,7 +6,7 @@ sparse direct factorization, plain CG, or CG preconditioned with a
 geometric V-cycle (Gauss-Seidel smoothing).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,14 +67,9 @@ class VCycleHierarchy:
         self.upper = [sp.triu(m, format="csr") for m in self.mats]
         self.coarse_lu = spla.splu(self.mats[0].tocsc())
 
-    @property
-    def n_levels(self):
-        return len(self.mats)
-
-    def apply(self, b, level=None):
-        """One V-cycle from zero initial guess on the given level (default finest)."""
-        level = self.n_levels - 1 if level is None else level
-        return self._cycle(level, np.asarray(b, dtype=float))
+    def apply(self, b):
+        """One V-cycle on the finest level from zero initial guess."""
+        return self._cycle(len(self.mats) - 1, np.asarray(b, dtype=float))
 
     def _cycle(self, lvl, b):
         if lvl == 0:
@@ -179,8 +174,8 @@ class BorderedSystem:
 class BorderedSolution:
     u: np.ndarray
     lam: float
-    coercive: bool  # sign of the Schur scalar m' K^{-1} m
-    schur: float = field(repr=False, default=0.0)
+    # the Schur scalar m' K^{-1} m; positive when K is coercive
+    schur: float
 
     def __iter__(self):
         return iter((self.u, self.lam))
@@ -241,7 +236,7 @@ def solve_bordered(system, cfg=None, vcycle=None):
             f"bordered solve residuals {res1:.3e}, {res2:.3e} above tolerance",
             achieved=res1 / max(scale, 1e-30),
         )
-    return BorderedSolution(u=u1, lam=lam1, coercive=my > 0.0, schur=my)
+    return BorderedSolution(u=u1, lam=lam1, schur=my)
 
 
 def _solve_bordered_full(system, cfg, schur=0.0):
@@ -264,5 +259,4 @@ def _solve_bordered_full(system, cfg, schur=0.0):
         raise SolverError(
             f"full bordered solve residual {res:.3e} above tolerance"
         )
-    return BorderedSolution(u=x[:n], lam=float(x[n]), coercive=schur > 0.0,
-                            schur=schur)
+    return BorderedSolution(u=x[:n], lam=float(x[n]), schur=schur)

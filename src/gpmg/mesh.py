@@ -22,7 +22,6 @@ __all__ = [
     "build_initial_mesh",
     "refine_uniform",
     "build_hierarchy",
-    "export_mesh",
 ]
 
 DEFAULT_MAX_VERTICES = 5_000_000
@@ -101,7 +100,6 @@ class MeshLevel:
         ]
         for i in range(d):
             axes[i][-1] = domain.upper[i]
-        self.axis_coords = axes
 
         grids = np.meshgrid(*axes, indexing="ij")
         self.vertices = np.stack([g.ravel() for g in grids], axis=1)
@@ -236,20 +234,3 @@ def build_hierarchy(domain, n0, n_levels, max_vertices=DEFAULT_MAX_VERTICES):
     for _ in range(n_levels - 1):
         levels.append(refine_uniform(levels[-1]))
     return MeshHierarchy(domain=domain, levels=levels)
-
-
-def export_mesh(mesh, stream):
-    """Debug export: 'DIM NV NC' header, vertex lines, 0-based cell lines."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w")
-        close = True
-    try:
-        stream.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n")
-        for v in mesh.vertices:
-            stream.write(" ".join(repr(float(x)) for x in v) + "\n")
-        for c in mesh.cells:
-            stream.write(" ".join(str(int(i)) for i in c) + "\n")
-    finally:
-        if close:
-            stream.close()

@@ -14,7 +14,6 @@ nonlinearly once and take one (possibly damped) Newton step per level.
 import time
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     FemSpace,
@@ -30,7 +29,6 @@ from .nonlinearity import f_eval, fprime_eval
 from .state import IterateX, TraceRow
 
 __all__ = [
-    "LevelContext",
     "MixingParams",
     "build_contexts",
     "assemble_newton_system",
@@ -58,29 +56,16 @@ class MixingParams:
         self.theta_min = theta_min
 
 
-class LevelContext:
-    """One mesh level of a problem: space, cached operators, Riesz solver."""
-
-    def __init__(self, space, nl, potential=None):
-        self.space = space
-        self.nl = nl
-        self.ops = Operators(space, nl, potential=potential)
-        self._riesz_lu = None
-
-    def riesz_norm(self, functional):
-        """H1 norm of the Riesz representative of an interior functional."""
-        ix = self.space.interior_dofs
-        if self._riesz_lu is None:
-            h1 = self.ops.h1_mat[ix][:, ix].tocsc()
-            self._riesz_lu = spla.splu(h1)
-        r = functional[ix]
-        z = self._riesz_lu.solve(r)
-        return float(np.sqrt(max(z @ r, 0.0)))
+# Kept only because perfbench/tracer.py hooks
+# `newton.LevelContext.riesz_norm`, and perfbench's smoke test needs that
+# metric; delete it once the hook names `assembly.Operators.riesz_norm`.
+LevelContext = Operators
 
 
 def build_contexts(hierarchy, degree, nl, potential=None):
+    """One `Operators` per mesh level, coarsest first."""
     return [
-        LevelContext(FemSpace(mesh, degree), nl, potential)
+        Operators(FemSpace(mesh, degree), nl, potential)
         for mesh in hierarchy.levels
     ]
 
@@ -88,13 +73,13 @@ def build_contexts(hierarchy, degree, nl, potential=None):
 def resi(ctx, x):
     """Computable residual: H1 Riesz norm of the eigen-residual functional
     plus half the normalization defect."""
-    r = ctx.ops.residual(x.lam, x.u)
-    defect = abs(1.0 - float(x.u @ (ctx.ops.mass @ x.u)))
+    r = ctx.residual(x.lam, x.u)
+    defect = abs(1.0 - float(x.u @ (ctx.mass @ x.u)))
     return ctx.riesz_norm(r) + 0.5 * defect
 
 
 def _newton_matrix(ctx, lam0, u0_full):
-    k = ctx.ops.linear_part - lam0 * ctx.ops.mass
+    k = ctx.linear_part - lam0 * ctx.mass
     if ctx.nl.zeta != 0:
         def weight(t):
             t2 = t**2
@@ -112,7 +97,7 @@ def assemble_newton_system(ctx, x0):
         raise UsageError("x0 must live on the target space; prolongate first")
     ix = space.interior_dofs
     k = _newton_matrix(ctx, x0.lam, u0)[ix][:, ix].tocsr()
-    mu0 = ctx.ops.mass @ u0
+    mu0 = ctx.mass @ u0
     m = mu0[ix].copy()
     r = -x0.lam * mu0[ix]
     if ctx.nl.zeta != 0:
@@ -138,23 +123,22 @@ def _nested_dofs(coarse_space, fine_space):
     return p.row[first[starts]]
 
 
-def _build_vcycle(contexts, target_level_idx, lam0, u0_full, cfg):
+def _build_vcycle(levels, lam0, u0, cfg):
     """Per-level Newton matrices for mg_cg, re-assembled (not Galerkin) at
-    the linearization point injected down the hierarchy."""
+    the linearization point u0 on levels[-1], injected down the hierarchy."""
     mats = []
     prolongs = []
-    u_by_level = {target_level_idx: u0_full}
-    for idx in range(target_level_idx - 1, -1, -1):
-        u_by_level[idx] = u_by_level[idx + 1][
-            _nested_dofs(contexts[idx].space, contexts[idx + 1].space)
-        ]
-    for idx in range(target_level_idx + 1):
-        ctx = contexts[idx]
+    points = [u0]
+    for idx in range(len(levels) - 2, -1, -1):
+        points.insert(0, points[0][
+            _nested_dofs(levels[idx].space, levels[idx + 1].space)
+        ])
+    for idx, (ctx, u) in enumerate(zip(levels, points)):
         ix = ctx.space.interior_dofs
-        mats.append(_newton_matrix(ctx, lam0, u_by_level[idx])[ix][:, ix].tocsr())
+        mats.append(_newton_matrix(ctx, lam0, u)[ix][:, ix].tocsr())
         if idx > 0:
             prolongs.append(
-                _interior_prolongation(contexts[idx - 1].space, ctx.space)
+                _interior_prolongation(levels[idx - 1].space, ctx.space)
             )
     return VCycleHierarchy(
         mats, prolongs, pre_smooth=cfg.pre_smooth, post_smooth=cfg.post_smooth
@@ -166,17 +150,17 @@ def _prolong_iterate(x0, coarse_space, fine_space):
     return IterateX(lam=x0.lam, u=p @ x0.u)
 
 
-def newton_step(ctx, x0, cfg=None, contexts=None, level_idx=None):
-    """One Newton step from x0, an iterate already on ctx's space. The
-    mg_cg method needs the level contexts and ctx's index among them."""
+def newton_step(levels, x0, cfg=None):
+    """One Newton step on levels[-1] from x0, an iterate already on its
+    space. levels runs coarsest first; mg_cg needs more than one."""
     cfg = cfg or SolverConfig()
+    ctx = levels[-1]
     system = assemble_newton_system(ctx, x0)
     vcycle = None
     n = system.k.shape[0]
-    if cfg.resolved_method(n, contexts is not None) == "mg_cg":
-        if contexts is None or level_idx is None:
-            raise UsageError("mg_cg needs the level contexts")
-        vcycle = _build_vcycle(contexts, level_idx, x0.lam, x0.u, cfg)
+    hierarchy = len(levels) > 1
+    if hierarchy and cfg.resolved_method(n, hierarchy) == "mg_cg":
+        vcycle = _build_vcycle(levels, x0.lam, x0.u, cfg)
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u
@@ -196,7 +180,7 @@ def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
     for _ in range(max_steps):
         if history[-1] <= tol:
             break
-        x_new = newton_step(ctx, x, cfg)
+        x_new = newton_step([ctx], x, cfg)
         history.append(resi(ctx, x_new))
         if history[-1] > history[-2]:
             growths += 1
@@ -211,14 +195,14 @@ def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
     return x, history
 
 
-def mixing_iteration(x0, ctx, params=None, cfg=None, contexts=None,
-                     level_idx=None):
-    """Damped Newton step from x0, an iterate already on ctx's space: solve
-    once, then halve theta until the residual decreases. Never re-solves
-    during the line search."""
+def mixing_iteration(levels, x0, params=None, cfg=None):
+    """Damped Newton step on levels[-1] from x0, an iterate already on its
+    space: solve once, then halve theta until the residual decreases.
+    Never re-solves during the line search."""
     params = params or MixingParams()
+    ctx = levels[-1]
     resi_old = resi(ctx, x0)
-    xhat = newton_step(ctx, x0, cfg, contexts, level_idx)
+    xhat = newton_step(levels, x0, cfg)
     theta = params.theta_init
     while theta >= params.theta_min:
         lam = (1.0 - theta) * x0.lam + theta * xhat.lam
@@ -287,20 +271,21 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
         t0 = time.perf_counter()
         theta = None
         if idx == 0:
-            x = scf_solve(ctx.ops, scf_cfg)
+            x = scf_solve(ctx, scf_cfg)
         else:
+            levels = contexts[:idx + 1]
             x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
             if mixing:
                 try:
-                    x, theta = mixing_iteration(x0p, ctx, params, solver_cfg,
-                                                contexts, idx)
+                    x, theta = mixing_iteration(levels, x0p, params,
+                                                solver_cfg)
                 except StagnationError as err:
                     raise StagnationError(
                         f"level {idx + 1}: {err}", err.resi_old, err.resi_new
                     ) from err
             else:
                 resi_old = resi(ctx, x0p)
-                x = newton_step(ctx, x0p, solver_cfg, contexts, idx)
+                x = newton_step(levels, x0p, solver_cfg)
                 resi_new = resi(ctx, x)
                 if resi_new > max(RESI_GROWTH_FACTOR * resi_old, RESI_FLOOR):
                     raise DivergenceError(
@@ -323,5 +308,5 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
             x=x,
         ))
     if renormalize:
-        x = _finalize(contexts[-1].ops, x)
+        x = _finalize(contexts[-1], x)
     return x, rows

@@ -28,7 +28,6 @@ from gpmg.expr import parse
 from gpmg.linsolve import BorderedSystem, SolverConfig, solve_bordered
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh, refine_uniform
 from gpmg.newton import (
-    LevelContext,
     MixingParams,
     _prolong_iterate,
     assemble_newton_system,
@@ -79,9 +78,9 @@ def test_acceptance_2_oracle_equivalence():
     ctxs = build_contexts(hier, 2, nl, potential=potential)
     n_dofs = ctxs[-1].space.n_dofs
     x, _ = multigrid_newton(ctxs)
-    oracle = scf_solve(ctxs[-1].ops, ScfConfig(tol=1e-12, max_outer=2000))
+    oracle = scf_solve(ctxs[-1], ScfConfig(tol=1e-12, max_outer=2000))
     dlam = abs(x.lam - oracle.lam)
-    dh1 = ctxs[-1].ops.h1_norm(x.u - oracle.u)
+    dh1 = ctxs[-1].h1_norm(x.u - oracle.u)
     elapsed = time.perf_counter() - t0
     ok = n_dofs <= 200 and dlam <= 1e-8 and dh1 <= 1e-7 and elapsed < 10.0
     verdict(2, "oracle equivalence", ok,
@@ -113,8 +112,8 @@ def test_acceptance_4_newton_quadratic_decay():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(3), (4, 4, 4)), 2)
     nl = Nonlinearity(zeta=1.0)
     potential = parse(EX1_POTENTIAL, 3)
-    ctx = LevelContext(space, nl, potential=potential)
-    x_scf = scf_solve(ctx.ops, ScfConfig(tol=1e-2))
+    ctx = Operators(space, nl, potential=potential)
+    x_scf = scf_solve(ctx, ScfConfig(tol=1e-2))
     # push the start to the edge of the basin so several quadratic steps
     # are visible before the solver-tolerance floor
     rng = np.random.default_rng(0)
@@ -122,7 +121,7 @@ def test_acceptance_4_newton_quadratic_decay():
     ix = space.interior_dofs
     u[ix] += 0.6 * rng.standard_normal(ix.size) / math.sqrt(ix.size) \
         * np.linalg.norm(u)
-    u /= ctx.ops.l2_norm(u)
+    u /= ctx.l2_norm(u)
     x0 = IterateX(lam=x_scf.lam + 5.0, u=u)
     x, hist = newton_fixed_space(x0, ctx, tol=1e-11, max_steps=12)
     elapsed = time.perf_counter() - t0
@@ -147,13 +146,13 @@ def test_acceptance_5_mixing_monotonicity():
     params = MixingParams(theta_init=0.5)
 
     # replay the driver level by level to observe the acceptance contract
-    x = scf_solve(ctxs[0].ops)
+    x = scf_solve(ctxs[0])
     thetas = []
     accept_ok = True
     for idx in range(1, 3):
         x0p = _prolong_iterate(x, ctxs[idx - 1].space, ctxs[idx].space)
         resi_old = resi(ctxs[idx], x0p)
-        x, theta = mixing_iteration(x0p, ctxs[idx], params=params)
+        x, theta = mixing_iteration(ctxs[:idx + 1], x0p, params=params)
         accept_ok = accept_ok and resi(ctxs[idx], x) <= resi_old
         thetas.append(theta)
 
@@ -175,14 +174,14 @@ def test_acceptance_5_mixing_monotonicity():
 def test_acceptance_6_jacobian_correctness():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (12,)), 2)
     nl = Nonlinearity(zeta=1.0)
-    ctx = LevelContext(space, nl, potential=parse("x1^2", 1))
+    ctx = Operators(space, nl, potential=parse("x1^2", 1))
     ix = space.interior_dofs
     n = ix.size
     rng = np.random.default_rng(1)
     u0 = np.zeros(space.n_dofs)
     u0[ix] = 0.8 + 0.2 * rng.standard_normal(n)
-    u0 /= ctx.ops.l2_norm(u0)
-    lam0 = ctx.ops.rayleigh_lambda(u0)
+    u0 /= ctx.l2_norm(u0)
+    lam0 = ctx.rayleigh_lambda(u0)
     system = assemble_newton_system(ctx, IterateX(lam=lam0, u=u0))
     jac = np.zeros((n + 1, n + 1))
     jac[:n, :n] = system.k.toarray()
@@ -193,8 +192,8 @@ def test_acceptance_6_jacobian_correctness():
         u = np.zeros(space.n_dofs)
         u[ix] = u_int
         return np.concatenate([
-            ctx.ops.residual(lam, u)[ix],
-            [0.5 - 0.5 * float(u @ (ctx.ops.mass @ u))],
+            ctx.residual(lam, u)[ix],
+            [0.5 - 0.5 * float(u @ (ctx.mass @ u))],
         ])
 
     h = 1e-6
@@ -246,7 +245,7 @@ def test_acceptance_8_linear_complexity():
 
     hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 5)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
-    x = scf_solve(ctxs[0].ops)
+    x = scf_solve(ctxs[0])
     per_dof, ratios = [], []
     for idx in range(1, 5):
         ctx = ctxs[idx]
@@ -254,14 +253,14 @@ def test_acceptance_8_linear_complexity():
         system = assemble_newton_system(ctx, x0p)
         from gpmg.newton import _build_vcycle
 
-        vc = _build_vcycle(ctxs, idx, x0p.lam, x0p.u, SolverConfig())
+        vc = _build_vcycle(ctxs[:idx + 1], x0p.lam, x0p.u, SolverConfig())
         t_mg = timed(lambda: solve_bordered(
             system, SolverConfig(method="mg_cg"), vcycle=vc))
         t_dir = timed(lambda: solve_bordered(
             system, SolverConfig(method="direct")))
         per_dof.append(t_mg / ctx.space.n_dofs)
         ratios.append(t_dir / t_mg)
-        x = newton_step(ctx, x0p, SolverConfig())
+        x = newton_step(ctxs[:idx + 1], x0p, SolverConfig())
     med = float(np.median(per_dof))
     within = all(med / 3.0 <= p <= 3.0 * med for p in per_dof)
     monotone = all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
@@ -325,8 +324,7 @@ def test_acceptance_9_invariant_suites():
     details.append(f"|u'Mu - 1| {norm_def:.1e}")
 
     # border-equation exactness after a Newton solve
-    ctx = LevelContext(space, nl)
-    x1 = newton_step(ctx, xs)
+    x1 = newton_step([Operators(space, nl)], xs)
     mu0 = m @ xs.u
     border = abs(-float(mu0 @ x1.u)
                  - (-0.5 - 0.5 * float(xs.u @ mu0)))

@@ -16,7 +16,7 @@ from gpmg.elements import quadrature, shape_gradients, shape_values
 from gpmg.errors import UsageError
 from gpmg.expr import evaluate, parse
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
-from gpmg.newton import LevelContext, _newton_matrix
+from gpmg.newton import _newton_matrix
 from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
 
 
@@ -149,6 +149,26 @@ def test_residual_linear_in_functional_scaling():
     assert np.allclose(r2, 2.0 * r1, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim,cells,potential", [
+    (1, (8,), "x1^2"),
+    (3, (3, 3, 3), "x1^2 + 2*x2^2 + 4*x3^2"),
+], ids=["1d-p2", "3d-p2"])
+def test_riesz_norm_matches_dense_solve(dim, cells, potential):
+    # ||R r||_H1 = sqrt(r_I (K + M)_II^-1 r_I): the potential does not enter
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(dim), cells), 2)
+    ops = Operators(space, Nonlinearity(zeta=1.0),
+                    potential=parse(potential, dim))
+    ix = space.interior_dofs
+    h1 = (assemble_stiffness(space) + assemble_mass(space)).toarray()[
+        np.ix_(ix, ix)]
+    rng = np.random.default_rng(dim)
+    for _ in range(2):  # the second call reuses the cached factorization
+        r = np.zeros(space.n_dofs)
+        r[ix] = rng.standard_normal(ix.size)
+        want = np.sqrt(r[ix] @ np.linalg.solve(h1, r[ix]))
+        assert np.isclose(ops.riesz_norm(r), want, rtol=1e-12, atol=0.0)
+
+
 def test_operators_rayleigh_identity():
     space = space_1d(16)
     nl = Nonlinearity(zeta=1.3)
@@ -272,9 +292,9 @@ def test_energy_matches_einsum_reference(kernel_case):
 def test_newton_matrix_sums_the_separate_masses(kernel_case):
     space, _, potential, u = kernel_case
     nl = Nonlinearity(zeta=2.5)
-    ctx = LevelContext(space, nl, potential=potential)
+    ctx = Operators(space, nl, potential=potential)
     lam0 = 3.7
-    want = (ctx.ops.linear_part - lam0 * ctx.ops.mass
+    want = (ctx.linear_part - lam0 * ctx.mass
             + assemble_field_weighted_mass(space, u, lambda t: f_eval(nl, t**2))
             + 2.0 * assemble_field_weighted_mass(
                 space, u, lambda t: fprime_eval(nl, t**2) * t**2))

@@ -231,7 +231,7 @@ def study_oracle(cfg, renormalize):
                                 renormalize=renormalize)[0]
 
     x_ref = run(ctxs)
-    ref_ops = ctxs[-1].ops
+    ref_ops = ctxs[-1]
     ref_lam = (cfg.reference_lambda if cfg.reference_lambda is not None
                else x_ref.lam)
     errors = []

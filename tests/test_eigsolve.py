@@ -70,14 +70,6 @@ def test_scf_residual_small_at_convergence():
     assert np.max(np.abs(r[space.interior_dofs])) <= 1e-9
 
 
-def test_scf_energy_history_recorded():
-    space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 1)
-    nl = Nonlinearity(zeta=2.0)
-    x = scf_solve(Operators(space, nl))
-    assert len(x.scf_energies) == x.scf_iterations + 1
-    assert np.isfinite(x.scf_energies).all()
-
-
 def test_scf_nonconvergence_error():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 1)
     nl = Nonlinearity(zeta=50.0)

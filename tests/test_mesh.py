@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from gpmg.mesh import (
     BoxDomain,
     build_hierarchy,
     build_initial_mesh,
-    export_mesh,
     refine_uniform,
 )
 
@@ -109,13 +107,3 @@ def test_kuhn_refinement_is_self_similar():
     cells, _ = coarse.locate(centers)
     counts = np.bincount(cells, minlength=coarse.n_cells)
     assert np.all(counts == 4)
-
-
-def test_export_mesh_roundtrippable_text():
-    mesh = build_initial_mesh(BoxDomain.unit(2), (2, 2))
-    buf = io.StringIO()
-    export_mesh(mesh, buf)
-    lines = buf.getvalue().strip().splitlines()
-    dim, nv, nc = (int(x) for x in lines[0].split())
-    assert (dim, nv, nc) == (2, mesh.n_vertices, mesh.n_cells)
-    assert len(lines) == 1 + nv + nc
