@@ -10,11 +10,11 @@ the space caches per quadrature rule (`RuleTables`).
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import expr as expr_mod
 from .elements import quadrature, reference_element, shape_gradients, shape_values
 from .errors import ConfigurationError, UsageError
+from .linsolve import factor_symmetric
 from .nonlinearity import F_eval, f_eval
 
 __all__ = [
@@ -270,7 +270,7 @@ class Operators:
         """H1 norm of the Riesz representative of an interior functional."""
         ix = self.space.interior_dofs
         if self._riesz_lu is None:
-            self._riesz_lu = spla.splu(self.h1_mat[ix][:, ix].tocsc())
+            self._riesz_lu = factor_symmetric(self.h1_mat[ix][:, ix])
         r = functional[ix]
         z = self._riesz_lu.solve(r)
         return float(np.sqrt(max(z @ r, 0.0)))

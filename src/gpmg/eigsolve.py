@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as dla
-import scipy.sparse.linalg as spla
 
 from .assembly import assemble_field_weighted_mass
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     ResourceLimitError,
     SolverError,
 )
+from .linsolve import factor_symmetric
 from .nonlinearity import f_eval
 from .state import IterateX
 
@@ -72,7 +72,7 @@ def smallest_eigpair(kfull, m, cfg=None):
 
     kc = kfull.tocsc()
     mc = m.tocsr()
-    lu = spla.splu(kc)
+    lu = factor_symmetric(kc)
     sigma = 0.0
     x = np.ones(n)
     x /= np.sqrt(x @ (mc @ x))
@@ -89,7 +89,7 @@ def smallest_eigpair(kfull, m, cfg=None):
         # Rayleigh shift update: refactor once the fixed shift stalls.
         if it > 0 and it % 20 == 0:
             sigma = rho * (1.0 - 1e-3)
-            lu = spla.splu((kc - sigma * m.tocsc()).tocsc())
+            lu = factor_symmetric(kc - sigma * m.tocsc())
     raise SolverError(
         f"eigensolver did not reach {EIG_TOL:.1e} in {EIG_MAX_ITER} "
         f"iterations (last residual {res:.3e})",

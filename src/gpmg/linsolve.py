@@ -4,6 +4,10 @@ The Newton step's saddle-point system [[K, -m], [-m', 0]] is solved by a
 rank-1 Schur reduction to two solves with K. K itself is handled by a
 sparse direct factorization, plain CG, or CG preconditioned with a
 geometric V-cycle (Gauss-Seidel smoothing).
+
+Every factorization is made once and solved against many times: each
+sparse LU goes through `factor_symmetric`, and the V-cycle factors its
+Gauss-Seidel triangles when the hierarchy is built.
 """
 
 from dataclasses import dataclass
@@ -20,10 +24,28 @@ __all__ = [
     "BorderedSolution",
     "VCycleHierarchy",
     "SpdSolver",
+    "factor_symmetric",
     "solve_bordered",
 ]
 
 DIRECT_DOF_THRESHOLD = 200_000
+
+
+def factor_symmetric(a):
+    """Sparse LU of a matrix with symmetric structure: minimum-degree
+    ordering on A' + A, preferring diagonal pivots. Threshold partial
+    pivoting stays on, since Newton and bordered matrices may be
+    indefinite."""
+    return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1,
+                     options=dict(SymmetricMode=True))
+
+
+def _factor_triangle(t):
+    """LU of a triangular matrix in its own order with diagonal pivots:
+    no fill, so a solve costs one pass over t's entries."""
+    return spla.splu(t.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
 
 
 @dataclass
@@ -53,7 +75,9 @@ class VCycleHierarchy:
 
     Smoothing is Gauss-Seidel: forward sweeps before coarse correction,
     backward sweeps after, keeping one V-cycle symmetric so it can
-    precondition CG.
+    precondition CG. Each level's lower and upper triangles are factored
+    once, here, so a sweep is one matvec and one triangular solve; the
+    coarsest level is factored by `factor_symmetric`.
     """
 
     def __init__(self, mats, prolongs, pre_smooth=2, post_smooth=2):
@@ -63,9 +87,10 @@ class VCycleHierarchy:
         self.prolongs = [p.tocsr() for p in prolongs]
         self.pre_smooth = pre_smooth
         self.post_smooth = post_smooth
-        self.lower = [sp.tril(m, format="csr") for m in self.mats]
-        self.upper = [sp.triu(m, format="csr") for m in self.mats]
-        self.coarse_lu = spla.splu(self.mats[0].tocsc())
+        # level 0 is solved exactly; only the finer levels are smoothed
+        self.lower = [_factor_triangle(sp.tril(m)) for m in self.mats[1:]]
+        self.upper = [_factor_triangle(sp.triu(m)) for m in self.mats[1:]]
+        self.coarse_lu = factor_symmetric(self.mats[0])
 
     def apply(self, b):
         """One V-cycle on the finest level from zero initial guess."""
@@ -77,11 +102,11 @@ class VCycleHierarchy:
         k = self.mats[lvl]
         x = np.zeros_like(b)
         for _ in range(self.pre_smooth):
-            x += spla.spsolve_triangular(self.lower[lvl], b - k @ x, lower=True)
+            x += self.lower[lvl - 1].solve(b - k @ x)
         p = self.prolongs[lvl - 1]
         x += p @ self._cycle(lvl - 1, p.T @ (b - k @ x))
         for _ in range(self.post_smooth):
-            x += spla.spsolve_triangular(self.upper[lvl], b - k @ x, lower=False)
+            x += self.upper[lvl - 1].solve(b - k @ x)
         return x
 
 
@@ -97,18 +122,23 @@ class SpdSolver:
         self._lu = None
         self._knorm = None
         if self.method == "direct":
-            self._lu = spla.splu(k.tocsc())
+            self._lu = factor_symmetric(k)
         elif self.method == "mg_cg" and vcycle is None:
             raise ConfigurationError("mg_cg requires a V-cycle hierarchy")
+
+    @property
+    def knorm(self):
+        """||K||_inf, computed once."""
+        if self._knorm is None:
+            self._knorm = float(abs(self.k).sum(axis=1).max())
+        return self._knorm
 
     def _backward_error(self, x, b):
         # ||Kx - b|| / (||K|| ||x|| + ||b||): unlike the plain relative
         # residual this stays near eps for a stable solve even when the
         # Newton matrix is nearly singular and ||x|| >> ||b||
-        if self._knorm is None:
-            self._knorm = float(abs(self.k).sum(axis=1).max())
         num = float(np.linalg.norm(self.k @ x - b))
-        den = self._knorm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
+        den = self.knorm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
         return num / den
 
     def solve(self, b):
@@ -215,9 +245,8 @@ def solve_bordered(system, cfg=None, vcycle=None):
         )
     lam1 = -(system.c + float(system.m @ z)) / my
     u1 = z + lam1 * y
-    knorm = float(abs(system.k).sum(axis=1).max())
     scale = (
-        knorm * float(np.linalg.norm(u1))
+        solver.knorm * float(np.linalg.norm(u1))
         + abs(lam1) * float(np.linalg.norm(system.m))
         + float(np.linalg.norm(system.r))
     )
@@ -249,7 +278,7 @@ def _solve_bordered_full(system, cfg, schur=0.0):
     full = sp.bmat([[system.k, mcol], [mcol.T, None]], format="csc")
     rhs = np.concatenate([system.r, [system.c]])
     try:
-        x = spla.splu(full).solve(rhs)
+        x = factor_symmetric(full).solve(rhs)
     except RuntimeError as err:
         raise SolverError(f"bordered matrix is singular: {err}") from err
     res = np.linalg.norm(full @ x - rhs)

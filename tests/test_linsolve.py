@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from gpmg.assembly import FemSpace, assemble_mass, assemble_stiffness
+from gpmg.assembly import FemSpace, Operators, assemble_mass, assemble_stiffness
+from gpmg.eigsolve import scf_solve
 from gpmg.errors import CoercivityError, ConfigurationError, SolverError
+from gpmg.expr import parse
 from gpmg.linsolve import (
     BorderedSystem,
     SolverConfig,
     SpdSolver,
     VCycleHierarchy,
+    factor_symmetric,
     solve_bordered,
 )
-from gpmg.mesh import BoxDomain, build_hierarchy
+from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
+from gpmg.newton import (
+    _build_vcycle,
+    _newton_matrix,
+    _prolong_iterate,
+    build_contexts,
+    newton_step,
+)
+from gpmg.nonlinearity import Nonlinearity
 
 
 def poisson_hierarchy(n0=4, levels=3, dim=2):
@@ -37,9 +50,12 @@ def test_direct_cg_mgcg_agree():
     x_dir = SpdSolver(k, SolverConfig(method="direct")).solve(b)
     x_cg = SpdSolver(k, SolverConfig(method="cg")).solve(b)
     vc = VCycleHierarchy(mats, prolongs)
-    x_mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc).solve(b)
+    mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc)
+    x_mg = mg.solve(b)
     assert np.allclose(x_dir, x_cg, atol=1e-8)
     assert np.allclose(x_dir, x_mg, atol=1e-8)
+    # the one ||K||_inf that solve_bordered also scales its check by
+    assert mg.knorm == float(abs(k).sum(axis=1).max())
 
 
 def test_vcycle_contracts_error():
@@ -149,3 +165,141 @@ def test_backward_error_contract_near_singular():
     knorm = np.max(np.abs(shifted).sum(axis=1))
     res = np.linalg.norm(shifted @ x - b)
     assert res <= 1e-10 * (knorm * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+def newton_hierarchy():
+    """Interior Newton matrices of a 3-level 2D P1 problem (zeta = 1) at
+    an iterate one Newton step into level 2, prolongated to level 3."""
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x = newton_step(ctxs[:2], x)
+    x = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
+    vc = _build_vcycle(ctxs, x.lam, x.u, SolverConfig())
+    return vc.mats, vc.prolongs
+
+
+def reference_vcycle(mats, prolongs, b, pre=2, post=2):
+    """The V-cycle with a triangular solve per Gauss-Seidel sweep and a
+    dense coarse solve."""
+    def cycle(lvl, b):
+        k = mats[lvl]
+        if lvl == 0:
+            return np.linalg.solve(k.toarray(), b)
+        x = np.zeros_like(b)
+        for _ in range(pre):
+            x += spla.spsolve_triangular(sp.tril(k, format="csr"), b - k @ x,
+                                         lower=True)
+        p = prolongs[lvl - 1]
+        x += p @ cycle(lvl - 1, p.T @ (b - k @ x))
+        for _ in range(post):
+            x += spla.spsolve_triangular(sp.triu(k, format="csr"), b - k @ x,
+                                         lower=False)
+        return x
+
+    return cycle(len(mats) - 1, b)
+
+
+def vcycle_asymmetry(vc, rng):
+    x, y = rng.standard_normal((2, vc.mats[-1].shape[0]))
+    vx, vy = vc.apply(x), vc.apply(y)
+    return abs(y @ vx - x @ vy) / (np.linalg.norm(y) * np.linalg.norm(vx))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: poisson_hierarchy(levels=4),
+    newton_hierarchy,
+], ids=["poisson", "newton"])
+def test_vcycle_matches_triangular_solve_reference(build):
+    mats, prolongs = build()
+    vc = VCycleHierarchy(mats, prolongs)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        b = rng.standard_normal(mats[-1].shape[0])
+        ref = reference_vcycle(mats, prolongs, b)
+        assert np.linalg.norm(vc.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # CG needs a symmetric preconditioner
+    assert vcycle_asymmetry(vc, rng) <= 1e-12
+
+
+def test_vcycle_symmetry_check_catches_lower_post_sweeps():
+    mats, prolongs = poisson_hierarchy(levels=4)
+    broken = VCycleHierarchy(mats, prolongs)
+    broken.upper = broken.lower
+    assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
+
+
+def test_vcycle_apply_factors_nothing(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("splu", "spsolve_triangular"):
+        monkeypatch.setattr(spla, name, counting(getattr(spla, name)))
+    mats, prolongs = poisson_hierarchy(levels=4)
+    vc = VCycleHierarchy(mats, prolongs)
+    # set-up factors the coarse matrix and two triangles per finer level
+    assert calls == ["splu"] * (1 + 2 * (len(mats) - 1))
+    calls.clear()
+    vc.apply(np.ones(mats[-1].shape[0]))
+    assert calls == []
+
+
+def backward_error(a, x, b):
+    anorm = float(abs(a).sum(axis=1).max())
+    return float(np.linalg.norm(a @ x - b)) / (
+        anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+
+
+def h1_interior(dim, degree, cells):
+    mesh = build_initial_mesh(BoxDomain.unit(dim), (cells,) * dim)
+    ops = Operators(FemSpace(mesh, degree), Nonlinearity(zeta=1.0))
+    ix = ops.space.interior_dofs
+    return ops.h1_mat[ix][:, ix]
+
+
+def indefinite_newton_matrix():
+    """Newton matrix with lam0 between the 2nd and 3rd eigenvalues of its
+    own pencil: two negative eigenvalues."""
+    mesh = build_initial_mesh(BoxDomain.unit(2), (8, 8))
+    ops = Operators(FemSpace(mesh, 1), Nonlinearity(zeta=1.0),
+                    potential=parse("x1^2 + 2*x2^2", 2))
+    ix = ops.space.interior_dofs
+    u0 = np.zeros(ops.space.n_dofs)
+    u0[ix] = 1.0
+    k0 = _newton_matrix(ops, 0.0, u0)[ix][:, ix]
+    m = ops.mass[ix][:, ix]
+    mu = sla.eigh(k0.toarray(), m.toarray(), eigvals_only=True)
+    a = _newton_matrix(ops, 0.5 * (mu[1] + mu[2]), u0)[ix][:, ix]
+    assert np.sum(np.linalg.eigvalsh(a.toarray()) < 0) == 2
+    return a
+
+
+def bordered_saddle_matrix():
+    k = indefinite_newton_matrix()
+    n = k.shape[0]
+    m = np.random.default_rng(7).random(n)
+    mcol = sp.csc_matrix(-m[:, None])
+    return sp.bmat([[k, mcol], [mcol.T, None]], format="csc")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: h1_interior(1, 2, 32),
+    lambda: h1_interior(2, 1, 16),
+    indefinite_newton_matrix,
+    bordered_saddle_matrix,
+], ids=["h1_1d_p2", "h1_2d_p1", "newton_indefinite", "bordered"])
+def test_factor_symmetric_matches_dense_solve(build):
+    a = build()
+    b = np.random.default_rng(8).standard_normal(a.shape[0])
+    x = factor_symmetric(a).solve(b)
+    dense = np.linalg.solve(a.toarray(), b)
+    assert backward_error(a, x, b) <= 1e-12
+    assert backward_error(a, dense, b) <= 1e-12
+    assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
