@@ -22,13 +22,15 @@ import sys
 import time
 
 
-def _git(root, *args):
+def _dirty(root):
+    """Whether ROOT's tracked files differ from its HEAD (None: no git)."""
     try:
-        proc = subprocess.run(["git", *args], cwd=root, capture_output=True,
-                              text=True, timeout=30)
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=root, capture_output=True, text=True, timeout=30)
     except (OSError, subprocess.SubprocessError):
         return None
-    return proc if proc.returncode == 0 else None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def run_seed(root, workload, seed, seconds, trace):
@@ -62,11 +64,10 @@ def record(root, workload, seeds, seconds, trace):
     runs = [run_seed(root, workload, s, seconds, trace) for s in seeds]
     names = [n for n in runs[0]["metrics"]
              if all(n in r["metrics"] for r in runs)]
-    # perfbench's env records the git sha; a dirty tree is not that sha
-    dirty = _git(root, "status", "--porcelain", "--untracked-files=no")
     return {
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_dirty": bool(dirty.stdout.strip()) if dirty else None,
+        # perfbench's env records the git sha; a dirty tree is not that sha
+        "git_dirty": _dirty(root),
         "workload": workload,
         "trace": trace,
         "seconds": seconds,
