@@ -1,9 +1,9 @@
 """Multigrid Newton solver for Gross-Pitaevskii-type eigenvalue problems.
 
 Finite-element discretization on Kuhn-triangulated boxes (P1/P2), damped
-self-consistent-field coarse solves, one-Newton-step-per-level multigrid,
-and an adaptively damped (mixing) variant with guaranteed per-step
-residual decrease.
+Newton coarse solves up a ladder of couplings, one-Newton-step-per-level
+multigrid, and an adaptively damped (mixing) variant with guaranteed
+per-step residual decrease.
 """
 
 from .assembly import (

@@ -8,6 +8,9 @@ All forms share one kernel: per-cell weights times a reference table that
 the space caches per quadrature rule (`RuleTables`).
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -266,13 +269,27 @@ class Operators:
         r[self.space.boundary_dofs] = 0.0
         return r
 
+    def with_zeta(self, zeta):
+        """This level at coupling zeta: self if zeta is its own, else a
+        shallow copy sharing the space, the cached operators and the H1
+        Riesz LU (factored here, once for all copies)."""
+        if zeta == self.nl.zeta:
+            return self
+        self._riesz_factor()
+        other = copy.copy(self)
+        other.nl = dataclasses.replace(self.nl, zeta=zeta)
+        return other
+
+    def _riesz_factor(self):
+        if self._riesz_lu is None:
+            ix = self.space.interior_dofs
+            self._riesz_lu = factor_symmetric(self.h1_mat[ix][:, ix])
+        return self._riesz_lu
+
     def riesz_norm(self, functional):
         """H1 norm of the Riesz representative of an interior functional."""
-        ix = self.space.interior_dofs
-        if self._riesz_lu is None:
-            self._riesz_lu = factor_symmetric(self.h1_mat[ix][:, ix])
-        r = functional[ix]
-        z = self._riesz_lu.solve(r)
+        r = functional[self.space.interior_dofs]
+        z = self._riesz_factor().solve(r)
         return float(np.sqrt(max(z @ r, 0.0)))
 
     def l2_norm(self, u):

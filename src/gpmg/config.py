@@ -105,8 +105,6 @@ _SCHEMA = {
     "solver.post_smooth": _to_int,
     "coarse.tol": _to_float,
     "coarse.max_outer": _to_int,
-    "coarse.alpha": _to_float,
-    "coarse.inner": _to_str,
     "coarse.dof_cap": _to_int,
     "mixing.enabled": _to_bool,
     "mixing.theta_init": _to_float,
@@ -198,8 +196,6 @@ def parse_config_text(text, origin="<config>"):
     cfg.coarse = ScfConfig(
         tol=values.get("coarse.tol", 1e-10),
         max_outer=values.get("coarse.max_outer", 500),
-        alpha=values.get("coarse.alpha", 0.5),
-        inner=values.get("coarse.inner", "auto"),
         dof_cap=values.get("coarse.dof_cap", 50_000),
     )
     cfg.mixing = MixingConfig(

@@ -1,10 +1,13 @@
-"""Coarse-space nonlinear eigenvalue solve: damped SCF around a linear
-generalized eigensolver.
+"""Coarse-space nonlinear eigenvalue solve: the damped Newton step of the
+finer levels, repeated on the coarsest space until resi <= tol.
 
-The nonlinear coefficient f(u^2) is frozen, the resulting symmetric pencil
-is solved for its smallest eigenpair, and the new eigenvector is mixed into
-the iterate with a fixed damping factor. Only the coarsest space is meant
-to be solved this way; a dof cap enforces that intent.
+The solve starts at the ground state of the linear part (f frozen at
+zero) and reaches the coupling zeta through the fixed ladder zeta/10^k,
+..., zeta/10, zeta, whose lowest rung is the first one <= 1; each rung
+starts from the previous rung's solution. Started far from it, Newton at
+a strong coupling stagnates or converges to an excited state. Since
+zeta >= 0, the ground state has one sign, and a sign-changing result is
+an error. A dof cap keeps the solve on coarse spaces.
 """
 
 from dataclasses import dataclass
@@ -12,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as dla
 
-from .assembly import assemble_field_weighted_mass
 from .errors import (
     ConfigurationError,
     NonConvergenceError,
     ResourceLimitError,
     SolverError,
+    StagnationError,
 )
 from .linsolve import factor_symmetric
-from .nonlinearity import f_eval
+from .newton import MixingParams, _finalize, mixing_iteration, resi
 from .state import IterateX
 
 __all__ = ["ScfConfig", "smallest_eigpair", "scf_solve"]
@@ -34,10 +37,8 @@ EIG_MAX_ITER = 500
 
 @dataclass
 class ScfConfig:
-    tol: float = 1e-10
-    max_outer: int = 500
-    alpha: float = 0.5
-    inner: str = "auto"  # auto | inverse_iteration | dense_fallback
+    tol: float = 1e-10  # on resi
+    max_outer: int = 500  # Newton steps, over all rungs of the ladder
     dof_cap: int = 50_000
 
     def __post_init__(self):
@@ -45,24 +46,16 @@ class ScfConfig:
             raise ConfigurationError("scf tol must be positive")
         if self.max_outer < 1:
             raise ConfigurationError("scf max_outer must be at least 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError("scf damping alpha must be in (0, 1]")
-        if self.inner not in ("auto", "inverse_iteration", "dense_fallback"):
-            raise ConfigurationError(f"unknown inner eigensolver {self.inner!r}")
 
 
-def smallest_eigpair(kfull, m, cfg=None):
+def smallest_eigpair(kfull, m):
     """Smallest eigenpair of K v = mu M v, v normalized to v'Mv = 1.
 
     Dense solve below a size threshold; otherwise shift-and-invert power
     iteration with occasional Rayleigh-quotient shift updates.
     """
-    cfg = cfg or ScfConfig()
     n = kfull.shape[0]
-    use_dense = cfg.inner == "dense_fallback" or (
-        cfg.inner == "auto" and n <= DENSE_EIG_LIMIT
-    )
-    if use_dense:
+    if n <= DENSE_EIG_LIMIT:
         w, v = dla.eigh(
             np.asarray(kfull.todense()),
             np.asarray(m.todense()),
@@ -97,65 +90,65 @@ def smallest_eigpair(kfull, m, cfg=None):
     )
 
 
-def scf_solve(ops, cfg=None):
-    """Damped SCF for the discrete nonlinear eigenvalue problem on ops' space.
+def _zeta_ladder(zeta):
+    """zeta/10^k, ..., zeta/10, zeta, with k the least such that
+    zeta/10^k <= 1."""
+    rungs = [zeta]
+    while rungs[0] > 1.0:
+        rungs.insert(0, rungs[0] / 10.0)
+    return rungs
 
-    Returns an IterateX with ||u||_0 = 1 and lambda from the Rayleigh
-    identity lambda = a(u,u) + (f(u^2)u, u). The iterate's u has
-    nonnegative mean (ground-state sign convention).
+
+def scf_solve(ops, cfg=None):
+    """Ground state of the discrete nonlinear eigenvalue problem on ops'
+    space, by damped Newton steps up the zeta ladder.
+
+    Returns an IterateX with ||u||_0 = 1, lambda from the Rayleigh
+    identity lambda = a(u,u) + (f(u^2)u, u), and u of positive mean; its
+    `scf_iterations` counts the Newton steps.
     """
     cfg = cfg or ScfConfig()
-    space, nl = ops.space, ops.nl
+    space = ops.space
     if space.n_dofs > cfg.dof_cap:
         raise ResourceLimitError(
             f"scf_solve on {space.n_dofs} dofs exceeds the coarse-space cap "
             f"{cfg.dof_cap}"
         )
     ix = space.interior_dofs
-    a0 = ops.linear_part[ix][:, ix].tocsr()
-    m_int = ops.mass[ix][:, ix].tocsr()
-
-    def expand(v_int):
-        full = np.zeros(space.n_dofs)
-        full[ix] = v_int
-        return full
-
-    # Initial iterate: ground state of the linear part (f frozen at zero).
-    lam, u_int = smallest_eigpair(a0, m_int, cfg)
-    u_full = expand(u_int)
-    iterations = 0
-    if nl.zeta != 0:
-        alpha = cfg.alpha
-        prev_diff = None
-        for outer in range(1, cfg.max_outer + 1):
-            mw = assemble_field_weighted_mass(
-                space, u_full, lambda t: f_eval(nl, t**2)
-            )
-            pencil = a0 + mw[ix][:, ix].tocsr()
-            lam, v_int = smallest_eigpair(pencil, m_int, cfg)
-            if v_int @ (m_int @ u_int) < 0:
-                v_int = -v_int
-            new_int = (1.0 - alpha) * u_int + alpha * v_int
-            new_int /= np.sqrt(new_int @ (m_int @ new_int))
-            diff = ops.h1_norm(expand(new_int - u_int))
-            # strong nonlinearities make the fixed-point map oscillate;
-            # back off the damping whenever the update grows
-            if prev_diff is not None and diff > prev_diff:
-                alpha = max(alpha * 0.5, 0.02)
-            prev_diff = diff
-            u_int = new_int
-            u_full = expand(u_int)
-            iterations = outer
-            if diff <= cfg.tol:
-                break
-        else:
-            raise NonConvergenceError(
-                f"SCF did not converge in {cfg.max_outer} iterations "
-                f"(last H1 update {diff:.3e}); try a smaller damping alpha"
-            )
-    if np.sum(ops.mass @ u_full) < 0:
-        u_full = -u_full
-    lam = ops.rayleigh_lambda(u_full)
-    it = IterateX(lam=lam, u=u_full)
-    it.scf_iterations = iterations
-    return it
+    lam, u_int = smallest_eigpair(ops.linear_part[ix][:, ix].tocsr(),
+                                  ops.mass[ix][:, ix].tocsr())
+    u = np.zeros(space.n_dofs)
+    u[ix] = u_int
+    if np.sum(ops.mass @ u) < 0:
+        u = -u
+    x = IterateX(lam=lam, u=u)
+    steps = 0
+    rungs = _zeta_ladder(ops.nl.zeta)
+    for k, zeta in enumerate(rungs, start=1):
+        rung = ops.with_zeta(zeta)
+        where = f"rung {k} of {len(rungs)} (zeta = {zeta:.6g})"
+        r = resi(rung, x)
+        while r > cfg.tol:
+            if steps == cfg.max_outer:
+                raise NonConvergenceError(
+                    f"coarse Newton solve spent its {cfg.max_outer} steps "
+                    f"and stopped at {where} with resi {r:.3e} > {cfg.tol:.1e}"
+                )
+            try:
+                x, _, r = mixing_iteration([rung], x, MixingParams(),
+                                           resi_old=r)
+            except StagnationError as err:
+                raise NonConvergenceError(
+                    f"coarse Newton solve stagnated at {where}: {err}"
+                ) from err
+            steps += 1
+    if x.u[ix].min() < 0.0 < x.u[ix].max():
+        raise NonConvergenceError(
+            "coarse Newton solve converged to a sign-changing state, not "
+            "the ground state"
+        )
+    if np.sum(ops.mass @ x.u) < 0:
+        x.u = -x.u
+    x = _finalize(ops, x)
+    x.scf_iterations = steps
+    return x

@@ -40,7 +40,8 @@ class CoercivityError(GpmgError):
 
 
 class NonConvergenceError(GpmgError):
-    """An outer iteration (SCF) exhausted its iteration budget."""
+    """The coarse nonlinear solve spent its step budget, stagnated, or
+    ended in a state that is not the ground state."""
 
 
 class DivergenceError(GpmgError):

@@ -22,7 +22,6 @@ from .assembly import (
     assemble_field_weighted_mass,
     prolongation_matrix,
 )
-from .eigsolve import scf_solve
 from .errors import DivergenceError, StagnationError, UsageError
 from .linsolve import BorderedSystem, SolverConfig, VCycleHierarchy, solve_bordered
 from .nonlinearity import f_eval, fprime_eval
@@ -195,13 +194,16 @@ def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
     return x, history
 
 
-def mixing_iteration(levels, x0, params=None, cfg=None):
+def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
     """Damped Newton step on levels[-1] from x0, an iterate already on its
     space: solve once, then halve theta until the residual decreases.
-    Never re-solves during the line search."""
+    Never re-solves during the line search. resi_old is x0's resi, computed
+    here unless given. Returns the accepted iterate, its theta and its
+    resi."""
     params = params or MixingParams()
     ctx = levels[-1]
-    resi_old = resi(ctx, x0)
+    if resi_old is None:
+        resi_old = resi(ctx, x0)
     xhat = newton_step(levels, x0, cfg)
     theta = params.theta_init
     while theta >= params.theta_min:
@@ -210,7 +212,7 @@ def mixing_iteration(levels, x0, params=None, cfg=None):
         x_new = IterateX(lam=lam, u=u)
         resi_new = resi(ctx, x_new)
         if resi_new <= resi_old:
-            return x_new, theta
+            return x_new, theta, resi_new
         theta *= 0.5
     raise StagnationError(
         f"mixing stagnated: resi would rise from {resi_old:.6e} to "
@@ -235,10 +237,13 @@ def _prolong_to_finest(contexts, v, level_idx):
     return v
 
 
-def _traced_resi(contexts, x, level_idx):
+def _traced_resi(contexts, x, level_idx, resi_own=None):
     """Trace currency: resi of the iterate measured on the finest space of
     the run, so rows of one trace are compared in the same discrete norm.
-    (The mixing acceptance test still compares on the step's own space.)"""
+    (The mixing acceptance test still compares on the step's own space.)
+    On the finest level that is resi_own, the step's own value, if given."""
+    if level_idx == len(contexts) - 1 and resi_own is not None:
+        return resi_own
     v = _prolong_to_finest(contexts, x.u, level_idx)
     return resi(contexts[-1], IterateX(lam=x.lam, u=v))
 
@@ -265,11 +270,14 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
                 reference_lambda):
     """The final iterate (renormalized on request) and one TraceRow per
     level, each holding that level's raw iterate."""
+    # imported here: eigsolve builds the coarse solve on this module's step
+    from .eigsolve import scf_solve
+
     solver_cfg = solver_cfg or SolverConfig()
     rows = []
     for idx, ctx in enumerate(contexts):
         t0 = time.perf_counter()
-        theta = None
+        theta = resi_new = None
         if idx == 0:
             x = scf_solve(ctx, scf_cfg)
         else:
@@ -277,8 +285,8 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
             x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
             if mixing:
                 try:
-                    x, theta = mixing_iteration(levels, x0p, params,
-                                                solver_cfg)
+                    x, theta, resi_new = mixing_iteration(levels, x0p, params,
+                                                          solver_cfg)
                 except StagnationError as err:
                     raise StagnationError(
                         f"level {idx + 1}: {err}", err.resi_old, err.resi_new
@@ -298,7 +306,7 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
             level=idx + 1,
             n_dofs=ctx.space.n_dofs,
             lam=x.lam,
-            resi=_traced_resi(contexts, x, idx),
+            resi=_traced_resi(contexts, x, idx, resi_new),
             theta=theta,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
             err_lambda=(abs(x.lam - reference_lambda)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import gpmg.eigsolve as eigsolve_mod
 import gpmg.newton as newton_mod
 from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main, run
@@ -366,14 +368,46 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, value):
     assert code == 2 and "problem.zeta" in err and "finite" in err
 
 
-def test_unexpected_exception_is_internal_error(tmp_path, capsys):
-    # finite but so large that f(u^2) overflows inside the linear algebra
+def test_unexpected_exception_is_internal_error(tmp_path, capsys,
+                                               monkeypatch):
+    # an exception that is not a GpmgError, raised deep inside the solve
+    def broken_eigensolver(kfull, m):
+        raise np.linalg.LinAlgError("eigh failed to converge")
+
+    monkeypatch.setattr(eigsolve_mod, "smallest_eigpair", broken_eigensolver)
+    code, err = _one_line_exit(tmp_path, capsys, GPE_1D)
+    assert code == 5
+    assert err.startswith("internal error: LinAlgError: eigh failed")
+
+
+def test_huge_zeta_is_nonconvergence(tmp_path, capsys):
+    # finite but so large that the zeta ladder (over 300 rungs) outlasts the
+    # coarse Newton-step budget
     cfg = GPE_1D.replace("problem.zeta = 10.0", "problem.zeta = 1e308")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # an overflow warning would print
         code, err = _one_line_exit(tmp_path, capsys, cfg)
-    assert code == 5 and err.startswith("internal error: ")
+    assert code == 3 and "rung" in err and "500 steps" in err
     assert caught == []
+
+
+def test_sign_changing_coarse_state_is_nonconvergence(tmp_path, capsys,
+                                                      monkeypatch):
+    # started from the first excited linear state, Newton converges to a
+    # sign-changing solution, which the ground-state guard rejects
+    def second_eigpair(kfull, m):
+        w, v = sla.eigh(kfull.toarray(), m.toarray(), subset_by_index=[1, 1])
+        return float(w[0]), v[:, 0]
+
+    monkeypatch.setattr(eigsolve_mod, "smallest_eigpair", second_eigpair)
+    code, err = _one_line_exit(tmp_path, capsys, GPE_1D)
+    assert code == 3 and "sign-changing" in err
+
+
+@pytest.mark.parametrize("key", ["coarse.alpha = 0.5", "coarse.inner = auto"])
+def test_removed_coarse_keys_are_unknown(tmp_path, capsys, key):
+    code, err = _one_line_exit(tmp_path, capsys, GPE_1D + key + "\n")
+    assert code == 2 and "unknown key" in err
 
 
 @pytest.mark.parametrize("potential, reason", [

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import gpmg.eigsolve as eigsolve_mod
 from gpmg.assembly import FemSpace, Operators, assemble_mass, assemble_stiffness
 from gpmg.eigsolve import ScfConfig, scf_solve, smallest_eigpair
 from gpmg.errors import NonConvergenceError, ResourceLimitError
 from gpmg.expr import parse
 from gpmg.mesh import BoxDomain, build_initial_mesh
 from gpmg.nonlinearity import Nonlinearity
+from scf_oracle import scf_oracle
+
+EX1_POTENTIAL = "x1^2 + 2*x2^2 + 4*x3^2"
+EX2_POTENTIAL = ("x1^2 + x2^2 + x3^2 + sin(2*pi*x1)^2 + sin(2*pi*x2)^2"
+                 " + sin(2*pi*x3)^2")
 
 
 def interior_pencil(n=32, dim=1):
@@ -27,10 +33,11 @@ def test_smallest_eigpair_matches_dense():
     assert min(np.linalg.norm(u - v), np.linalg.norm(u + v)) <= 1e-7
 
 
-def test_smallest_eigpair_iterative_path():
+def test_smallest_eigpair_iterative_path(monkeypatch):
     _, k, m = interior_pencil(n=64)
-    dense = smallest_eigpair(k, m, ScfConfig(inner="dense_fallback"))
-    iterative = smallest_eigpair(k, m, ScfConfig(inner="inverse_iteration"))
+    dense = smallest_eigpair(k, m)
+    monkeypatch.setattr(eigsolve_mod, "DENSE_EIG_LIMIT", 0)
+    iterative = smallest_eigpair(k, m)
     assert np.isclose(dense[0], iterative[0], rtol=1e-9)
 
 
@@ -84,12 +91,45 @@ def test_scf_dof_cap():
                   ScfConfig(dof_cap=10))
 
 
-def test_scf_strong_coupling_backs_off_damping():
-    # zeta large enough that undamped iteration oscillates
+def test_scf_strong_coupling_climbs_the_ladder():
+    # zeta = 200 climbs 0.2, 2, 20, 200 within the default step budget
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (16,)), 2)
     nl = Nonlinearity(zeta=200.0)
     ops = Operators(space, nl)
-    x = scf_solve(ops, ScfConfig(alpha=1.0))
+    x = scf_solve(ops)
+    assert eigsolve_mod._zeta_ladder(200.0) == [0.2, 2.0, 20.0, 200.0]
+    assert ops.nl is nl  # the rungs leave the shared level untouched
     assert abs(x.u @ (ops.mass @ x.u) - 1.0) <= 1e-10
     r = ops.residual(x.lam, x.u)
     assert np.max(np.abs(r[space.interior_dofs])) <= 1e-8
+
+
+def _coarse_ops(potential, n0, zeta):
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(3), (n0,) * 3), 2)
+    return Operators(space, Nonlinearity(zeta=zeta),
+                     potential=parse(potential, 3))
+
+
+@pytest.mark.parametrize("potential, n0, zeta", [
+    (EX2_POTENTIAL, 2, 1.0),
+    (EX2_POTENTIAL, 2, 10.0),
+    (EX2_POTENTIAL, 2, 100.0),
+    (EX1_POTENTIAL, 4, 100.0),
+], ids=["ex2-1", "ex2-10", "ex2-100", "ex1-100"])
+def test_scf_matches_scf_oracle(potential, n0, zeta):
+    # the coarse meshes of example 1 and example 2
+    ops = _coarse_ops(potential, n0, zeta)
+    x = scf_solve(ops)
+    oracle = scf_oracle(ops)
+    assert abs(x.lam - oracle.lam) <= 1e-9 * oracle.lam
+    assert ops.h1_norm(x.u - oracle.u) <= 1e-7
+
+
+def test_scf_strong_coupling_finds_the_ground_state():
+    # zeta = 1000 on example 2's coarse mesh: one-signed, and below the
+    # energy 702.9 of the sign-changing state Newton reaches from afar
+    ops = _coarse_ops(EX2_POTENTIAL, 2, 1000.0)
+    x = scf_solve(ops)
+    u_int = x.u[ops.space.interior_dofs]
+    assert np.all(u_int > 0)
+    assert ops.energy(x.u) < 702.9

@@ -28,6 +28,7 @@ from gpmg.newton import (
 )
 from gpmg.nonlinearity import Nonlinearity
 from gpmg.state import IterateX
+from scf_oracle import scf_oracle
 
 
 def ctx_1d(n=16, degree=2, zeta=1.0, potential=None):
@@ -201,7 +202,7 @@ def test_newton_fixed_space_divergence_error(monkeypatch):
 def test_mixing_accepts_theta_one_when_newton_decreases():
     ctx = ctx_1d(zeta=1.0)
     x0 = scf_solve(ctx, ScfConfig(tol=1e-4))
-    x1, theta = mixing_iteration([ctx], x0)
+    x1, theta, _ = mixing_iteration([ctx], x0)
     assert theta == 1.0
     assert resi(ctx, x1) <= resi(ctx, x0)
 
@@ -217,7 +218,7 @@ def test_mixing_halves_theta_on_overshoot():
                           potential=potential)
     x0 = scf_solve(ctxs[0])
     x0p = _prolong_iterate(x0, ctxs[0].space, ctxs[1].space)
-    x1, theta = mixing_iteration(ctxs, x0p)
+    x1, theta, _ = mixing_iteration(ctxs, x0p)
     assert theta < 1.0
     assert resi(ctxs[1], x1) <= resi(ctxs[1], x0p)
 
@@ -232,7 +233,7 @@ def test_mixing_stagnation_error():
     u[ctx.space.interior_dofs] *= 1.5
     x0 = IterateX(lam=x_star.lam * 2.0, u=u)
     try:
-        x1, theta = mixing_iteration([ctx], x0, params=params)
+        x1, theta, _ = mixing_iteration([ctx], x0, params=params)
         assert resi(ctx, x1) <= resi(ctx, x0)
     except StagnationError as err:
         assert err.resi_old is not None and err.resi_new is not None
@@ -279,5 +280,5 @@ def test_multigrid_newton_matches_oracle_each_level():
     ctxs = build_contexts(hier, 2, Nonlinearity(zeta=2.0),
                           potential=parse("x1^2", 1))
     x, trace = multigrid_newton(ctxs)
-    oracle = scf_solve(ctxs[-1], ScfConfig(tol=1e-12, max_outer=2000))
+    oracle = scf_oracle(ctxs[-1])
     assert abs(x.lam - oracle.lam) <= 1e-8
