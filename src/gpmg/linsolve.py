@@ -6,10 +6,11 @@ sparse direct factorization, plain CG, or CG preconditioned with a
 geometric V-cycle (Gauss-Seidel smoothing).
 
 Every factorization is made once and solved against many times: each
-sparse LU goes through `factor_symmetric`, and the V-cycle factors its
-Gauss-Seidel triangles when the hierarchy is built.
+sparse LU goes through `factor_symmetric`, and the V-cycle factors a
+level's Gauss-Seidel triangles when that level joins a hierarchy.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,16 @@ __all__ = [
     "solve_bordered",
 ]
 
-DIRECT_DOF_THRESHOLD = 200_000
+# `auto` crossover per (dimension, degree): the interior-dof count above
+# which one bordered Newton solve is faster by mg_cg, V-cycle set-up
+# included, than direct (2-vCPU box, zeta = 1; table in ROADMAP item 4).
+# A pair not listed, as in 1D, always solves direct.
+MG_CG_CROSSOVER = {
+    (2, 1): 200_000,
+    (2, 2): 50_000,
+    (3, 1): 3_000,
+    (3, 2): 2_000,
+}
 
 
 def factor_symmetric(a):
@@ -62,12 +72,15 @@ class SolverConfig:
         if not 0.0 < self.rel_tol < 1.0:
             raise ConfigurationError("solver rel_tol must be in (0, 1)")
 
-    def resolved_method(self, n, have_hierarchy):
+    def resolved_method(self, n, dim, degree):
+        """The method for n interior dofs of a (dim, degree) problem that
+        has coarser levels for a V-cycle: the configured one, or for
+        `auto` mg_cg above that pair's crossover and direct otherwise."""
         if self.method != "auto":
             return self.method
-        if n <= DIRECT_DOF_THRESHOLD:
-            return "direct"
-        return "mg_cg" if have_hierarchy else "cg"
+        if n > MG_CG_CROSSOVER.get((dim, degree), np.inf):
+            return "mg_cg"
+        return "direct"
 
 
 class VCycleHierarchy:
@@ -76,21 +89,38 @@ class VCycleHierarchy:
     Smoothing is Gauss-Seidel: forward sweeps before coarse correction,
     backward sweeps after, keeping one V-cycle symmetric so it can
     precondition CG. Each level's lower and upper triangles are factored
-    once, here, so a sweep is one matvec and one triangular solve; the
-    coarsest level is factored by `factor_symmetric`.
+    once, when the level joins, so a sweep is one matvec and one triangular
+    solve; the coarsest level is factored by `factor_symmetric`.
     """
 
     def __init__(self, mats, prolongs, pre_smooth=2, post_smooth=2):
         if len(prolongs) != len(mats) - 1:
             raise ConfigurationError("need one prolongation per level pair")
-        self.mats = [m.tocsr() for m in mats]
-        self.prolongs = [p.tocsr() for p in prolongs]
         self.pre_smooth = pre_smooth
         self.post_smooth = post_smooth
         # level 0 is solved exactly; only the finer levels are smoothed
-        self.lower = [_factor_triangle(sp.tril(m)) for m in self.mats[1:]]
-        self.upper = [_factor_triangle(sp.triu(m)) for m in self.mats[1:]]
+        self.mats = [mats[0].tocsr()]
+        self.prolongs, self.lower, self.upper = [], [], []
         self.coarse_lu = factor_symmetric(self.mats[0])
+        for m, p in zip(mats[1:], prolongs):
+            self._push(m, p)
+
+    def _push(self, mat, prolong):
+        mat = mat.tocsr()
+        self.mats.append(mat)
+        self.prolongs.append(prolong.tocsr())
+        self.lower.append(_factor_triangle(sp.tril(mat)))
+        self.upper.append(_factor_triangle(sp.triu(mat)))
+
+    def refined(self, mat, prolong):
+        """This hierarchy with one finer level K on top, prolong mapping
+        the current finest level into it. Every existing factorization is
+        shared, not redone."""
+        other = copy.copy(self)
+        for name in ("mats", "prolongs", "lower", "upper"):
+            setattr(other, name, list(getattr(self, name)))
+        other._push(mat, prolong)
+        return other
 
     def apply(self, b):
         """One V-cycle on the finest level from zero initial guess."""
@@ -111,13 +141,20 @@ class VCycleHierarchy:
 
 
 class SpdSolver:
-    """Reusable solver for one interior matrix K under a SolverConfig."""
+    """Reusable solver for one interior matrix K under a SolverConfig.
+
+    `auto` is decided by the caller, which knows the problem's dimension
+    and degree (`SolverConfig.resolved_method`) and passes a V-cycle
+    exactly when that says mg_cg: here it means mg_cg when given one and
+    direct otherwise."""
 
     def __init__(self, k, cfg, vcycle=None):
         self.k = k.tocsr()
         self.cfg = cfg
         self.vcycle = vcycle
-        self.method = cfg.resolved_method(k.shape[0], vcycle is not None)
+        self.method = cfg.method
+        if cfg.method == "auto":
+            self.method = "direct" if vcycle is None else "mg_cg"
         self.iteration_counts = []
         self._lu = None
         self._knorm = None

@@ -18,6 +18,7 @@ import numpy as np
 from .assembly import (
     FemSpace,
     Operators,
+    _interior_prolongation,
     assemble_field_load,
     assemble_field_weighted_mass,
     prolongation_matrix,
@@ -62,11 +63,13 @@ LevelContext = Operators
 
 
 def build_contexts(hierarchy, degree, nl, potential=None):
-    """One `Operators` per mesh level, coarsest first."""
-    return [
-        Operators(FemSpace(mesh, degree), nl, potential)
-        for mesh in hierarchy.levels
-    ]
+    """One `Operators` per mesh level, coarsest first, each linked to the
+    one before it."""
+    contexts = []
+    for mesh in hierarchy.levels:
+        contexts.append(Operators(FemSpace(mesh, degree), nl, potential,
+                                  coarser=contexts[-1] if contexts else None))
+    return contexts
 
 
 def resi(ctx, x):
@@ -106,11 +109,6 @@ def assemble_newton_system(ctx, x0):
         r = r + load[ix] * 2.0
     c = -0.5 - 0.5 * float(u0 @ mu0)
     return BorderedSystem(k=k, m=m, r=r, c=c)
-
-
-def _interior_prolongation(coarse_space, fine_space):
-    p = prolongation_matrix(coarse_space, fine_space)
-    return p[fine_space.interior_dofs][:, coarse_space.interior_dofs].tocsr()
 
 
 def _nested_dofs(coarse_space, fine_space):
@@ -156,9 +154,9 @@ def newton_step(levels, x0, cfg=None):
     ctx = levels[-1]
     system = assemble_newton_system(ctx, x0)
     vcycle = None
-    n = system.k.shape[0]
-    hierarchy = len(levels) > 1
-    if hierarchy and cfg.resolved_method(n, hierarchy) == "mg_cg":
+    method = cfg.resolved_method(system.k.shape[0], ctx.space.mesh.dim,
+                                 ctx.space.degree)
+    if len(levels) > 1 and method == "mg_cg":
         vcycle = _build_vcycle(levels, x0.lam, x0.u, cfg)
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gpmg.assembly import (
     FemSpace,
@@ -16,7 +17,7 @@ from gpmg.elements import quadrature, shape_gradients, shape_values
 from gpmg.errors import UsageError
 from gpmg.expr import evaluate, parse
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
-from gpmg.newton import _newton_matrix
+from gpmg.newton import _newton_matrix, build_contexts
 from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
 
 
@@ -167,6 +168,45 @@ def test_riesz_norm_matches_dense_solve(dim, cells, potential):
         r[ix] = rng.standard_normal(ix.size)
         want = np.sqrt(r[ix] @ np.linalg.solve(h1, r[ix]))
         assert np.isclose(ops.riesz_norm(r), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim,degree,n0,potential", [
+    (2, 1, 8, "x1^2 + 2*x2^2"),
+    (3, 2, 2, "x1^2 + 2*x2^2 + 4*x3^2"),
+], ids=["2d-p1", "3d-p2"])
+def test_linked_riesz_norm_matches_dense_solve(dim, degree, n0, potential):
+    # on linked levels the Riesz solve is V-cycle PCG, not an LU
+    hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, 3)
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
+                          potential=parse(potential, dim))
+    rng = np.random.default_rng(dim)
+    for ops in reversed(ctxs):
+        ix = ops.space.interior_dofs
+        h1 = ops.h1_mat.toarray()[np.ix_(ix, ix)]
+        for _ in range(2):
+            r = np.zeros(ops.space.n_dofs)
+            r[ix] = rng.standard_normal(ix.size)
+            want = np.sqrt(r[ix] @ np.linalg.solve(h1, r[ix]))
+            assert np.isclose(ops.riesz_norm(r), want, rtol=1e-10, atol=0.0)
+
+
+def test_riesz_solvers_factor_each_level_once(monkeypatch):
+    # level k's V-cycle refines level k-1's: one coarse LU and one pair of
+    # Gauss-Seidel triangles per finer level, however many levels solve
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 4)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    for ops in [ctxs[-1], *ctxs, ctxs[2].with_zeta(3.0)]:
+        ops.riesz_norm(np.ones(ops.space.n_dofs))
+    sizes = [ops.space.interior_dofs.size for ops in ctxs]
+    assert sorted(calls) == sorted([sizes[0]] + 2 * sizes[1:])
 
 
 def test_operators_rayleigh_identity():

@@ -381,14 +381,46 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys,
 
 
 def test_huge_zeta_is_nonconvergence(tmp_path, capsys):
-    # finite but so large that the zeta ladder (over 300 rungs) outlasts the
-    # coarse Newton-step budget
+    # finite but so large that resi overflows halfway up the zeta ladder
+    # (over 300 rungs, each converged to round-off in a step or two)
     cfg = GPE_1D.replace("problem.zeta = 10.0", "problem.zeta = 1e308")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # an overflow warning would print
         code, err = _one_line_exit(tmp_path, capsys, cfg)
-    assert code == 3 and "rung" in err and "500 steps" in err
+    assert code == 3 and "rung" in err and "overflowed" in err
     assert caught == []
+
+
+def test_zeta_ladder_outlasting_the_step_budget_is_nonconvergence(tmp_path,
+                                                                 capsys):
+    # 101 rungs, each at least one step: the budget is summed over rungs
+    cfg = GPE_1D.replace("problem.zeta = 10.0", "problem.zeta = 1e100")
+    code, err = _one_line_exit(tmp_path, capsys,
+                               cfg + "coarse.max_outer = 50\n")
+    assert code == 3 and "rung" in err and "50 steps" in err
+
+
+def test_coarse_solve_stops_at_resi_roundoff(tmp_path, capsys, monkeypatch):
+    # example 2's coarse mesh at zeta = 1e6 (lambda ~ 2e6): resi bottoms out
+    # at round-off, ~1.1e-10 > coarse.tol = 1e-10, so only a stopping bound
+    # that grows with |lambda| lets the solve finish
+    cfg = (CONFIG_DIR / "example2.cfg").read_text()
+    cfg = cfg.replace("problem.zeta = 100.0", "problem.zeta = 1e6").replace(
+        "discretization.levels = 3", "discretization.levels = 1")
+    states = []
+    scf_solve = eigsolve_mod.scf_solve
+
+    def recording_scf_solve(ops, cfg=None):
+        states.append((ops, scf_solve(ops, cfg)))
+        return states[-1][1]
+
+    monkeypatch.setattr(eigsolve_mod, "scf_solve", recording_scf_solve)
+    code, out, err = run_cli(capsys, "solve", "--config", write(tmp_path, cfg))
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 2
+    (ops, x), = states
+    assert x.lam > 1e6
+    assert x.u[ops.space.interior_dofs].min() > 0.0
 
 
 def test_sign_changing_coarse_state_is_nonconvergence(tmp_path, capsys,

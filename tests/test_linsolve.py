@@ -8,7 +8,9 @@ from gpmg.assembly import FemSpace, Operators, assemble_mass, assemble_stiffness
 from gpmg.eigsolve import scf_solve
 from gpmg.errors import CoercivityError, ConfigurationError, SolverError
 from gpmg.expr import parse
+import gpmg.linsolve as linsolve_mod
 from gpmg.linsolve import (
+    MG_CG_CROSSOVER,
     BorderedSystem,
     SolverConfig,
     SpdSolver,
@@ -79,6 +81,44 @@ def test_mg_cg_requires_hierarchy():
     with pytest.raises(ConfigurationError):
         SpdSolver(mats[-1], SolverConfig(method="mg_cg")).solve(
             np.ones(mats[-1].shape[0]))
+
+
+@pytest.mark.parametrize("dim,degree", sorted(MG_CG_CROSSOVER))
+def test_auto_switches_to_mg_cg_at_its_crossover(dim, degree):
+    limit = MG_CG_CROSSOVER[dim, degree]
+    auto = SolverConfig()
+    assert auto.resolved_method(limit, dim, degree) == "direct"
+    assert auto.resolved_method(limit + 1, dim, degree) == "mg_cg"
+    for method in ("direct", "cg", "mg_cg"):
+        cfg = SolverConfig(method=method)
+        for n in (limit, limit + 1):
+            assert cfg.resolved_method(n, dim, degree) == method
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_auto_never_picks_mg_cg_in_1d(degree):
+    for n in (1, 10**4, 10**6, 10**9):
+        assert SolverConfig().resolved_method(n, 1, degree) == "direct"
+
+
+@pytest.mark.parametrize("limit,method", [(49, "direct"), (48, "mg_cg")])
+def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, limit,
+                                                          method):
+    # level 2 of a 2D P1 hierarchy from 4x4 cells has 49 interior dofs
+    monkeypatch.setitem(MG_CG_CROSSOVER, (2, 1), limit)
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 2)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
+    x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    seen = []
+    init = linsolve_mod.SpdSolver.__init__
+
+    def recording_init(self, k, cfg, vcycle=None):
+        init(self, k, cfg, vcycle)
+        seen.append(self.method)
+
+    monkeypatch.setattr(linsolve_mod.SpdSolver, "__init__", recording_init)
+    newton_step(ctxs, x0)
+    assert seen == [method]
 
 
 def test_cg_failure_reports_achieved_residual():

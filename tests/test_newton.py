@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from gpmg.assembly import FemSpace, Operators, evaluate_field
 from gpmg.eigsolve import ScfConfig, scf_solve
@@ -237,6 +238,45 @@ def test_mixing_stagnation_error():
         assert resi(ctx, x1) <= resi(ctx, x0)
     except StagnationError as err:
         assert err.resi_old is not None and err.resi_new is not None
+
+
+EX2_POTENTIAL = ("x1^2 + x2^2 + x3^2 + sin(2*pi*x1)^2 + sin(2*pi*x2)^2"
+                 " + sin(2*pi*x3)^2")
+
+
+def test_mixing_decisions_same_under_pcg_and_lu_riesz_norm(monkeypatch):
+    # acceptance 5's case: every Riesz norm the mixing run evaluates, and so
+    # every theta it accepts, agrees between the V-cycle PCG solve and an LU
+    def run(riesz_norm):
+        norms = []
+
+        def recording(ops, functional):
+            norms.append(riesz_norm(ops, functional))
+            return norms[-1]
+
+        monkeypatch.setattr(Operators, "riesz_norm", recording)
+        hier = build_hierarchy(BoxDomain.unit(3), (2, 2, 2), 3)
+        ctxs = build_contexts(hier, 2, Nonlinearity(zeta=100.0),
+                              potential=parse(EX2_POTENTIAL, 3))
+        _, trace = multigrid_mixing(ctxs, params=MixingParams(theta_init=0.5))
+        return norms, trace
+
+    lus = {}
+
+    def lu_riesz_norm(ops, functional):
+        ix = ops.space.interior_dofs
+        if id(ops.h1_mat) not in lus:
+            lus[id(ops.h1_mat)] = spla.splu(ops.h1_mat[ix][:, ix].tocsc())
+        r = functional[ix]
+        return float(np.sqrt(max(lus[id(ops.h1_mat)].solve(r) @ r, 0.0)))
+
+    pcg_norms, pcg_trace = run(Operators.riesz_norm)
+    lu_norms, lu_trace = run(lu_riesz_norm)
+    assert len(pcg_norms) == len(lu_norms) > 20
+    np.testing.assert_allclose(pcg_norms, lu_norms, rtol=1e-10, atol=0.0)
+    assert [r.theta for r in pcg_trace] == [r.theta for r in lu_trace]
+    np.testing.assert_allclose([r.resi for r in pcg_trace],
+                               [r.resi for r in lu_trace], rtol=1e-10)
 
 
 def test_multigrid_newton_trace_fields():
