@@ -8,7 +8,6 @@ from gpmg.assembly import FemSpace, Operators, assemble_mass, assemble_stiffness
 from gpmg.eigsolve import scf_solve
 from gpmg.errors import CoercivityError, ConfigurationError, SolverError
 from gpmg.expr import parse
-import gpmg.linsolve as linsolve_mod
 from gpmg.linsolve import (
     MG_CG_CROSSOVER,
     BorderedSystem,
@@ -83,15 +82,19 @@ def test_mg_cg_requires_hierarchy():
             np.ones(mats[-1].shape[0]))
 
 
-@pytest.mark.parametrize("dim,degree", sorted(MG_CG_CROSSOVER))
-def test_auto_switches_to_mg_cg_at_its_crossover(dim, degree):
-    limit = MG_CG_CROSSOVER[dim, degree]
+@pytest.mark.parametrize("dim,degree,crossover", [
+    (2, 1, 200_000),  # p1_2d_mgcg: direct on levels 2-5, mg_cg on level 6
+    (2, 2, 50_000),
+    (3, 1, 3_000),
+    (3, 2, 2_000),
+])
+def test_auto_switches_to_mg_cg_at_its_crossover(dim, degree, crossover):
     auto = SolverConfig()
-    assert auto.resolved_method(limit, dim, degree) == "direct"
-    assert auto.resolved_method(limit + 1, dim, degree) == "mg_cg"
+    assert auto.resolved_method(crossover, dim, degree) == "direct"
+    assert auto.resolved_method(crossover + 1, dim, degree) == "mg_cg"
     for method in ("direct", "cg", "mg_cg"):
         cfg = SolverConfig(method=method)
-        for n in (limit, limit + 1):
+        for n in (crossover, crossover + 1):
             assert cfg.resolved_method(n, dim, degree) == method
 
 
@@ -110,13 +113,13 @@ def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, limit,
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
     x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
     seen = []
-    init = linsolve_mod.SpdSolver.__init__
+    init = SpdSolver.__init__
 
     def recording_init(self, k, cfg, vcycle=None):
         init(self, k, cfg, vcycle)
         seen.append(self.method)
 
-    monkeypatch.setattr(linsolve_mod.SpdSolver, "__init__", recording_init)
+    monkeypatch.setattr(SpdSolver, "__init__", recording_init)
     newton_step(ctxs, x0)
     assert seen == [method]
 
