@@ -298,7 +298,7 @@ class Operators:
         a coarser level it is the exact LU and CG takes one iteration."""
         if self._riesz is None:
             ix = self.space.interior_dofs
-            h1 = self.h1_mat[ix][:, ix].tocsr()
+            h1 = self.h1_mat[ix][:, ix]
             if self.coarser is None:
                 vcycle = VCycleHierarchy([h1], [])
             else:
