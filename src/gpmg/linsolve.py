@@ -71,6 +71,11 @@ class SolverConfig:
             raise ConfigurationError(f"unknown solver method {self.method!r}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ConfigurationError("solver rel_tol must be in (0, 1)")
+        for key in ("pre_smooth", "post_smooth"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(
+                    f"solver.{key} must be at least 1, got {getattr(self, key)}"
+                )
 
     def resolved_method(self, n, dim, degree):
         """The method for n interior dofs of a (dim, degree) problem that
@@ -86,11 +91,13 @@ class SolverConfig:
 class VCycleHierarchy:
     """Nested interior operators K_1..K_L with prolongations between them.
 
-    Smoothing is Gauss-Seidel: forward sweeps before coarse correction,
-    backward sweeps after, keeping one V-cycle symmetric so it can
-    precondition CG. Each level's lower and upper triangles are factored
-    once, when the level joins, so a sweep is one matvec and one triangular
-    solve; the coarsest level is factored by `factor_symmetric`.
+    Smoothing is Gauss-Seidel: pre_smooth forward sweeps before coarse
+    correction, post_smooth backward sweeps after (each count >= 1),
+    keeping one V-cycle symmetric so it can precondition CG. Each level's
+    lower and upper triangles are factored once, when the level joins, so
+    a sweep is one matvec and one triangular solve; the first forward
+    sweep starts from zero and needs no matvec. The coarsest level is
+    factored by `factor_symmetric`.
     """
 
     def __init__(self, mats, prolongs, pre_smooth=2, post_smooth=2):
@@ -130,8 +137,8 @@ class VCycleHierarchy:
         if lvl == 0:
             return self.coarse_lu.solve(b)
         k = self.mats[lvl]
-        x = np.zeros_like(b)
-        for _ in range(self.pre_smooth):
+        x = self.lower[lvl - 1].solve(b)
+        for _ in range(self.pre_smooth - 1):
             x += self.lower[lvl - 1].solve(b - k @ x)
         p = self.prolongs[lvl - 1]
         x += p @ self._cycle(lvl - 1, p.T @ (b - k @ x))
@@ -192,8 +199,9 @@ class SpdSolver:
         else:
             precond = None
             if self.method == "mg_cg":
+                # dtype given, so scipy does not probe it with a V-cycle
                 precond = spla.LinearOperator(
-                    self.k.shape, matvec=self.vcycle.apply
+                    self.k.shape, matvec=self.vcycle.apply, dtype=float
                 )
             count = [0]
 

@@ -120,23 +120,22 @@ def _nested_dofs(coarse_space, fine_space):
     return p.row[first[starts]]
 
 
-def _build_vcycle(levels, lam0, u0, cfg):
-    """Per-level Newton matrices for mg_cg, re-assembled (not Galerkin) at
-    the linearization point u0 on levels[-1], injected down the hierarchy."""
-    mats = []
-    prolongs = []
-    points = [u0]
+def _build_vcycle(levels, x0, k, cfg):
+    """V-cycle for k, the interior Newton matrix at x0 on levels[-1]. The
+    coarser levels' Newton matrices are re-assembled (not Galerkin) at x0
+    injected down the hierarchy."""
+    points = [x0.u]
     for idx in range(len(levels) - 2, -1, -1):
         points.insert(0, points[0][
             _nested_dofs(levels[idx].space, levels[idx + 1].space)
         ])
-    for idx, (ctx, u) in enumerate(zip(levels, points)):
+    mats = []
+    for ctx, u in zip(levels[:-1], points):
         ix = ctx.space.interior_dofs
-        mats.append(_newton_matrix(ctx, lam0, u)[ix][:, ix].tocsr())
-        if idx > 0:
-            prolongs.append(
-                _interior_prolongation(levels[idx - 1].space, ctx.space)
-            )
+        mats.append(_newton_matrix(ctx, x0.lam, u)[ix][:, ix].tocsr())
+    mats.append(k)
+    prolongs = [_interior_prolongation(coarse.space, fine.space)
+                for coarse, fine in zip(levels, levels[1:])]
     return VCycleHierarchy(
         mats, prolongs, pre_smooth=cfg.pre_smooth, post_smooth=cfg.post_smooth
     )
@@ -157,7 +156,7 @@ def newton_step(levels, x0, cfg=None):
     method = cfg.resolved_method(system.k.shape[0], ctx.space.mesh.dim,
                                  ctx.space.degree)
     if len(levels) > 1 and method == "mg_cg":
-        vcycle = _build_vcycle(levels, x0.lam, x0.u, cfg)
+        vcycle = _build_vcycle(levels, x0, system.k, cfg)
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u
@@ -281,16 +280,21 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
         else:
             levels = contexts[:idx + 1]
             x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
+            # on the finest level x0p is the previous row's iterate
+            # prolongated once, so that row's traced resi is x0p's resi
+            resi_old = rows[-1].resi if idx == len(contexts) - 1 else None
             if mixing:
                 try:
-                    x, theta, resi_new = mixing_iteration(levels, x0p, params,
-                                                          solver_cfg)
+                    x, theta, resi_new = mixing_iteration(
+                        levels, x0p, params, solver_cfg, resi_old
+                    )
                 except StagnationError as err:
                     raise StagnationError(
                         f"level {idx + 1}: {err}", err.resi_old, err.resi_new
                     ) from err
             else:
-                resi_old = resi(ctx, x0p)
+                if resi_old is None:
+                    resi_old = resi(ctx, x0p)
                 x = newton_step(levels, x0p, solver_cfg)
                 resi_new = resi(ctx, x)
                 if resi_new > max(RESI_GROWTH_FACTOR * resi_old, RESI_FLOOR):

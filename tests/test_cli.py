@@ -12,6 +12,7 @@ from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main, run
 from gpmg.config import load_config, parse_config_text
 from gpmg.errors import ConfigurationError, UsageError
+from gpmg.linsolve import SolverConfig
 from gpmg.mesh import build_hierarchy
 from gpmg.newton import (
     MixingParams,
@@ -359,6 +360,21 @@ def test_zero_scf_iterations_is_config_error(tmp_path, capsys):
     code, err = _one_line_exit(tmp_path, capsys,
                                GPE_1D + "coarse.max_outer = 0\n")
     assert code == 2 and "max_outer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("key", ["solver.pre_smooth", "solver.post_smooth"])
+def test_smoothing_count_below_one_is_config_error(tmp_path, capsys, key,
+                                                   value):
+    # not an indefinite-linearization failure (exit 3) at the first mg_cg
+    # solve: the count is rejected at load
+    cfg = ("problem.dim = 2\nproblem.potential = x1^2\nproblem.zeta = 1.0\n"
+           "discretization.n0 = 8\ndiscretization.levels = 4\n"
+           f"solver.method = mg_cg\n{key} = {value}\n")
+    code, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert code == 2 and key in err
+    with pytest.raises(ConfigurationError, match=key.split(".")[1]):
+        SolverConfig(**{key.split(".")[1]: int(value)})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

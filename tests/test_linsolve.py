@@ -22,6 +22,7 @@ from gpmg.newton import (
     _build_vcycle,
     _newton_matrix,
     _prolong_iterate,
+    assemble_newton_system,
     build_contexts,
     newton_step,
 )
@@ -219,7 +220,8 @@ def newton_hierarchy():
     x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
     x = newton_step(ctxs[:2], x)
     x = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
-    vc = _build_vcycle(ctxs, x.lam, x.u, SolverConfig())
+    k = assemble_newton_system(ctxs[2], x).k
+    vc = _build_vcycle(ctxs, x, k, SolverConfig())
     return vc.mats, vc.prolongs
 
 
@@ -250,20 +252,62 @@ def vcycle_asymmetry(vc, rng):
     return abs(y @ vx - x @ vy) / (np.linalg.norm(y) * np.linalg.norm(vx))
 
 
+@pytest.mark.parametrize("sweeps", [1, 2, 3], ids=lambda n: f"{n}x{n}")
 @pytest.mark.parametrize("build", [
     lambda: poisson_hierarchy(levels=4),
     newton_hierarchy,
 ], ids=["poisson", "newton"])
-def test_vcycle_matches_triangular_solve_reference(build):
+def test_vcycle_matches_triangular_solve_reference(build, sweeps):
+    # the first pre-sweep skips the matvec with the zero start: an off-by-one
+    # in the sweep count shows at every count
     mats, prolongs = build()
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = VCycleHierarchy(mats, prolongs, pre_smooth=sweeps,
+                         post_smooth=sweeps)
     rng = np.random.default_rng(5)
     for _ in range(3):
         b = rng.standard_normal(mats[-1].shape[0])
-        ref = reference_vcycle(mats, prolongs, b)
+        ref = reference_vcycle(mats, prolongs, b, pre=sweeps, post=sweeps)
         assert np.linalg.norm(vc.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
     # CG needs a symmetric preconditioner
     assert vcycle_asymmetry(vc, rng) <= 1e-12
+
+
+def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
+    # PCG applies the V-cycle once per iteration and never to a zero vector
+    # (as scipy does to learn the dtype of a LinearOperator without one):
+    # in a linked-level Riesz norm and in an mg_cg bordered solve
+    applied, solvers = [], []
+    apply, init = VCycleHierarchy.apply, SpdSolver.__init__
+
+    def recording_apply(vc, b):
+        applied.append(bool(np.any(b)))
+        return apply(vc, b)
+
+    def recording_init(solver, *args, **kwargs):
+        init(solver, *args, **kwargs)
+        solvers.append(solver)
+
+    monkeypatch.setattr(VCycleHierarchy, "apply", recording_apply)
+    monkeypatch.setattr(SpdSolver, "__init__", recording_init)
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    ops = ctxs[-1]
+    ops.riesz_norm(np.random.default_rng(7).standard_normal(ops.space.n_dofs))
+    assert len(applied) == sum(ops._riesz_solver().iteration_counts) > 1
+    assert all(applied)
+
+    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x = _prolong_iterate(newton_step(ctxs[:2], x), ctxs[1].space,
+                         ctxs[2].space)
+    system = assemble_newton_system(ops, x)
+    vc = _build_vcycle(ctxs, x, system.k, SolverConfig())
+    applied.clear()
+    solvers.clear()
+    solve_bordered(system, SolverConfig(method="mg_cg"), vcycle=vc)
+    assert [s.method for s in solvers] == ["mg_cg"]
+    assert len(applied) == sum(solvers[0].iteration_counts) > 2
+    assert all(applied)
 
 
 def test_vcycle_symmetry_check_catches_lower_post_sweeps():

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+import gpmg.newton as newton_mod
+
 from gpmg.assembly import FemSpace, Operators, evaluate_field
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import (
@@ -18,6 +20,7 @@ from gpmg.newton import (
     MixingParams,
     _nested_dofs,
     _prolong_iterate,
+    _prolong_to_finest,
     assemble_newton_system,
     build_contexts,
     mixing_iteration,
@@ -90,6 +93,38 @@ def test_mg_cg_step_uses_the_levels_it_is_given():
     assert np.max(np.abs(x_mg.u - x_dir.u)) <= 1e-10
     with pytest.raises(ConfigurationError):
         newton_step(ctxs[-1:], x0, SolverConfig(method="mg_cg"))
+
+
+def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
+    # one weighted-mass assembly per level: the V-cycle's top matrix is the
+    # step's own Newton matrix, not a second assembly of it
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2", 2))
+    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x = newton_step(ctxs[:2], x)
+    x0 = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
+    assembled, solved = [], []
+    assemble, solve = newton_mod.assemble_field_weighted_mass, \
+        newton_mod.solve_bordered
+
+    def recording_assemble(space, *args):
+        assembled.append(space)
+        return assemble(space, *args)
+
+    def recording_solve(system, cfg, vcycle=None):
+        solved.append((system, vcycle))
+        return solve(system, cfg, vcycle=vcycle)
+
+    monkeypatch.setattr(newton_mod, "assemble_field_weighted_mass",
+                        recording_assemble)
+    monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
+    newton_step(ctxs, x0, SolverConfig(method="mg_cg"))
+    assert len(assembled) == len(ctxs)
+    assert {id(s) for s in assembled} == {id(c.space) for c in ctxs}
+    (system, vcycle), = solved
+    assert len(vcycle.mats) == len(ctxs)
+    assert (vcycle.mats[-1] != system.k).nnz == 0
 
 
 def test_border_equation_exact_after_solve():
@@ -272,11 +307,43 @@ def test_mixing_decisions_same_under_pcg_and_lu_riesz_norm(monkeypatch):
 
     pcg_norms, pcg_trace = run(Operators.riesz_norm)
     lu_norms, lu_trace = run(lu_riesz_norm)
-    assert len(pcg_norms) == len(lu_norms) > 20
+    # 15 in the coarse solve, the finest-space trace resi of levels 1 and
+    # 2, level 2's start and one trial, and level 3's one trial: its start
+    # is level 2's traced iterate, whose resi is reused
+    assert len(pcg_norms) == len(lu_norms) == 20
     np.testing.assert_allclose(pcg_norms, lu_norms, rtol=1e-10, atol=0.0)
     assert [r.theta for r in pcg_trace] == [r.theta for r in lu_trace]
     np.testing.assert_allclose([r.resi for r in pcg_trace],
                                [r.resi for r in lu_trace], rtol=1e-10)
+
+
+@pytest.mark.parametrize("mixing", [False, True], ids=["newton", "mixing"])
+def test_driver_reuses_the_traced_resi_of_the_finest_start(monkeypatch,
+                                                            mixing):
+    # the finest step starts from the previous row's iterate prolongated
+    # once, and that row's trace already holds its resi: the finest space
+    # evaluates one resi per trace row below it plus one per theta tried
+    hier = build_hierarchy(BoxDomain.unit(1), (4,), 4)
+    ctxs = build_contexts(hier, 2, Nonlinearity(zeta=25.0))
+    finest = []
+    riesz_norm = Operators.riesz_norm
+
+    def recording(ops, functional):
+        finest.append(ops.space is ctxs[-1].space)
+        return riesz_norm(ops, functional)
+
+    monkeypatch.setattr(Operators, "riesz_norm", recording)
+    if mixing:
+        _, trace = multigrid_mixing(ctxs)
+    else:
+        _, trace = multigrid_newton(ctxs)
+    theta = trace[-1].theta or 1.0
+    tried = 1 - round(np.log2(theta))
+    assert sum(finest) == len(ctxs) - 1 + tried
+    # and every row's resi is its iterate's finest-space resi, recomputed
+    for row in trace:
+        u = _prolong_to_finest(ctxs, row.x.u, row.level - 1)
+        assert row.resi == resi(ctxs[-1], IterateX(lam=row.x.lam, u=u))
 
 
 def test_multigrid_newton_trace_fields():
