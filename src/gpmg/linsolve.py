@@ -72,9 +72,10 @@ class SolverConfig:
         if not 0.0 < self.rel_tol < 1.0:
             raise ConfigurationError("solver rel_tol must be in (0, 1)")
         for key in ("pre_smooth", "post_smooth"):
-            if getattr(self, key) < 1:
+            value = getattr(self, key)
+            if value < 1:
                 raise ConfigurationError(
-                    f"solver.{key} must be at least 1, got {getattr(self, key)}"
+                    f"solver.{key} must be at least 1, got {value}"
                 )
 
     def resolved_method(self, n, dim, degree):

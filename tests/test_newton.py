@@ -105,8 +105,8 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     x = newton_step(ctxs[:2], x)
     x0 = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
     assembled, solved = [], []
-    assemble, solve = newton_mod.assemble_field_weighted_mass, \
-        newton_mod.solve_bordered
+    assemble = newton_mod.assemble_field_weighted_mass
+    solve = newton_mod.solve_bordered
 
     def recording_assemble(space, *args):
         assembled.append(space)
