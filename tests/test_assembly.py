@@ -16,6 +16,7 @@ from gpmg.assembly import (
 from gpmg.elements import quadrature, shape_gradients, shape_values
 from gpmg.errors import UsageError
 from gpmg.expr import evaluate, parse
+from gpmg.linsolve import ChebyshevSmoother
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import _newton_matrix, build_contexts
 from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
@@ -191,22 +192,30 @@ def test_linked_riesz_norm_matches_dense_solve(dim, degree, n0, potential):
 
 
 def test_riesz_solvers_factor_each_level_once(monkeypatch):
-    # level k's V-cycle refines level k-1's: one coarse LU and one pair of
-    # Gauss-Seidel triangles per finer level, however many levels solve
+    # level k's V-cycle refines level k-1's: one coarse LU and one
+    # smoother per finer level, however many levels solve; the smoothers
+    # factor nothing
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 4)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
-    calls = []
+    calls, smoothed = [], []
     splu = spla.splu
+    for_matrix = ChebyshevSmoother.for_matrix
 
     def counting_splu(a, *args, **kwargs):
         calls.append(a.shape[0])
         return splu(a, *args, **kwargs)
 
+    def counting_for_matrix(k):
+        smoothed.append(k.shape[0])
+        return for_matrix(k)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(ChebyshevSmoother, "for_matrix", counting_for_matrix)
     for ops in [ctxs[-1], *ctxs, ctxs[2].with_zeta(3.0)]:
         ops.riesz_norm(np.ones(ops.space.n_dofs))
     sizes = [ops.space.interior_dofs.size for ops in ctxs]
-    assert sorted(calls) == sorted([sizes[0]] + 2 * sizes[1:])
+    assert calls == sizes[:1]
+    assert smoothed == sizes[1:]
 
 
 def test_operators_rayleigh_identity():

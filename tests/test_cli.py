@@ -362,10 +362,7 @@ def test_zero_scf_iterations_is_config_error(tmp_path, capsys):
     assert code == 2 and "max_outer" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("key", ["solver.pre_smooth", "solver.post_smooth"])
-def test_smoothing_count_below_one_is_config_error(tmp_path, capsys, key,
-                                                   value):
+def _assert_mg_cg_count_rejected(tmp_path, capsys, key, value):
     # not an indefinite-linearization failure (exit 3) at the first mg_cg
     # solve: the count is rejected at load
     cfg = ("problem.dim = 2\nproblem.potential = x1^2\nproblem.zeta = 1.0\n"
@@ -375,6 +372,18 @@ def test_smoothing_count_below_one_is_config_error(tmp_path, capsys, key,
     assert code == 2 and key in err
     with pytest.raises(ConfigurationError, match=key.split(".")[1]):
         SolverConfig(**{key.split(".")[1]: int(value)})
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("key", ["solver.pre_smooth", "solver.post_smooth"])
+def test_smoothing_count_below_one_is_config_error(tmp_path, capsys, key,
+                                                   value):
+    _assert_mg_cg_count_rejected(tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_iter_below_one_is_config_error(tmp_path, capsys, value):
+    _assert_mg_cg_count_rejected(tmp_path, capsys, "solver.max_iter", value)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

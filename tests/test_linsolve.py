@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial import Chebyshev, Polynomial
 
 from gpmg.assembly import FemSpace, Operators, assemble_mass, assemble_stiffness
 from gpmg.eigsolve import scf_solve
@@ -84,10 +87,10 @@ def test_mg_cg_requires_hierarchy():
 
 
 @pytest.mark.parametrize("dim,degree,crossover", [
-    (2, 1, 200_000),  # p1_2d_mgcg: direct on levels 2-5, mg_cg on level 6
-    (2, 2, 50_000),
-    (3, 1, 3_000),
-    (3, 2, 2_000),
+    (2, 1, 10_000),  # p1_2d_mgcg: direct on levels 2-3, mg_cg on 4-6
+    (2, 2, 6_000),
+    (3, 1, 1_600),
+    (3, 2, 1_000),
 ])
 def test_auto_switches_to_mg_cg_at_its_crossover(dim, degree, crossover):
     auto = SolverConfig()
@@ -211,37 +214,55 @@ def test_backward_error_contract_near_singular():
     assert res <= 1e-10 * (knorm * np.linalg.norm(x) + np.linalg.norm(b))
 
 
-def newton_hierarchy():
-    """Interior Newton matrices of a 3-level 2D P1 problem (zeta = 1) at
-    an iterate one Newton step into level 2, prolongated to level 3."""
-    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
-    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
-                          potential=parse("x1^2 + 2*x2^2", 2))
+def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
+    """Interior Newton matrices of a 2D P1 problem (zeta = 1; other
+    dimensions and degrees on request) at an iterate one Newton step into
+    level 2, prolongated to the finest level."""
+    hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
+    potential = " + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim))
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
+                          potential=parse(potential, dim))
     x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
     x = newton_step(ctxs[:2], x)
-    x = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
-    k = assemble_newton_system(ctxs[2], x).k
+    for coarse, fine in zip(ctxs[1:], ctxs[2:]):
+        x = _prolong_iterate(x, coarse.space, fine.space)
+    k = assemble_newton_system(ctxs[-1], x).k
     vc = _build_vcycle(ctxs, x, k, SolverConfig())
     return vc.mats, vc.prolongs
 
 
-def reference_vcycle(mats, prolongs, b, pre=2, post=2):
-    """The V-cycle with a triangular solve per Gauss-Seidel sweep and a
-    dense coarse solve."""
+def chebyshev_step_polynomial(lo, hi, degree):
+    """q with q(t) t = 1 - T_degree((theta - t)/delta) / T_degree(theta/delta)
+    in monomial form: x += q(D^-1 K) D^-1 (b - K x) is one smoothing step."""
+    theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    cheb = Chebyshev.basis(degree).convert(kind=Polynomial)
+    error = cheb(Polynomial([theta / delta, -1.0 / delta])) / cheb(theta / delta)
+    q, rem = divmod(1 - error, Polynomial([0.0, 1.0]))
+    assert np.allclose(rem.coef, 0.0, atol=1e-14)
+    return q
+
+
+def reference_vcycle(mats, prolongs, intervals, b, pre=2, post=2):
+    """The V-cycle with each level's Chebyshev polynomial evaluated by
+    Horner's rule on the dense D^-1 K and a dense coarse solve; intervals
+    holds (lo, hi) per smoothed level."""
+    def smooth(k, interval, degree, b, x):
+        a = k / np.diag(k)[:, None]
+        v = (b - k @ x) / np.diag(k)
+        coef = chebyshev_step_polynomial(*interval, degree).coef
+        y = coef[-1] * v
+        for c in coef[-2::-1]:
+            y = a @ y + c * v
+        return x + y
+
     def cycle(lvl, b):
-        k = mats[lvl]
+        k = mats[lvl].toarray()
         if lvl == 0:
-            return np.linalg.solve(k.toarray(), b)
-        x = np.zeros_like(b)
-        for _ in range(pre):
-            x += spla.spsolve_triangular(sp.tril(k, format="csr"), b - k @ x,
-                                         lower=True)
+            return np.linalg.solve(k, b)
+        x = smooth(k, intervals[lvl - 1], pre, b, np.zeros_like(b))
         p = prolongs[lvl - 1]
         x += p @ cycle(lvl - 1, p.T @ (b - k @ x))
-        for _ in range(post):
-            x += spla.spsolve_triangular(sp.triu(k, format="csr"), b - k @ x,
-                                         lower=False)
-        return x
+        return smooth(k, intervals[lvl - 1], post, b, x)
 
     return cycle(len(mats) - 1, b)
 
@@ -252,24 +273,55 @@ def vcycle_asymmetry(vc, rng):
     return abs(y @ vx - x @ vy) / (np.linalg.norm(y) * np.linalg.norm(vx))
 
 
-@pytest.mark.parametrize("sweeps", [1, 2, 3], ids=lambda n: f"{n}x{n}")
+@pytest.mark.parametrize("degree", [1, 2, 3], ids=lambda n: f"{n}x{n}")
 @pytest.mark.parametrize("build", [
     lambda: poisson_hierarchy(levels=4),
     newton_hierarchy,
 ], ids=["poisson", "newton"])
-def test_vcycle_matches_triangular_solve_reference(build, sweeps):
-    # the first pre-sweep skips the matvec with the zero start: an off-by-one
-    # in the sweep count shows at every count
+def test_vcycle_matches_dense_chebyshev_reference(build, degree):
+    # pre-smoothing skips the matvec with the zero start: an off-by-one in
+    # the number of steps shows at every degree
     mats, prolongs = build()
-    vc = VCycleHierarchy(mats, prolongs, pre_smooth=sweeps,
-                         post_smooth=sweeps)
+    vc = VCycleHierarchy(mats, prolongs, pre_smooth=degree,
+                         post_smooth=degree)
+    intervals = [(s.lo, s.hi) for s in vc.smoothers]
+    assert len(intervals) == len(mats) - 1
     rng = np.random.default_rng(5)
     for _ in range(3):
         b = rng.standard_normal(mats[-1].shape[0])
-        ref = reference_vcycle(mats, prolongs, b, pre=sweeps, post=sweeps)
+        ref = reference_vcycle(mats, prolongs, intervals, b, pre=degree,
+                               post=degree)
         assert np.linalg.norm(vc.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
     # CG needs a symmetric preconditioner
     assert vcycle_asymmetry(vc, rng) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,degree,n0,levels", [
+    (2, 1, 4, 3), (2, 2, 2, 3), (3, 1, 3, 3), (3, 2, 1, 3),
+], ids=["2d_p1", "2d_p2", "3d_p1", "3d_p2"])
+@pytest.mark.parametrize("kind", ["h1", "newton"])
+def test_chebyshev_interval_covers_the_spectrum(dim, degree, n0, levels,
+                                                kind):
+    # the smoother contracts in the K-norm only while lambda_max(D^-1 K)
+    # < hi + lo; the V-cycle is then an SPD preconditioner
+    if kind == "newton":
+        mats, prolongs = newton_hierarchy(dim, degree, n0, levels)
+    else:
+        hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
+        ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0))
+        vc = ctxs[-1]._riesz_solver().vcycle
+        mats, prolongs = vc.mats, vc.prolongs
+    vc = VCycleHierarchy(mats, prolongs)
+    for k, smoother in zip(mats[1:], vc.smoothers):
+        d = k.diagonal()
+        scaled = k.toarray() / np.sqrt(np.outer(d, d))
+        lam_max = sla.eigvalsh(scaled)[-1]
+        assert lam_max < smoother.hi + smoother.lo
+        assert smoother.lo == smoother.hi / 10
+    n = mats[-1].shape[0]
+    b_mat = np.column_stack([vc.apply(e) for e in np.eye(n)])
+    assert np.abs(b_mat - b_mat.T).max() <= 1e-12 * np.abs(b_mat).max()
+    assert sla.eigvalsh(0.5 * (b_mat + b_mat.T))[0] > 0.0
 
 
 def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
@@ -310,10 +362,22 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
     assert all(applied)
 
 
-def test_vcycle_symmetry_check_catches_lower_post_sweeps():
+def test_vcycle_symmetry_check_catches_a_different_post_interval():
+    class PostInterval:
+        """Smooths with pre's interval from zero, with post's after."""
+
+        def __init__(self, pre, post):
+            self.pre, self.post = pre, post
+
+        def smooth(self, k, b, degree, x=None):
+            return (self.pre if x is None else self.post).smooth(k, b, degree,
+                                                                 x)
+
     mats, prolongs = poisson_hierarchy(levels=4)
     broken = VCycleHierarchy(mats, prolongs)
-    broken.upper = broken.lower
+    assert vcycle_asymmetry(broken, np.random.default_rng(6)) <= 1e-12
+    broken.smoothers = [PostInterval(s, replace(s, lo=s.hi / 30))
+                        for s in broken.smoothers]
     assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
 
 
@@ -329,9 +393,11 @@ def test_vcycle_apply_factors_nothing(monkeypatch):
     for name in ("splu", "spsolve_triangular"):
         monkeypatch.setattr(spla, name, counting(getattr(spla, name)))
     mats, prolongs = poisson_hierarchy(levels=4)
-    vc = VCycleHierarchy(mats, prolongs)
-    # set-up factors the coarse matrix and two triangles per finer level
-    assert calls == ["splu"] * (1 + 2 * (len(mats) - 1))
+    # set-up factors the coarse matrix and nothing else, and a refined
+    # hierarchy shares that LU
+    vc = VCycleHierarchy(mats[:-1], prolongs[:-1])
+    vc = vc.refined(mats[-1], prolongs[-1])
+    assert calls == ["splu"]
     calls.clear()
     vc.apply(np.ones(mats[-1].shape[0]))
     assert calls == []
