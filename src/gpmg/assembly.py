@@ -294,8 +294,9 @@ class Operators:
     def _riesz_solver(self):
         """CG on the interior H1 matrix, preconditioned by one V-cycle over
         this level and every coarser one. The V-cycle refines the coarser
-        level's own, so each level's factorizations are made once; without
-        a coarser level it is the exact LU and CG takes one iteration."""
+        level's own, so the coarsest LU and each level's smoother are set
+        up once; without a coarser level it is the exact LU and CG takes
+        one iteration."""
         if self._riesz is None:
             ix = self.space.interior_dofs
             h1 = self.h1_mat[ix][:, ix]
@@ -319,7 +320,7 @@ class Operators:
         e_k that is A-orthogonal to z_k; hence f.z_k = f.z - ||e_k||_A^2.
         The computed norm is low by about half the square of the relative
         energy-norm error ||e_k||_A / ||z||_A, and never high. At 1e-6
-        (CG stops at a relative residual of 1e-7) PCG takes 4-7 iterations
+        (CG stops at a relative residual of 1e-7) PCG takes 6-8 iterations
         and the norm matched an LU to 7e-14 relative or better on every
         call of the 2D P1 and 3D P2 benchmark runs: far below the gaps the
         mixing test decides between."""

@@ -62,10 +62,10 @@ def factor_symmetric(a):
 # hierarchies, well inside the 21% margin.
 CHEBYSHEV_POWER_STEPS = 12
 # hi = 1.1 x the estimate, the upper end of PETSc's default Chebyshev
-# smoothing interval (0.1, 1.1) x lambda_max estimate.
+# smoothing interval, (0.1, 1.1) x the estimate.
 CHEBYSHEV_HI_FACTOR = 1.1
-# lo = hi / 10: the polynomial damps the top 90% of the scaled spectrum,
-# which holds the oscillatory modes a twice-coarser grid cannot represent;
+# lo = hi / 10: the polynomial damps the top 90% of the interval, which
+# holds the oscillatory modes a twice-coarser grid cannot represent; about
 # the lower end of the same PETSc default.
 CHEBYSHEV_LO_RATIO = 10.0
 

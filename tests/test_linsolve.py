@@ -381,6 +381,17 @@ def test_vcycle_symmetry_check_catches_a_different_post_interval():
     assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
 
 
+@pytest.mark.parametrize("shift", [1.0, 1.5], ids=["zero", "negative"])
+def test_vcycle_rejects_a_level_with_nonpositive_diagonal(shift):
+    # D^-1 would hold inf, or a negative entry, and no longer define a
+    # smoother; a matrix with such a diagonal is not positive definite
+    mats, prolongs = poisson_hierarchy()
+    k = mats[-1]
+    k = (k - shift * k.diagonal().max() * sp.eye(k.shape[0])).tocsr()
+    with pytest.raises(CoercivityError, match="diagonal"):
+        VCycleHierarchy([*mats[:-1], k], prolongs)
+
+
 def test_vcycle_apply_factors_nothing(monkeypatch):
     calls = []
 
