@@ -381,6 +381,24 @@ def test_vcycle_symmetry_check_catches_a_different_post_interval():
     assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
 
 
+def test_vcycle_symmetry_check_catches_lower_post_sweeps():
+    class LowerSweeps:
+        """Forward Gauss-Seidel, one lower-triangular solve per degree,
+        before and after coarse correction alike."""
+
+        def smooth(self, k, b, degree, x=None):
+            x = np.zeros_like(b) if x is None else x
+            lower = sp.tril(k, format="csr")
+            for _ in range(degree):
+                x = x + spla.spsolve_triangular(lower, b - k @ x, lower=True)
+            return x
+
+    mats, prolongs = poisson_hierarchy(levels=4)
+    broken = VCycleHierarchy(mats, prolongs)
+    broken.smoothers = [LowerSweeps() for _ in broken.smoothers]
+    assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
+
+
 @pytest.mark.parametrize("shift", [1.0, 1.5], ids=["zero", "negative"])
 def test_vcycle_rejects_a_level_with_nonpositive_diagonal(shift):
     # D^-1 would hold inf, or a negative entry, and no longer define a
