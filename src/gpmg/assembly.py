@@ -1,11 +1,15 @@
 """Finite element spaces and assembly of all discrete operators.
 
-Covers stiffness/mass/weighted-mass matrices, nonlinear load vectors, the
-eigenvalue residual functional, its H1 Riesz norm, the energy, and
-coarse-to-fine transfer.
+Covers stiffness (identity diffusion), mass and weighted-mass matrices,
+nonlinear load vectors, the eigenvalue residual functional, its H1 Riesz
+norm, the energy, and coarse-to-fine transfer.
 Dirichlet conditions are handled by reduction to the interior dof set.
 All forms share one kernel: per-cell weights times a reference table that
-the space caches per quadrature rule (`RuleTables`).
+the space caches per quadrature rule (`RuleTables`). Every matrix on a
+space is a data array on the space's one CSR pattern (`CsrPattern`, built
+on first use): a form is a bincount of its element entries into their
+slots, sums of forms are sums of data arrays, and the interior block is a
+cached gather of the data.
 """
 
 import copy
@@ -69,6 +73,7 @@ class FemSpace:
         self.boundary_dofs = np.where(boundary)[0]
         self.interior_dofs = np.where(~boundary)[0]
         self._geom = None
+        self._pattern = None
         self._quad_cache = {}
         self._prolongation_from = {}
 
@@ -102,6 +107,80 @@ class FemSpace:
             self._geom = (verts, jac, det, inv)
         return self._geom
 
+    def pattern(self):
+        """The CSR pattern every matrix on this space shares."""
+        if self._pattern is None:
+            self._pattern = CsrPattern(self.cell_dofs, self.n_dofs,
+                                       self.boundary_mask)
+        return self._pattern
+
+
+class CsrPattern:
+    """The sparsity pattern of the matrices on one space, (`indptr`,
+    `indices`) with sorted columns, and where each element entry lands in
+    its data array.
+
+    `slot[e]` is the data index of element entry e, the entries taken cell
+    by cell, each cell's nb x nb block row-major. `tperm[s]` is the data
+    index of slot s's transpose. `interior_gather` picks, in order, the
+    data of the interior-by-interior block, whose pattern is
+    (`interior_indptr`, `interior_indices`). The four index arrays are
+    read-only: every matrix on the space holds them, so an in-place edit
+    of one would corrupt them all."""
+
+    def __init__(self, cell_dofs, n, boundary_mask):
+        nc, nb = cell_dofs.shape
+        keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
+        # one sort of the element entries' (row, col) keys; each run of
+        # equal keys is one slot
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        ids = np.cumsum(first)
+        ids -= 1
+        self.slot = np.empty_like(order)
+        self.slot[order] = ids
+        self.nnz = keys.size
+        idx = np.int32 if max(n, self.nnz) < 2**31 else np.int64
+        rows = keys // n
+        self.shape = (n, n)
+        self.indices = (keys - rows * n).astype(idx)
+        self.indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        # an element entry's transpose is the same cell's (b, a) entry
+        self.tperm = np.empty(self.nnz, dtype=self.slot.dtype)
+        self.tperm[self.slot] = self.slot.reshape(nc, nb, nb).transpose(
+            0, 2, 1).ravel()
+
+        interior = ~boundary_mask
+        self.interior_gather = np.flatnonzero(
+            interior[rows] & interior[self.indices])
+        renumber = np.cumsum(interior) - 1
+        self.interior_indices = renumber[
+            self.indices[self.interior_gather]].astype(idx)
+        counts = np.bincount(rows[self.interior_gather], minlength=n)[interior]
+        self.interior_indptr = np.zeros(counts.size + 1, dtype=idx)
+        np.cumsum(counts, out=self.interior_indptr[1:])
+        for name in ("indices", "indptr", "interior_indices",
+                     "interior_indptr"):
+            getattr(self, name).flags.writeable = False
+
+    def matrix(self, data):
+        """The matrix with this pattern and these data."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def interior(self, mat):
+        """The interior-by-interior block of mat, a matrix on this pattern:
+        mat[ix][:, ix] for ix the interior dofs, by one gather."""
+        n = self.interior_indptr.size - 1
+        return sp.csr_matrix(
+            (mat.data[self.interior_gather], self.interior_indices,
+             self.interior_indptr), shape=(n, n))
+
 
 class RuleTables:
     """A quadrature rule on the reference cell and the tables the forms
@@ -125,30 +204,21 @@ class RuleTables:
 
 def _scatter(space, cell_weights, table):
     """The matrix kernel: row c of cell_weights @ table is cell c's element
-    matrix, flattened nb x nb."""
-    nb = space.elem.n_basis
-    rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nb)).ravel()
-    mat = sp.coo_matrix(
-        ((cell_weights @ table).ravel(), (rows, cols)),
-        shape=(space.n_dofs, space.n_dofs),
-    ).tocsr()
-    return (mat + mat.T) * 0.5
+    matrix, flattened nb x nb. Summed into the space's pattern, then
+    symmetrized as (A + A') / 2."""
+    pattern = space.pattern()
+    data = np.bincount(pattern.slot, weights=(cell_weights @ table).ravel(),
+                       minlength=pattern.nnz)
+    return pattern.matrix((data + data[pattern.tperm]) * 0.5)
 
 
-def assemble_stiffness(space, a_coeff=None):
-    """Stiffness matrix for the constant-SPD diffusion tensor (default I)."""
+def assemble_stiffness(space):
+    """Stiffness matrix (grad u, grad v): the PDE's diffusion is the
+    identity."""
     d = space.dim
-    if a_coeff is None:
-        a_coeff = np.eye(d)
-    a_coeff = np.asarray(a_coeff, dtype=float)
-    if a_coeff.shape != (d, d) or not np.allclose(a_coeff, a_coeff.T):
-        raise ConfigurationError("A_coeff must be a symmetric dim x dim matrix")
-    if np.any(np.linalg.eigvalsh(a_coeff) <= 0):
-        raise ConfigurationError("A_coeff must be positive definite")
     _, _, det, inv = space.geometry()
-    # physical gradient is inv @ grad_ref, so the cell metric is inv' A inv
-    b = det[:, None, None] * (inv.transpose(0, 2, 1) @ a_coeff @ inv)
+    # physical gradient is inv @ grad_ref, so the cell metric is inv' inv
+    b = det[:, None, None] * (inv.transpose(0, 2, 1) @ inv)
     b = (b + b.transpose(0, 2, 1)) * 0.5
     tables = space.rule(space.bilinear_degree)
     return _scatter(space, b.reshape(len(b), d * d), tables.stiffness)
@@ -232,11 +302,13 @@ def prolongation_matrix(coarse, fine):
     cid, bary = coarse.mesh.locate(fine.dof_coords)
     phi = shape_values(coarse.elem, bary)
     nb = coarse.elem.n_basis
-    rows = np.repeat(np.arange(fine.n_dofs), nb)
-    cols = coarse.cell_dofs[cid].ravel()
-    p = sp.coo_matrix(
-        (phi.ravel(), (rows, cols)), shape=(fine.n_dofs, coarse.n_dofs)
-    ).tocsr()
+    # row i holds the nb basis values of fine dof i's coarse cell
+    p = sp.csr_matrix(
+        (phi.ravel(), coarse.cell_dofs[cid].ravel(),
+         np.arange(0, nb * fine.n_dofs + 1, nb)),
+        shape=(fine.n_dofs, coarse.n_dofs),
+    )
+    p.sort_indices()
     p.eliminate_zeros()
     fine._prolongation_from[key] = p
     return p
@@ -258,9 +330,10 @@ class Operators:
         self.nl = nl
         self.coarser = coarser
         self._riesz = None
+        pattern = space.pattern()
         stiffness = assemble_stiffness(space)
         self.mass = assemble_mass(space)
-        self.h1_mat = (stiffness + self.mass).tocsr()
+        self.h1_mat = pattern.matrix(stiffness.data + self.mass.data)
         self.linear_part = stiffness
         if potential is not None:
             vals = _spatial_weight_values(space, potential)
@@ -268,7 +341,8 @@ class Operators:
                 raise ConfigurationError(
                     "problem.potential evaluates to inf or nan on the domain"
                 )
-            self.linear_part = (stiffness + _weighted_mass(space, vals)).tocsr()
+            self.linear_part = pattern.matrix(
+                stiffness.data + _weighted_mass(space, vals).data)
 
     def residual(self, lam, u):
         """Vector of <F(lam,u), phi_i> with boundary rows zeroed."""
@@ -298,8 +372,7 @@ class Operators:
         up once; without a coarser level it is the exact LU and CG takes
         one iteration."""
         if self._riesz is None:
-            ix = self.space.interior_dofs
-            h1 = self.h1_mat[ix][:, ix]
+            h1 = self.space.pattern().interior(self.h1_mat)
             if self.coarser is None:
                 vcycle = VCycleHierarchy([h1], [])
             else:

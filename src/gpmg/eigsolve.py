@@ -143,8 +143,9 @@ def scf_solve(ops, cfg=None):
             f"{cfg.dof_cap}"
         )
     ix = space.interior_dofs
-    lam, u_int = smallest_eigpair(ops.linear_part[ix][:, ix].tocsr(),
-                                  ops.mass[ix][:, ix].tocsr())
+    pattern = space.pattern()
+    lam, u_int = smallest_eigpair(pattern.interior(ops.linear_part),
+                                  pattern.interior(ops.mass))
     u = np.zeros(space.n_dofs)
     u[ix] = u_int
     if np.sum(ops.mass @ u) < 0:

@@ -33,7 +33,8 @@ __all__ = [
 
 # `auto` crossover per (dimension, degree): the interior-dof count above
 # which one bordered Newton solve is faster by mg_cg, V-cycle set-up
-# included, than direct (2-vCPU box, zeta = 1; table in ROADMAP item 4).
+# included, than direct (2-vCPU box, zeta = 1; table in the ROADMAP
+# section "Reference: the `auto` crossover").
 # A pair not listed, as in 1D, always solves direct.
 MG_CG_CROSSOVER = {
     (2, 1): 10_000,

@@ -81,14 +81,16 @@ def resi(ctx, x):
 
 
 def _newton_matrix(ctx, lam0, u0_full):
-    k = ctx.linear_part - lam0 * ctx.mass
+    """The Newton matrix at (lam0, u0_full) on the space's whole pattern."""
+    data = ctx.linear_part.data - lam0 * ctx.mass.data
     if ctx.nl.zeta != 0:
         def weight(t):
             t2 = t**2
             return f_eval(ctx.nl, t2) + 2.0 * fprime_eval(ctx.nl, t2) * t2
 
-        k = k + assemble_field_weighted_mass(ctx.space, u0_full, weight)
-    return k.tocsr()
+        data = data + assemble_field_weighted_mass(
+            ctx.space, u0_full, weight).data
+    return ctx.space.pattern().matrix(data)
 
 
 def assemble_newton_system(ctx, x0):
@@ -98,7 +100,7 @@ def assemble_newton_system(ctx, x0):
     if u0.shape != (space.n_dofs,):
         raise UsageError("x0 must live on the target space; prolongate first")
     ix = space.interior_dofs
-    k = _newton_matrix(ctx, x0.lam, u0)[ix][:, ix].tocsr()
+    k = space.pattern().interior(_newton_matrix(ctx, x0.lam, u0))
     mu0 = ctx.mass @ u0
     m = mu0[ix].copy()
     r = -x0.lam * mu0[ix]
@@ -114,10 +116,11 @@ def assemble_newton_system(ctx, x0):
 def _nested_dofs(coarse_space, fine_space):
     """The fine dof at each coarse dof's node: the row of the 1 in that
     column of the prolongation (every other entry of the column is < 1)."""
-    p = prolongation_matrix(coarse_space, fine_space).tocoo()
-    first = np.lexsort((-p.data, p.col))
-    starts = np.searchsorted(p.col[first], np.arange(coarse_space.n_dofs))
-    return p.row[first[starts]]
+    p = prolongation_matrix(coarse_space, fine_space)
+    rows = np.repeat(np.arange(fine_space.n_dofs), np.diff(p.indptr))
+    first = np.lexsort((-p.data, p.indices))
+    starts = np.searchsorted(p.indices[first], np.arange(coarse_space.n_dofs))
+    return rows[first[starts]]
 
 
 def _build_vcycle(levels, x0, k, cfg):
@@ -129,10 +132,8 @@ def _build_vcycle(levels, x0, k, cfg):
         points.insert(0, points[0][
             _nested_dofs(levels[idx].space, levels[idx + 1].space)
         ])
-    mats = []
-    for ctx, u in zip(levels[:-1], points):
-        ix = ctx.space.interior_dofs
-        mats.append(_newton_matrix(ctx, x0.lam, u)[ix][:, ix].tocsr())
+    mats = [ctx.space.pattern().interior(_newton_matrix(ctx, x0.lam, u))
+            for ctx, u in zip(levels[:-1], points)]
     mats.append(k)
     prolongs = [_interior_prolongation(coarse.space, fine.space)
                 for coarse, fine in zip(levels, levels[1:])]

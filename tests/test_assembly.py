@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gpmg import assembly as assembly_mod
 from gpmg.assembly import (
     FemSpace,
     Operators,
@@ -18,8 +20,9 @@ from gpmg.errors import UsageError
 from gpmg.expr import evaluate, parse
 from gpmg.linsolve import ChebyshevSmoother
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
-from gpmg.newton import _newton_matrix, build_contexts
+from gpmg.newton import _newton_matrix, assemble_newton_system, build_contexts
 from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
+from gpmg.state import IterateX
 
 
 def space_1d(n=8, degree=2):
@@ -295,25 +298,25 @@ def _assert_close(got, want):
 
 
 KERNEL_CASES = {
-    2: ((3, 2), [[2.0, 0.5], [0.5, 1.0]], "x1^2 + 2*x2^2 + sin(3*x1*x2)"),
-    3: ((2, 2, 2), [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]],
-        "x1^2 + 2*x2^2 + 4*x3^2 + sin(2*pi*x3)^2"),
+    2: ((3, 2), "x1^2 + 2*x2^2 + sin(3*x1*x2)"),
+    3: ((2, 2, 2), "x1^2 + 2*x2^2 + 4*x3^2 + sin(2*pi*x3)^2"),
 }
 
 
 @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
 def kernel_case(request):
     dim = request.param
-    cells, a, potential = KERNEL_CASES[dim]
+    cells, potential = KERNEL_CASES[dim]
     dom = BoxDomain(dim, (0.0,) * dim, (1.5,) + (1.0,) * (dim - 1))
     space = FemSpace(build_initial_mesh(dom, cells), 2)
     u = np.random.default_rng(dim).standard_normal(space.n_dofs)
-    return space, np.array(a), parse(potential, dim), u
+    return space, parse(potential, dim), u
 
 
 def test_kernel_matches_einsum_reference(kernel_case):
-    space, a, potential, u = kernel_case
-    _assert_close(assemble_stiffness(space, a), _ref_stiffness(space, a))
+    space, potential, u = kernel_case
+    _assert_close(assemble_stiffness(space),
+                  _ref_stiffness(space, np.eye(space.dim)))
     _assert_close(assemble_mass(space), _ref_weighted_mass(
         space, np.ones((space.mesh.n_cells, 1))))
     _assert_close(assemble_weighted_mass(space, potential), _ref_weighted_mass(
@@ -326,7 +329,7 @@ def test_kernel_matches_einsum_reference(kernel_case):
 
 
 def test_energy_matches_einsum_reference(kernel_case):
-    space, _, potential, u = kernel_case
+    space, potential, u = kernel_case
     nl = Nonlinearity(zeta=2.5)
     ops = Operators(space, nl, potential=potential)
     linear = _ref_stiffness(space, np.eye(space.dim)) + _ref_weighted_mass(
@@ -339,7 +342,7 @@ def test_energy_matches_einsum_reference(kernel_case):
 
 
 def test_newton_matrix_sums_the_separate_masses(kernel_case):
-    space, _, potential, u = kernel_case
+    space, potential, u = kernel_case
     nl = Nonlinearity(zeta=2.5)
     ctx = Operators(space, nl, potential=potential)
     lam0 = 3.7
@@ -348,3 +351,120 @@ def test_newton_matrix_sums_the_separate_masses(kernel_case):
             + 2.0 * assemble_field_weighted_mass(
                 space, u, lambda t: fprime_eval(nl, t**2) * t**2))
     _assert_close(_newton_matrix(ctx, lam0, u), want.toarray())
+
+
+
+# Two oracles for the shared pattern's scatter. `_coo_scatter` is the COO
+# assembly it replaced: COO -> CSR, then (A + A') / 2. scipy sums a row's
+# duplicate entries in the order its unstable per-row sort leaves them
+# (rows of more than 16 element entries get reordered), so it agrees to
+# round-off. `_ordered_scatter` sums them densely in element order, the
+# order the pattern's bincount uses, so it agrees bit for bit.
+def _coo_scatter(space, cell_weights, table):
+    nb = space.elem.n_basis
+    rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nb)).ravel()
+    mat = sp.coo_matrix(((cell_weights @ table).ravel(), (rows, cols)),
+                        shape=(space.n_dofs, space.n_dofs)).tocsr()
+    return (mat + mat.T) * 0.5
+
+
+def _ordered_scatter(space, cell_weights, table):
+    return sp.csr_matrix(_ref_matrix(space, cell_weights @ table))
+
+
+PATTERN_CASES = {
+    "1d-p1": (1, 1, (9,), "x1^2 + sin(3*x1)"),
+    "1d-p2": (1, 2, (5,), "x1^2 + sin(3*x1)"),
+    "2d-p1": (2, 1, (5, 4), "x1^2 + 2*x2^2 + sin(3*x1*x2)"),
+    "2d-p2": (2, 2, (3, 2), "x1^2 + 2*x2^2 + sin(3*x1*x2)"),
+    "3d-p1": (3, 1, (3, 3, 2), "x1^2 + 2*x2^2 + 4*x3^2 + sin(2*pi*x3)^2"),
+    "3d-p2": (3, 2, (2, 2, 1), "x1^2 + 2*x2^2 + 4*x3^2 + sin(2*pi*x3)^2"),
+}
+NEWTON_LAMBDA = 3.7
+
+
+@pytest.fixture(params=list(PATTERN_CASES), ids=list(PATTERN_CASES))
+def pattern_case(request):
+    dim, degree, cells, potential = PATTERN_CASES[request.param]
+    dom = BoxDomain(dim, (0.0,) * dim, (1.5,) + (1.0,) * (dim - 1))
+    space = FemSpace(build_initial_mesh(dom, cells), degree)
+    potential = parse(potential, dim)
+    ctx = Operators(space, Nonlinearity(zeta=2.5), potential=potential)
+    u = np.random.default_rng(dim + 3 * degree).standard_normal(space.n_dofs)
+    return ctx, potential, u
+
+
+def _forms(ctx, potential, u):
+    """The forms on ctx's space, by whatever `_scatter` is in place."""
+    nl = ctx.nl
+
+    def newton_weight(t):  # the field weight of `_newton_matrix`
+        t2 = t**2
+        return f_eval(nl, t2) + 2.0 * fprime_eval(nl, t2) * t2
+
+    return {
+        "mass": assemble_mass(ctx.space),
+        "stiffness": assemble_stiffness(ctx.space),
+        "potential": assemble_weighted_mass(ctx.space, potential),
+        "field": assemble_field_weighted_mass(ctx.space, u, newton_weight),
+    }
+
+
+def _pattern_matrices(ctx, potential, u):
+    return {**_forms(ctx, potential, u), "h1": ctx.h1_mat,
+            "linear": ctx.linear_part,
+            "newton": _newton_matrix(ctx, NEWTON_LAMBDA, u)}
+
+
+def _reference_matrices(ctx, potential, u, scatter, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly_mod, "_scatter", scatter)
+        want = _forms(ctx, potential, u)
+    want["h1"] = want["stiffness"] + want["mass"]
+    want["linear"] = want["stiffness"] + want["potential"]
+    want["newton"] = (want["linear"] - NEWTON_LAMBDA * want["mass"]
+                      + want["field"])
+    return {name: mat.toarray() for name, mat in want.items()}
+
+
+def test_pattern_assembly_matches_coo_assembly(pattern_case, monkeypatch):
+    # bit for bit against the element-order sums, to 1e-15 of the largest
+    # entry against the COO path; and exactly symmetric, as (A + A') / 2
+    # makes every form and hence every sum of forms
+    ctx, potential, u = pattern_case
+    got = _pattern_matrices(ctx, potential, u)
+    coo = _reference_matrices(ctx, potential, u, _coo_scatter, monkeypatch)
+    ordered = _reference_matrices(ctx, potential, u, _ordered_scatter,
+                                  monkeypatch)
+    for name, mat in got.items():
+        g = mat.toarray()
+        assert np.array_equal(g, ordered[name]), name
+        assert np.abs(g - coo[name]).max() <= 1e-15 * np.abs(coo[name]).max()
+        assert np.array_equal(g, g.T), name
+
+
+def test_every_matrix_on_a_space_shares_its_pattern(pattern_case):
+    ctx, potential, u = pattern_case
+    pattern = ctx.space.pattern()
+    for name, mat in _pattern_matrices(ctx, potential, u).items():
+        assert np.shares_memory(mat.indptr, pattern.indptr), name
+        assert np.shares_memory(mat.indices, pattern.indices), name
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_interior_gather_equals_fancy_slicing(pattern_case):
+    ctx, potential, u = pattern_case
+    pattern = ctx.space.pattern()
+    ix = ctx.space.interior_dofs
+    for mat in _pattern_matrices(ctx, potential, u).values():
+        _assert_same_csr(pattern.interior(mat), mat[ix][:, ix])
+    x0 = IterateX(lam=NEWTON_LAMBDA, u=u)
+    _assert_same_csr(assemble_newton_system(ctx, x0).k,
+                     _newton_matrix(ctx, NEWTON_LAMBDA, u)[ix][:, ix])
+    _assert_same_csr(ctx._riesz_solver().k, ctx.h1_mat[ix][:, ix])

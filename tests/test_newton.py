@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import gpmg.newton as newton_mod
@@ -125,6 +128,36 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     (system, vcycle), = solved
     assert len(vcycle.mats) == len(ctxs)
     assert (vcycle.mats[-1] != system.k).nnz == 0
+
+
+def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
+    # every matrix a Newton step assembles is data on its space's cached
+    # pattern, cut to the interior by a cached gather: once the first step
+    # has built the caches, a step and its resi make no COO matrix in
+    # gpmg.assembly or gpmg.newton (attributed to the nearest gpmg frame)
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2", 2))
+    cfg = SolverConfig(method="mg_cg")
+    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x = newton_step(ctxs[:2], x)
+    x = newton_step(ctxs, _prolong_iterate(x, ctxs[1].space, ctxs[2].space),
+                    cfg)
+    resi(ctxs[-1], x)
+    built = []
+    init = sp.coo_matrix.__init__
+
+    def recording_init(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_globals.get(
+                "__name__", "").startswith("gpmg."):
+            frame = frame.f_back
+        built.append(frame and frame.f_globals["__name__"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "__init__", recording_init)
+    resi(ctxs[-1], newton_step(ctxs, x, cfg))
+    assert not {"gpmg.assembly", "gpmg.newton"} & set(built)
 
 
 def test_border_equation_exact_after_solve():
