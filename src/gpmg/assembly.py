@@ -129,31 +129,35 @@ class CsrPattern:
     of one would corrupt them all."""
 
     def __init__(self, cell_dofs, n, boundary_mask):
-        nc, nb = cell_dofs.shape
         keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
         # one sort of the element entries' (row, col) keys; each run of
-        # equal keys is one slot
+        # equal keys is one slot. The E-sized buffers are reused, since
+        # fresh ones cost page faults comparable to the sort.
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        ids = keys[order]
         first = np.empty(keys.size, dtype=bool)
         first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        ids = np.cumsum(first)
-        ids -= 1
-        self.slot = np.empty_like(order)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        unique = ids[first]
+        first[0] = False  # so the running count is the run's 0-based slot
+        np.cumsum(first, out=ids)
+        self.slot = keys
         self.slot[order] = ids
-        self.nnz = keys.size
+        del order, ids, first
+        self.nnz = unique.size
         idx = np.int32 if max(n, self.nnz) < 2**31 else np.int64
-        rows = keys // n
+        rows = unique // n
         self.shape = (n, n)
-        self.indices = (keys - rows * n).astype(idx)
+        self.indices = (unique - rows * n).astype(idx)
         self.indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        # an element entry's transpose is the same cell's (b, a) entry
-        self.tperm = np.empty(self.nnz, dtype=self.slot.dtype)
-        self.tperm[self.slot] = self.slot.reshape(nc, nb, nb).transpose(
-            0, 2, 1).ravel()
+        # The element-local swap (a, b) -> (b, a) maps the pattern onto
+        # itself, so it is symmetric: its CSC form has the same indptr and
+        # indices, and the CSC transpose of the slot numbers 0..nnz-1 holds
+        # at each slot the slot of its transpose.
+        self.tperm = sp.csr_matrix(
+            (np.arange(self.nnz), self.indices, self.indptr),
+            shape=self.shape).tocsc().data
 
         interior = ~boundary_mask
         self.interior_gather = np.flatnonzero(
@@ -209,7 +213,9 @@ def _scatter(space, cell_weights, table):
     pattern = space.pattern()
     data = np.bincount(pattern.slot, weights=(cell_weights @ table).ravel(),
                        minlength=pattern.nnz)
-    return pattern.matrix((data + data[pattern.tperm]) * 0.5)
+    data += data[pattern.tperm]
+    data *= 0.5
+    return pattern.matrix(data)
 
 
 def assemble_stiffness(space):
