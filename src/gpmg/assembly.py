@@ -131,8 +131,9 @@ class CsrPattern:
     def __init__(self, cell_dofs, n, boundary_mask):
         keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
         # one sort of the element entries' (row, col) keys; each run of
-        # equal keys is one slot. The E-sized buffers are reused, since
-        # fresh ones cost page faults comparable to the sort.
+        # equal keys is one slot. The buffers of one entry per element
+        # entry are reused, since fresh ones cost page faults comparable
+        # to the sort.
         order = np.argsort(keys, kind="stable")
         ids = keys[order]
         first = np.empty(keys.size, dtype=bool)
