@@ -20,7 +20,6 @@ from .elements import quadrature, reference_element
 from .errors import (
     CoercivityError,
     ConfigurationError,
-    DivergenceError,
     GpmgError,
     NonConvergenceError,
     ResourceLimitError,

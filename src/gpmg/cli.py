@@ -26,7 +26,6 @@ from .errors import (
 )
 from .mesh import build_hierarchy
 from .newton import (
-    MixingParams,
     _finalize,
     _prolong_to_finest,
     build_contexts,
@@ -77,11 +76,10 @@ def _build(cfg, levels=None):
 
 
 def _run(cfg, contexts, renormalize=False):
-    if cfg.mixing.enabled:
-        params = MixingParams(theta_init=cfg.mixing.theta_init,
-                              theta_min=cfg.mixing.theta_min)
-        return multigrid_mixing(contexts, params=params, scf_cfg=cfg.coarse,
-                                solver_cfg=cfg.solver, renormalize=renormalize,
+    if cfg.mixing_enabled:
+        return multigrid_mixing(contexts, params=cfg.mixing,
+                                scf_cfg=cfg.coarse, solver_cfg=cfg.solver,
+                                renormalize=renormalize,
                                 reference_lambda=cfg.reference_lambda)
     return multigrid_newton(contexts, scf_cfg=cfg.coarse,
                             solver_cfg=cfg.solver, renormalize=renormalize,
@@ -194,7 +192,7 @@ def main(argv=None):
                 raise ConfigurationError("--levels must be positive")
             cfg.levels = args.levels
         if args.mixing:
-            cfg.mixing.enabled = True
+            cfg.mixing_enabled = True
         if args.command == "solve":
             return cmd_solve(cfg, out_path=args.out,
                              renormalize=args.renormalize)

@@ -14,16 +14,10 @@ from .expr import ParseError, parse as parse_expr
 from .eigsolve import ScfConfig
 from .linsolve import SolverConfig
 from .mesh import BoxDomain
+from .newton import MixingParams
 from .nonlinearity import Nonlinearity
 
-__all__ = ["MixingConfig", "RunConfig", "load_config", "parse_config_text"]
-
-
-@dataclass
-class MixingConfig:
-    enabled: bool = False
-    theta_init: float = 1.0
-    theta_min: float = 2.0**-20
+__all__ = ["RunConfig", "load_config", "parse_config_text"]
 
 
 @dataclass
@@ -39,7 +33,8 @@ class RunConfig:
     levels: int = 3
     solver: SolverConfig = field(default_factory=SolverConfig)
     coarse: ScfConfig = field(default_factory=ScfConfig)
-    mixing: MixingConfig = field(default_factory=MixingConfig)
+    mixing_enabled: bool = False
+    mixing: MixingParams = field(default_factory=MixingParams)
     reference_lambda: Optional[float] = None
 
     @property
@@ -198,17 +193,11 @@ def parse_config_text(text, origin="<config>"):
         max_outer=values.get("coarse.max_outer", 500),
         dof_cap=values.get("coarse.dof_cap", 50_000),
     )
-    cfg.mixing = MixingConfig(
-        enabled=values.get("mixing.enabled", False),
-        theta_init=values.get("mixing.theta_init", 1.0),
-        theta_min=values.get("mixing.theta_min", 2.0**-20),
-    )
-    if not 0.0 < cfg.mixing.theta_init <= 1.0:
-        raise ConfigurationError("mixing.theta_init must be in (0, 1]")
-    if not 0.0 < cfg.mixing.theta_min <= cfg.mixing.theta_init:
-        raise ConfigurationError(
-            "mixing.theta_min must be in (0, mixing.theta_init]"
-        )
+    cfg.mixing_enabled = values.get("mixing.enabled", False)
+    cfg.mixing = MixingParams(**{
+        name: values[f"mixing.{name}"]
+        for name in ("theta_init", "theta_min") if f"mixing.{name}" in values
+    })
 
     # fail early on a malformed potential rather than mid-run
     try:

@@ -1,13 +1,11 @@
-"""Coarse-space nonlinear eigenvalue solve: the damped Newton step of the
-finer levels, repeated on the coarsest space until resi <= tol.
+"""Coarse-space nonlinear eigenvalue solve: newton.damped_newton, the
+finer levels' damped Newton step repeated on the coarsest space.
 
 The solve starts at the ground state of the linear part (f frozen at
 zero) and reaches the coupling zeta through the fixed ladder zeta/10^k,
 ..., zeta/10, zeta, whose lowest rung is the first one <= 1; each rung
 starts from the previous rung's solution. Started far from it, Newton at
-a strong coupling stagnates or converges to an excited state. At a large
-coupling resi cannot fall below its round-off, which grows with |lambda|,
-so the stopping bound never drops below RESI_ROUNDOFF * |lambda|. Since
+a strong coupling stagnates or converges to an excited state. Since
 zeta >= 0, the ground state has one sign, and a sign-changing result is
 an error. A dof cap keeps the solve on coarse spaces.
 """
@@ -25,7 +23,7 @@ from .errors import (
     StagnationError,
 )
 from .linsolve import factor_symmetric
-from .newton import MixingParams, _finalize, mixing_iteration, resi
+from .newton import MixingParams, _finalize, _stop_at, damped_newton, resi
 from .state import IterateX
 
 __all__ = ["ScfConfig", "smallest_eigpair", "scf_solve"]
@@ -35,10 +33,6 @@ DENSE_EIG_LIMIT = 2000
 # relative to ||x|| and the iteration cap
 EIG_TOL = 1e-10
 EIG_MAX_ITER = 500
-# resi of a converged iterate is round-off of order eps * |lambda|
-# (example 2's coarse mesh at zeta = 1e6 stalls at 0.25 eps |lambda|);
-# the coarse solve stops at this multiple of |lambda| whatever its tol
-RESI_ROUNDOFF = 10.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -105,31 +99,10 @@ def _zeta_ladder(zeta):
     return rungs
 
 
-def _solve_rung(rung, x, steps, cfg, where):
-    """Damped Newton steps from x at the rung's coupling until resi <=
-    max(cfg.tol, RESI_ROUNDOFF * |lambda|); returns the iterate and the
-    step count so far."""
-    r = resi(rung, x)
-    while r > max(cfg.tol, RESI_ROUNDOFF * abs(x.lam)):
-        if steps == cfg.max_outer:
-            raise NonConvergenceError(
-                f"coarse Newton solve spent its {cfg.max_outer} steps "
-                f"and stopped at {where} with resi {r:.3e} > {cfg.tol:.1e}"
-            )
-        try:
-            x, _, r = mixing_iteration([rung], x, MixingParams(), resi_old=r)
-        except StagnationError as err:
-            raise NonConvergenceError(
-                f"coarse Newton solve stagnated at {where}: {err}"
-            ) from err
-        steps += 1
-    return x, steps
-
-
 def scf_solve(ops, cfg=None):
     """Ground state of the discrete nonlinear eigenvalue problem on ops'
     space, by damped Newton steps up the zeta ladder, each rung until
-    resi <= max(cfg.tol, RESI_ROUNDOFF * |lambda|).
+    resi <= max(cfg.tol, newton.RESI_ROUNDOFF * |lambda|).
 
     Returns an IterateX with ||u||_0 = 1, lambda from the Rayleigh
     identity lambda = a(u,u) + (f(u^2)u, u), and u of positive mean; its
@@ -159,11 +132,25 @@ def scf_solve(ops, cfg=None):
         try:
             # past zeta ~ 1e150 the squares in resi overflow
             with np.errstate(over="raise"):
-                x, steps = _solve_rung(rung, x, steps, cfg, where)
+                x, history, thetas = damped_newton(
+                    [rung], x, resi(rung, x), cfg.tol, cfg.max_outer - steps,
+                    MixingParams()
+                )
         except FloatingPointError as err:
             raise NonConvergenceError(
                 f"coarse Newton solve overflowed at {where}: {err}"
             ) from err
+        except StagnationError as err:
+            raise NonConvergenceError(
+                f"coarse Newton solve stagnated at {where}: {err}"
+            ) from err
+        steps += len(thetas)
+        if history[-1] > _stop_at(cfg.tol, x):
+            raise NonConvergenceError(
+                f"coarse Newton solve spent its {cfg.max_outer} steps "
+                f"and stopped at {where} with resi {history[-1]:.3e} > "
+                f"{cfg.tol:.1e}"
+            )
     if x.u[ix].min() < 0.0 < x.u[ix].max():
         raise NonConvergenceError(
             "coarse Newton solve converged to a sign-changing state, not "

@@ -34,8 +34,8 @@ class SolverError(GpmgError):
 class CoercivityError(GpmgError):
     """The linearized operator lost positive definiteness.
 
-    Raised when an SPD-only solve path cannot proceed; the drivers catch
-    this and recommend the mixing scheme.
+    Raised when an SPD-only solve path cannot proceed; the CLI reports it
+    as a solver failure (exit 3).
     """
 
 
@@ -44,12 +44,10 @@ class NonConvergenceError(GpmgError):
     ended in a state that is not the ground state."""
 
 
-class DivergenceError(GpmgError):
-    """Newton residuals grew instead of contracting."""
-
-
 class StagnationError(GpmgError):
-    """The mixing line search exhausted theta without residual decrease."""
+    """A Newton step would raise resi at every theta it may try: the full
+    step of plain Newton, or each theta of the mixing search down to
+    theta_min. Carries the start's resi and the last trial's."""
 
     def __init__(self, message, resi_old=None, resi_new=None):
         super().__init__(message)

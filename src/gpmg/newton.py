@@ -12,6 +12,7 @@ nonlinearly once and take one (possibly damped) Newton step per level.
 """
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .assembly import (
     assemble_field_weighted_mass,
     prolongation_matrix,
 )
-from .errors import DivergenceError, StagnationError, UsageError
+from .errors import ConfigurationError, StagnationError, UsageError
 from .linsolve import BorderedSystem, SolverConfig, VCycleHierarchy, solve_bordered
 from .nonlinearity import f_eval, fprime_eval
 from .state import IterateX, TraceRow
@@ -33,6 +34,7 @@ __all__ = [
     "build_contexts",
     "assemble_newton_system",
     "newton_step",
+    "damped_newton",
     "newton_fixed_space",
     "resi",
     "mixing_iteration",
@@ -40,20 +42,31 @@ __all__ = [
     "multigrid_mixing",
 ]
 
-# A Newton step that inflates resi beyond this factor (above a noise
-# floor) aborts the plain-Newton driver in favor of the mixing scheme.
-RESI_GROWTH_FACTOR = 1.25
-RESI_FLOOR = 1e-10
+# resi of a converged iterate is round-off of order eps * |lambda|
+# (example 2's coarse mesh at zeta = 1e6 stalls at 0.25 eps |lambda|);
+# damped_newton stops at this multiple of |lambda| whatever its tol
+RESI_ROUNDOFF = 10.0 * np.finfo(float).eps
 
 
+@dataclass(frozen=True)
 class MixingParams:
-    def __init__(self, theta_init=1.0, theta_min=2.0**-20):
-        if not 0.0 < theta_init <= 1.0:
-            raise UsageError("theta_init must be in (0, 1]")
-        if not 0.0 < theta_min <= theta_init:
-            raise UsageError("theta_min must be in (0, theta_init]")
-        self.theta_init = theta_init
-        self.theta_min = theta_min
+    """The theta search of a damped Newton step (config keys mixing.*):
+    the first theta tried, and the least before the step stagnates."""
+
+    theta_init: float = 1.0
+    theta_min: float = 2.0**-20
+
+    def __post_init__(self):
+        if not 0.0 < self.theta_init <= 1.0:
+            raise ConfigurationError("mixing.theta_init must be in (0, 1]")
+        if not 0.0 < self.theta_min <= self.theta_init:
+            raise ConfigurationError(
+                "mixing.theta_min must be in (0, mixing.theta_init]"
+            )
+
+
+# plain Newton: the mixing step that tries theta = 1 only
+FULL_STEP = MixingParams(1.0, 1.0)
 
 
 # Kept only because perfbench/tracer.py hooks
@@ -164,34 +177,6 @@ def newton_step(levels, x0, cfg=None):
     return IterateX(lam=sol.lam, u=u1)
 
 
-def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
-    """Repeat the Newton step within one space until resi <= tol.
-
-    Returns the final iterate and the resi history (including the start),
-    for empirical quadratic-convergence analysis.
-    """
-    cfg = cfg or SolverConfig()
-    x = x0
-    history = [resi(ctx, x)]
-    growths = 0
-    for _ in range(max_steps):
-        if history[-1] <= tol:
-            break
-        x_new = newton_step([ctx], x, cfg)
-        history.append(resi(ctx, x_new))
-        if history[-1] > history[-2]:
-            growths += 1
-            if growths >= 2:
-                raise DivergenceError(
-                    "Newton residual grew on two consecutive steps "
-                    f"(history {['%.3e' % h for h in history]})"
-                )
-        else:
-            growths = 0
-        x = x_new
-    return x, history
-
-
 def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
     """Damped Newton step on levels[-1] from x0, an iterate already on its
     space: solve once, then halve theta until the residual decreases.
@@ -204,20 +189,51 @@ def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
         resi_old = resi(ctx, x0)
     xhat = newton_step(levels, x0, cfg)
     theta = params.theta_init
-    while theta >= params.theta_min:
+    while True:
         lam = (1.0 - theta) * x0.lam + theta * xhat.lam
         u = (1.0 - theta) * x0.u + theta * xhat.u
         x_new = IterateX(lam=lam, u=u)
         resi_new = resi(ctx, x_new)
         if resi_new <= resi_old:
             return x_new, theta, resi_new
+        if 0.5 * theta < params.theta_min:
+            raise StagnationError(
+                f"Newton step stagnated: resi would rise above "
+                f"{resi_old:.6e} at every theta tried, to {resi_new:.6e} at "
+                f"the last, theta = {theta:.6g}",
+                resi_old=resi_old,
+                resi_new=resi_new,
+            )
         theta *= 0.5
-    raise StagnationError(
-        f"mixing stagnated: resi would rise from {resi_old:.6e} to "
-        f"{resi_new:.6e} even at theta < {params.theta_min:.2e}",
-        resi_old=resi_old,
-        resi_new=resi_new,
-    )
+
+
+def _stop_at(tol, x):
+    """The resi at which a solve from x stops: tol, or resi's round-off."""
+    return max(tol, RESI_ROUNDOFF * abs(x.lam))
+
+
+def damped_newton(levels, x, resi_x, tol, max_steps, params, cfg=None):
+    """Mixing steps on levels[-1] from x, whose resi is resi_x, until resi
+    <= max(tol, RESI_ROUNDOFF * |lambda|) or max_steps steps are taken.
+    Returns the last iterate, the resi history (the start included) and
+    each step's theta."""
+    history, thetas = [resi_x], []
+    while history[-1] > _stop_at(tol, x) and len(thetas) < max_steps:
+        x, theta, r = mixing_iteration(levels, x, params, cfg, history[-1])
+        history.append(r)
+        thetas.append(theta)
+    return x, history, thetas
+
+
+def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
+    """Repeat the full Newton step within one space until resi <= tol.
+
+    Returns the final iterate and the resi history (including the start),
+    for empirical quadratic-convergence analysis.
+    """
+    x, history, _ = damped_newton([ctx], x0, resi(ctx, x0), tol, max_steps,
+                                  FULL_STEP, cfg)
+    return x, history
 
 
 def _finalize(ops, x):
@@ -248,26 +264,23 @@ def _traced_resi(contexts, x, level_idx, resi_own=None):
 
 def multigrid_newton(contexts, scf_cfg=None, solver_cfg=None, renormalize=False,
                      reference_lambda=None):
-    """Coarse nonlinear solve, then one Newton step per level."""
-    return _run_driver(contexts, mixing=False, scf_cfg=scf_cfg,
-                       solver_cfg=solver_cfg, params=None,
-                       renormalize=renormalize,
-                       reference_lambda=reference_lambda)
+    """Coarse nonlinear solve, then one full Newton step per level."""
+    return _run_driver(contexts, None, scf_cfg, solver_cfg, renormalize,
+                       reference_lambda)
 
 
 def multigrid_mixing(contexts, params=None, scf_cfg=None, solver_cfg=None,
                      renormalize=False, reference_lambda=None):
     """Coarse nonlinear solve, then one adaptively damped step per level."""
-    return _run_driver(contexts, mixing=True, scf_cfg=scf_cfg,
-                       solver_cfg=solver_cfg, params=params or MixingParams(),
-                       renormalize=renormalize,
-                       reference_lambda=reference_lambda)
+    return _run_driver(contexts, params or MixingParams(), scf_cfg,
+                       solver_cfg, renormalize, reference_lambda)
 
 
-def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
+def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
                 reference_lambda):
     """The final iterate (renormalized on request) and one TraceRow per
-    level, each holding that level's raw iterate."""
+    level, each holding that level's raw iterate. params None is plain
+    Newton: the full step, and no theta in the trace."""
     # imported here: eigsolve builds the coarse solve on this module's step
     from .eigsolve import scf_solve
 
@@ -279,31 +292,24 @@ def _run_driver(contexts, mixing, scf_cfg, solver_cfg, params, renormalize,
         if idx == 0:
             x = scf_solve(ctx, scf_cfg)
         else:
-            levels = contexts[:idx + 1]
             x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
             # on the finest level x0p is the previous row's iterate
             # prolongated once, so that row's traced resi is x0p's resi
             resi_old = rows[-1].resi if idx == len(contexts) - 1 else None
-            if mixing:
-                try:
-                    x, theta, resi_new = mixing_iteration(
-                        levels, x0p, params, solver_cfg, resi_old
-                    )
-                except StagnationError as err:
-                    raise StagnationError(
-                        f"level {idx + 1}: {err}", err.resi_old, err.resi_new
-                    ) from err
-            else:
-                if resi_old is None:
-                    resi_old = resi(ctx, x0p)
-                x = newton_step(levels, x0p, solver_cfg)
-                resi_new = resi(ctx, x)
-                if resi_new > max(RESI_GROWTH_FACTOR * resi_old, RESI_FLOOR):
-                    raise DivergenceError(
-                        f"level {idx + 1}: Newton step grew the residual "
-                        f"({resi_old:.6e} -> {resi_new:.6e}); rerun with the "
-                        "mixing driver (--mixing)"
-                    )
+            try:
+                x, theta, resi_new = mixing_iteration(
+                    contexts[:idx + 1], x0p, params or FULL_STEP,
+                    solver_cfg, resi_old
+                )
+            except StagnationError as err:
+                hint = ("; rerun with the mixing driver (--mixing)"
+                        if params is None else "")
+                raise StagnationError(
+                    f"level {idx + 1}: {err}{hint}", err.resi_old,
+                    err.resi_new
+                ) from err
+            if params is None:
+                theta = None
         step_ms = (time.perf_counter() - t0) * 1e3
         rows.append(TraceRow(
             level=idx + 1,

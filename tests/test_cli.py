@@ -11,7 +11,7 @@ import gpmg.newton as newton_mod
 from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main, run
 from gpmg.config import load_config, parse_config_text
-from gpmg.errors import ConfigurationError, UsageError
+from gpmg.errors import ConfigurationError, StagnationError
 from gpmg.linsolve import SolverConfig
 from gpmg.mesh import build_hierarchy
 from gpmg.newton import (
@@ -20,6 +20,7 @@ from gpmg.newton import (
     multigrid_mixing,
     multigrid_newton,
 )
+from gpmg.state import IterateX
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gpmg" / "configs"
 
@@ -62,7 +63,7 @@ def test_bundled_example_configs_load():
     assert cfg1.dim == 3 and cfg1.zeta == 1.0 and cfg1.degree == 2
     assert cfg1.reference_lambda == pytest.approx(34.819449)
     cfg2 = load_config(CONFIG_DIR / "example2.cfg")
-    assert cfg2.zeta == 100.0 and cfg2.mixing.enabled
+    assert cfg2.zeta == 100.0 and cfg2.mixing_enabled
     assert cfg2.mixing.theta_init == 0.5
 
 
@@ -224,7 +225,7 @@ def study_oracle(cfg, renormalize):
                           potential=cfg.potential)
 
     def run(contexts):
-        if cfg.mixing.enabled:
+        if cfg.mixing_enabled:
             params = MixingParams(cfg.mixing.theta_init, cfg.mixing.theta_min)
             return multigrid_mixing(contexts, params=params,
                                     scf_cfg=cfg.coarse, solver_cfg=cfg.solver,
@@ -255,7 +256,7 @@ def test_study_errors_match_per_depth_runs(tmp_path, capsys, flags):
     code, out, _ = run_cli(capsys, "study", "--config", path, *flags)
     assert code == 0
     cfg = load_config(path)
-    cfg.mixing.enabled = "--mixing" in flags
+    cfg.mixing_enabled = "--mixing" in flags
     want = study_oracle(cfg, renormalize="--renormalize" in flags)
     rows = [line.split(",") for line in out.strip().splitlines()[1:]
             if not line.startswith("#")]
@@ -352,7 +353,7 @@ def test_theta_min_outside_range_is_config_error(tmp_path, capsys, value):
 
 def test_mixing_params_reject_theta_min_outside_range():
     for theta_min in (0.0, 0.75, float("nan")):
-        with pytest.raises(UsageError, match="theta_min"):
+        with pytest.raises(ConfigurationError, match="mixing.theta_min"):
             MixingParams(theta_init=0.5, theta_min=theta_min)
 
 
@@ -459,6 +460,40 @@ def test_sign_changing_coarse_state_is_nonconvergence(tmp_path, capsys,
     monkeypatch.setattr(eigsolve_mod, "smallest_eigpair", second_eigpair)
     code, err = _one_line_exit(tmp_path, capsys, GPE_1D)
     assert code == 3 and "sign-changing" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--mixing"]], ids=["newton", "mixing"])
+def test_level_step_that_raises_resi_is_stagnation(tmp_path, capsys,
+                                                   monkeypatch, flags):
+    # level 2's Newton step reflected through its start points uphill in
+    # resi: plain Newton rejects the full step, the mixing search every
+    # theta down to theta_min, and either ends the run naming the level
+    newton_step = newton_mod.newton_step
+
+    def reflected(levels, x0, cfg=None):
+        x1 = newton_step(levels, x0, cfg)
+        if len(levels) != 2:
+            return x1
+        return IterateX(lam=2.0 * x0.lam - x1.lam, u=2.0 * x0.u - x1.u)
+
+    compared = []
+    mixing_iteration = newton_mod.mixing_iteration
+
+    def recording(*args, **kwargs):
+        try:
+            return mixing_iteration(*args, **kwargs)
+        except StagnationError as err:
+            compared.append((err.resi_old, err.resi_new))
+            raise
+
+    monkeypatch.setattr(newton_mod, "newton_step", reflected)
+    monkeypatch.setattr(newton_mod, "mixing_iteration", recording)
+    code, err = _one_line_exit(tmp_path, capsys, GPE_1D, *flags)
+    (resi_old, resi_new), = compared
+    assert code == 3 and resi_new > resi_old
+    assert err.startswith("error: level 2: ")
+    assert f"{resi_old:.6e}" in err and f"{resi_new:.6e}" in err
+    assert ("rerun with the mixing driver (--mixing)" in err) == (not flags)
 
 
 @pytest.mark.parametrize("key", ["coarse.alpha = 0.5", "coarse.inner = auto"])

@@ -10,12 +10,7 @@ import gpmg.newton as newton_mod
 
 from gpmg.assembly import FemSpace, Operators, evaluate_field
 from gpmg.eigsolve import ScfConfig, scf_solve
-from gpmg.errors import (
-    ConfigurationError,
-    DivergenceError,
-    StagnationError,
-    UsageError,
-)
+from gpmg.errors import ConfigurationError, StagnationError, UsageError
 from gpmg.expr import parse
 from gpmg.linsolve import SolverConfig
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
@@ -256,16 +251,42 @@ def test_newton_fixed_space_quadratic_history():
     assert all(history[i + 1] < history[i] for i in range(len(history) - 1))
 
 
-def test_newton_fixed_space_divergence_error(monkeypatch):
-    # two consecutive residual growths must abort with a divergence error
-    import gpmg.newton as newton_mod
-
+def test_newton_fixed_space_stagnates_at_the_first_growth(monkeypatch):
+    # the full step is accepted only if resi does not rise: the first
+    # growth ends the solve, with the two resi values it compared
     ctx = ctx_1d(n=8, zeta=1.0)
     x0 = scf_solve(ctx, ScfConfig(tol=1e-4))
     growing = iter([1.0, 2.0, 4.0, 8.0, 16.0])
     monkeypatch.setattr(newton_mod, "resi", lambda *_: next(growing))
-    with pytest.raises(DivergenceError):
+    with pytest.raises(StagnationError) as info:
         newton_fixed_space(x0, ctx, tol=1e-12, max_steps=6)
+    assert (info.value.resi_old, info.value.resi_new) == (1.0, 2.0)
+
+
+def test_damped_newton_carries_each_accepted_resi_forward(monkeypatch):
+    # one resi per theta tried: the start's is given, and each step's
+    # accepted resi is the next step's resi_old
+    ctx = ctx_1d(n=16, zeta=10.0, potential=parse("x1^2", 1))
+    x0 = scf_solve(ctx, ScfConfig(tol=1e-2))
+    calls = []
+
+    def counted(ops, x):
+        calls.append(1)
+        return resi(ops, x)
+
+    monkeypatch.setattr(newton_mod, "resi", counted)
+    x, history, thetas = newton_mod.damped_newton(
+        [ctx], x0, resi(ctx, x0), 1e-11, 12, newton_mod.FULL_STEP
+    )
+    assert history[-1] <= 1e-11 < history[-2]
+    assert thetas == [1.0] * (len(history) - 1)
+    assert len(calls) == len(thetas)
+    assert history[-1] == resi(ctx, x)
+    # a spent budget returns the unconverged iterate, not an error
+    _, short, _ = newton_mod.damped_newton(
+        [ctx], x0, history[0], 1e-11, 1, newton_mod.FULL_STEP
+    )
+    assert short == history[:2]
 
 
 def test_mixing_accepts_theta_one_when_newton_decreases():
@@ -292,20 +313,34 @@ def test_mixing_halves_theta_on_overshoot():
     assert resi(ctxs[1], x1) <= resi(ctxs[1], x0p)
 
 
-def test_mixing_stagnation_error():
+def test_mixing_stagnation_error(monkeypatch):
+    # resi rises at every theta: the search halves theta down to theta_min,
+    # no further, and reports the start's resi and the last trial's
     ctx = ctx_1d(n=8, zeta=1.0)
-    x_star = scf_solve(ctx, ScfConfig(tol=1e-12))
-    # at the exact solution every damped move away increases the residual,
-    # except theta ~ 0; a large theta_min forces stagnation
-    params = MixingParams(theta_init=1.0, theta_min=0.9)
-    u = x_star.u.copy()
-    u[ctx.space.interior_dofs] *= 1.5
-    x0 = IterateX(lam=x_star.lam * 2.0, u=u)
-    try:
-        x1, theta, _ = mixing_iteration([ctx], x0, params=params)
-        assert resi(ctx, x1) <= resi(ctx, x0)
-    except StagnationError as err:
-        assert err.resi_old is not None and err.resi_new is not None
+    x0 = scf_solve(ctx, ScfConfig(tol=1e-4))
+    steps = []
+
+    def recording_step(levels, x, cfg=None):
+        steps.append(newton_step(levels, x, cfg))
+        return steps[-1]
+
+    tried = []
+
+    def rising_resi(ops, x):
+        if x is x0:
+            return 1.0
+        tried.append((x.lam - x0.lam) / (steps[0].lam - x0.lam))
+        return 1.0 + len(tried)
+
+    monkeypatch.setattr(newton_mod, "newton_step", recording_step)
+    monkeypatch.setattr(newton_mod, "resi", rising_resi)
+    params = MixingParams(theta_init=1.0, theta_min=0.1)
+    with pytest.raises(StagnationError) as info:
+        mixing_iteration([ctx], x0, params=params)
+    assert len(steps) == 1
+    np.testing.assert_allclose(tried, [1.0, 0.5, 0.25, 0.125], rtol=1e-9)
+    assert min(tried) >= params.theta_min > 0.5 * min(tried)
+    assert (info.value.resi_old, info.value.resi_new) == (1.0, 5.0)
 
 
 EX2_POTENTIAL = ("x1^2 + x2^2 + x3^2 + sin(2*pi*x1)^2 + sin(2*pi*x2)^2"
