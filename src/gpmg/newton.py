@@ -7,8 +7,10 @@ and solves the bordered system
     -(u0, u1)        = -1/2 - (u0, u0)/2
 
 with K = stiffness + potential mass + M_{f(u0^2)} + 2 M_{f'(u0^2) u0^2}
-- lam0 M on interior dofs. The multigrid drivers solve the coarsest space
-nonlinearly once and take one (possibly damped) Newton step per level.
+- lam0 M on interior dofs. Every step is accepted by one rule, the mixing
+step's resi_new <= resi_old; plain Newton is the mixing step at theta = 1.
+The multigrid drivers solve the coarsest space nonlinearly once and take
+one (possibly damped) Newton step per level.
 """
 
 import time
@@ -179,10 +181,11 @@ def newton_step(levels, x0, cfg=None):
 
 def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
     """Damped Newton step on levels[-1] from x0, an iterate already on its
-    space: solve once, then halve theta until the residual decreases.
-    Never re-solves during the line search. resi_old is x0's resi, computed
-    here unless given. Returns the accepted iterate, its theta and its
-    resi."""
+    space: solve once, then halve theta from params.theta_init until resi
+    does not rise, or raise StagnationError before theta drops below
+    params.theta_min. Never re-solves during the line search. resi_old is
+    x0's resi, computed here unless given. Returns the accepted iterate,
+    its theta and its resi."""
     params = params or MixingParams()
     ctx = levels[-1]
     if resi_old is None:

@@ -15,12 +15,14 @@ from gpmg.expr import parse
 from gpmg.linsolve import SolverConfig
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
+    FULL_STEP,
     MixingParams,
     _nested_dofs,
     _prolong_iterate,
     _prolong_to_finest,
     assemble_newton_system,
     build_contexts,
+    damped_newton,
     mixing_iteration,
     multigrid_mixing,
     multigrid_newton,
@@ -275,17 +277,14 @@ def test_damped_newton_carries_each_accepted_resi_forward(monkeypatch):
         return resi(ops, x)
 
     monkeypatch.setattr(newton_mod, "resi", counted)
-    x, history, thetas = newton_mod.damped_newton(
-        [ctx], x0, resi(ctx, x0), 1e-11, 12, newton_mod.FULL_STEP
-    )
+    x, history, thetas = damped_newton([ctx], x0, resi(ctx, x0), 1e-11, 12,
+                                       FULL_STEP)
     assert history[-1] <= 1e-11 < history[-2]
     assert thetas == [1.0] * (len(history) - 1)
     assert len(calls) == len(thetas)
     assert history[-1] == resi(ctx, x)
     # a spent budget returns the unconverged iterate, not an error
-    _, short, _ = newton_mod.damped_newton(
-        [ctx], x0, history[0], 1e-11, 1, newton_mod.FULL_STEP
-    )
+    _, short, _ = damped_newton([ctx], x0, history[0], 1e-11, 1, FULL_STEP)
     assert short == history[:2]
 
 
