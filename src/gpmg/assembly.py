@@ -31,7 +31,6 @@ __all__ = [
     "assemble_weighted_mass",
     "assemble_field_weighted_mass",
     "assemble_field_load",
-    "evaluate_field",
     "prolongation_matrix",
     "Operators",
 ]
@@ -55,13 +54,17 @@ class FemSpace:
             self.dof_coords = mesh.vertices
             boundary = mesh.boundary_vertex_flags.copy()
         else:
-            pairs = mesh.cells[:, self.elem.edges]  # (nc, nloc_edges, 2)
-            pairs = np.sort(pairs, axis=2).reshape(-1, 2)
-            edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-            nloc = len(self.elem.edges)
-            edge_ids = inverse.reshape(mesh.n_cells, nloc) + mesh.n_vertices
+            # edge (a, b), a < b, is the key a * nv + b: key order is the
+            # lexicographic order of the pairs
+            nv = mesh.n_vertices
+            ends = mesh.cells[:, self.elem.edges]  # (nc, nloc_edges, 2)
+            keys = (np.minimum(ends[..., 0], ends[..., 1]) * nv
+                    + np.maximum(ends[..., 0], ends[..., 1]))
+            edges, inverse = np.unique(keys.ravel(), return_inverse=True)
+            edge_ids = inverse.reshape(keys.shape) + nv
             self.cell_dofs = np.hstack([mesh.cells, edge_ids])
-            mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+            a, b = np.divmod(edges, nv)
+            mids = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
             self.dof_coords = np.vstack([mesh.vertices, mids])
             boundary = np.zeros(self.dof_coords.shape[0], dtype=bool)
             for i in range(mesh.dim):
@@ -76,6 +79,7 @@ class FemSpace:
         self._pattern = None
         self._quad_cache = {}
         self._prolongation_from = {}
+        self._interior_prolongation_from = {}
 
     @property
     def dim(self):
@@ -99,12 +103,12 @@ class FemSpace:
         return self._quad_cache[key]
 
     def geometry(self):
+        """(verts, det, inv) per cell: the vertex coordinates (nc, d+1, d),
+        |det J| and J^-1 for J (nc, d, d) the cell's edge vectors as rows."""
         if self._geom is None:
             verts = self.mesh.vertices[self.mesh.cells]
-            jac = verts[:, 1:, :] - verts[:, :1, :]  # rows: edge vectors
-            det = np.abs(np.linalg.det(jac))
-            inv = np.linalg.inv(jac)
-            self._geom = (verts, jac, det, inv)
+            det, inv = _det_inv(verts[:, 1:, :] - verts[:, :1, :])
+            self._geom = (verts, np.abs(det), inv)
         return self._geom
 
     def pattern(self):
@@ -113,6 +117,31 @@ class FemSpace:
             self._pattern = CsrPattern(self.cell_dofs, self.n_dofs,
                                        self.boundary_mask)
         return self._pattern
+
+
+def _det_inv(jac):
+    """Determinant and inverse of each d x d matrix of jac (n, d, d), d <= 3,
+    by cofactors: one elementwise pass per entry instead of one LAPACK
+    call per matrix."""
+    d = jac.shape[-1]
+    a = [[jac[:, i, j] for j in range(d)] for i in range(d)]
+    if d == 1:
+        cof = [[np.ones(len(jac))]]
+    elif d == 2:
+        cof = [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
+    else:
+        # cyclic indices carry the cofactor signs
+        cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+                - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+                for j in range(3)] for i in range(3)]
+    det = a[0][0] * cof[0][0]
+    for j in range(1, d):
+        det += a[0][j] * cof[0][j]
+    inv = np.empty_like(jac)
+    for i in range(d):
+        for j in range(d):
+            np.divide(cof[j][i], det, out=inv[:, i, j])
+    return det, inv
 
 
 class CsrPattern:
@@ -223,29 +252,37 @@ def assemble_stiffness(space):
     """Stiffness matrix (grad u, grad v): the PDE's diffusion is the
     identity."""
     d = space.dim
-    _, _, det, inv = space.geometry()
-    # physical gradient is inv @ grad_ref, so the cell metric is inv' inv
-    b = det[:, None, None] * (inv.transpose(0, 2, 1) @ inv)
-    b = (b + b.transpose(0, 2, 1)) * 0.5
+    _, det, inv = space.geometry()
+    # physical gradient is inv @ grad_ref, so the cell metric is
+    # det inv' inv, built one symmetric pair of entries at a time
+    b = np.empty((len(det), d, d))
+    for i in range(d):
+        for j in range(i, d):
+            m = inv[:, 0, i] * inv[:, 0, j]
+            for k in range(1, d):
+                m += inv[:, k, i] * inv[:, k, j]
+            m *= det
+            b[:, i, j] = m
+            b[:, j, i] = m
     tables = space.rule(space.bilinear_degree)
     return _scatter(space, b.reshape(len(b), d * d), tables.stiffness)
 
 
 def assemble_mass(space):
     tables = space.rule(space.bilinear_degree)
-    _, _, det, _ = space.geometry()
+    _, det, _ = space.geometry()
     return _scatter(space, det[:, None] * np.ones(len(tables.w)), tables.wphiphi)
 
 
 def _weighted_mass(space, vals):
     """Mass matrix weighted by vals (n_cells, nq) at the weighted rule's points."""
-    _, _, det, _ = space.geometry()
+    _, det, _ = space.geometry()
     tables = space.rule(space.weighted_degree)
     return _scatter(space, vals * det[:, None], tables.wphiphi)
 
 
 def _spatial_weight_values(space, weight):
-    verts, _, _, _ = space.geometry()
+    verts, _, _ = space.geometry()
     pts = space.rule(space.weighted_degree).points @ verts  # (nc, nq, dim)
     flat = pts.reshape(-1, space.dim)
     if isinstance(weight, expr_mod.Expr):
@@ -272,22 +309,12 @@ def assemble_field_weighted_mass(space, u, transform):
 
 def assemble_field_load(space, u, transform):
     """Load vector (transform(u(x)), phi_i) with u a FEM field."""
-    _, _, det, _ = space.geometry()
+    _, det, _ = space.geometry()
     g = transform(_field_at_quad(space, u)) * det[:, None]
     elem = g @ space.rule(space.weighted_degree).wphi
     return np.bincount(
         space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dofs
     )
-
-
-def evaluate_field(space, u, points):
-    """Point evaluation of a FEM field at arbitrary points in the box."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cid, bary = space.mesh.locate(pts)
-    phi = shape_values(space.elem, bary)  # (npts, nb)
-    dofs = space.cell_dofs[cid]  # (npts, nb)
-    vals = np.sum(phi * u[dofs], axis=1)
-    return vals if np.asarray(points).ndim > 1 else float(vals[0])
 
 
 def _check_nested(coarse, fine):
@@ -322,8 +349,15 @@ def prolongation_matrix(coarse, fine):
 
 
 def _interior_prolongation(coarse_space, fine_space):
-    p = prolongation_matrix(coarse_space, fine_space)
-    return p[fine_space.interior_dofs][:, coarse_space.interior_dofs].tocsr()
+    """The prolongation between the interior dofs, cached on the fine space
+    like the full one, so every V-cycle over the pair shares one matrix."""
+    key = id(coarse_space)
+    cache = fine_space._interior_prolongation_from
+    if key not in cache:
+        p = prolongation_matrix(coarse_space, fine_space)
+        cache[key] = p[fine_space.interior_dofs][
+            :, coarse_space.interior_dofs].tocsr()
+    return cache[key]
 
 
 class Operators:
@@ -422,7 +456,7 @@ class Operators:
 
     def energy(self, u):
         quad = 0.5 * (u @ (self.linear_part @ u))
-        _, _, det, _ = self.space.geometry()
+        _, det, _ = self.space.geometry()
         big_f = F_eval(self.nl, _field_at_quad(self.space, u) ** 2) * det[:, None]
         w = self.space.rule(self.space.weighted_degree).w
         quad += 0.5 * float(np.sum(big_f @ w))

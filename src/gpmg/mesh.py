@@ -8,7 +8,6 @@ levels give nested Lagrange spaces.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,14 +145,6 @@ class MeshLevel:
             )
             flags |= on_face
         return flags
-
-    def cell_volumes(self):
-        """Volumes of all simplices (equal on these structured meshes)."""
-        verts = self.vertices[self.cells]
-        edges = verts[:, 1:, :] - verts[:, :1, :]
-        dets = np.linalg.det(edges)
-        fact = float(math.factorial(self.dim))
-        return np.abs(dets) / fact
 
     def locate(self, points):
         """Map points to (cell index, barycentric coords).

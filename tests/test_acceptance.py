@@ -14,7 +14,6 @@ from gpmg.assembly import (
     FemSpace,
     Operators,
     assemble_mass,
-    evaluate_field,
     prolongation_matrix,
 )
 from gpmg.eigsolve import ScfConfig, scf_solve
@@ -41,6 +40,7 @@ from gpmg.newton import (
 )
 from gpmg.nonlinearity import Nonlinearity
 from gpmg.state import IterateX
+from field_oracle import evaluate_field
 from scf_oracle import scf_oracle
 
 EX1_POTENTIAL = "x1^2 + 2*x2^2 + 4*x3^2"

@@ -12,7 +12,6 @@ from gpmg.assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
-    evaluate_field,
     prolongation_matrix,
 )
 from gpmg.elements import quadrature, shape_gradients, shape_values
@@ -23,6 +22,7 @@ from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import _newton_matrix, assemble_newton_system, build_contexts
 from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
 from gpmg.state import IterateX
+from field_oracle import evaluate_field
 
 
 def space_1d(n=8, degree=2):
@@ -253,9 +253,17 @@ def _ref_matrix(space, elem):
     return (mat + mat.T) * 0.5
 
 
+def _ref_geometry(space):
+    """|det J| and J^-1 per cell by LAPACK, J the cell's edge vectors as
+    rows."""
+    verts = space.mesh.vertices[space.mesh.cells]
+    jac = verts[:, 1:, :] - verts[:, :1, :]
+    return np.abs(np.linalg.det(jac)), np.linalg.inv(jac)
+
+
 def _ref_stiffness(space, a):
     w, _, grad, _ = _ref_rule(space, space.bilinear_degree)
-    _, _, det, inv = space.geometry()
+    det, inv = _ref_geometry(space)
     t = np.einsum("q,qia,qjb->ijab", w, grad, grad)
     b = np.einsum("c,cka,kl,clb->cab", det, inv, a, inv)
     b = (b + b.transpose(0, 2, 1)) * 0.5
@@ -269,14 +277,14 @@ def _ref_quad_values(space, u):
 
 def _ref_weighted_mass(space, vals):
     w, phi, _, _ = _ref_rule(space, space.weighted_degree)
-    _, _, det, _ = space.geometry()
+    det, _ = _ref_geometry(space)
     return _ref_matrix(space, np.einsum("cq,q,qi,qj->cij",
                                         vals * det[:, None], w, phi, phi))
 
 
 def _ref_potential_values(space, potential):
     _, _, _, pts = _ref_rule(space, space.weighted_degree)
-    verts, _, _, _ = space.geometry()
+    verts = space.mesh.vertices[space.mesh.cells]
     phys = np.einsum("qk,ckd->cqd", pts, verts)
     return evaluate(potential, phys.reshape(-1, space.dim)).reshape(
         phys.shape[:2])
@@ -284,7 +292,7 @@ def _ref_potential_values(space, potential):
 
 def _ref_load(space, g):
     w, phi, _, _ = _ref_rule(space, space.weighted_degree)
-    _, _, det, _ = space.geometry()
+    det, _ = _ref_geometry(space)
     elem = np.einsum("cq,q,qi->ci", g * det[:, None], w, phi)
     vec = np.zeros(space.n_dofs)
     np.add.at(vec, space.cell_dofs.ravel(), elem.ravel())
@@ -295,6 +303,77 @@ def _assert_close(got, want):
     got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
     scale = np.abs(want).max()
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+# Boxes with unequal steps, none of them 1.
+GEOMETRY_BOXES = {
+    1: ((0.3,), (1.7,), (5,)),
+    2: ((-1.0, 0.2), (2.0, 1.1), (3, 7)),
+    3: ((0.0, -0.5, 0.1), (1.3, 0.5, 0.8), (2, 3, 5)),
+}
+
+
+def _assert_inverse_close(got, want):
+    # per matrix, to 1e-14 of its largest entry
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_geometry_matches_lapack(dim):
+    lower, upper, cells = GEOMETRY_BOXES[dim]
+    hier = build_hierarchy(BoxDomain(dim, lower, upper), cells, 2)
+    for mesh in hier.levels:
+        space = FemSpace(mesh, 1)
+        verts, det, inv = space.geometry()
+        assert np.array_equal(verts, mesh.vertices[mesh.cells])
+        want_det, want_inv = _ref_geometry(space)
+        np.testing.assert_allclose(det, want_det, rtol=1e-14, atol=0.0)
+        _assert_inverse_close(inv, want_inv)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_det_inv_matches_lapack_on_random_jacobians(dim):
+    # well conditioned (diagonally dominant), half with negative det
+    rng = np.random.default_rng(dim)
+    jac = 2.0 * np.eye(dim) + rng.uniform(-0.5, 0.5, (200, dim, dim))
+    jac[::2, 0] *= -1.0
+    det, inv = assembly_mod._det_inv(jac)
+    np.testing.assert_allclose(det, np.linalg.det(jac), rtol=1e-14, atol=0.0)
+    _assert_inverse_close(inv, np.linalg.inv(jac))
+
+
+@pytest.mark.parametrize("dim,upper,cells", [
+    (1, (2.0,), (16,)),
+    (2, (2.0, 0.5), (8, 16)),
+    (3, (1.0, 2.0, 0.25), (4, 4, 8)),
+])
+def test_cell_det_is_the_step_product_exactly(dim, upper, cells):
+    # binary steps: every Kuhn cell's |det J| is the product of the steps,
+    # with no rounding (LAPACK's det of the 1x1 matrix 0.125 is 1 ulp high)
+    hier = build_hierarchy(BoxDomain(dim, (0.0,) * dim, upper), cells, 2)
+    for mesh in hier.levels:
+        _, det, _ = FemSpace(mesh, 1).geometry()
+        assert np.all(det == np.prod(mesh.steps))
+
+
+@pytest.mark.parametrize("dim,cells", [(1, (5,)), (2, (3, 4)),
+                                       (3, (2, 3, 2))])
+def test_p2_edge_numbering_matches_rowwise_unique(dim, cells):
+    # the edges numbered in the lexicographic order of their sorted vertex
+    # pairs, as np.unique(axis=0) numbers them
+    dom = BoxDomain(dim, (0.0,) * dim, (1.5,) + (1.0,) * (dim - 1))
+    for mesh in build_hierarchy(dom, cells, 2).levels:
+        space = FemSpace(mesh, 2)
+        pairs = np.sort(mesh.cells[:, space.elem.edges], axis=2)
+        edges, inverse = np.unique(pairs.reshape(-1, 2), axis=0,
+                                   return_inverse=True)
+        edge_ids = inverse.reshape(mesh.n_cells, -1) + mesh.n_vertices
+        assert np.array_equal(space.cell_dofs,
+                              np.hstack([mesh.cells, edge_ids]))
+        mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+        assert np.array_equal(space.dof_coords,
+                              np.vstack([mesh.vertices, mids]))
 
 
 KERNEL_CASES = {
@@ -335,7 +414,7 @@ def test_energy_matches_einsum_reference(kernel_case):
     linear = _ref_stiffness(space, np.eye(space.dim)) + _ref_weighted_mass(
         space, _ref_potential_values(space, potential))
     uq, w, _ = _ref_quad_values(space, u)
-    _, _, det, _ = space.geometry()
+    det, _ = _ref_geometry(space)
     want = 0.5 * (u @ (linear @ u)) + 0.5 * np.einsum(
         "cq,q,c->", F_eval(nl, uq**2), w, det)
     assert np.isclose(ops.energy(u), want, rtol=1e-13, atol=0.0)

@@ -14,6 +14,15 @@ from gpmg.mesh import (
 )
 
 
+def cell_volumes(mesh):
+    """Volumes of all simplices (equal on these structured meshes)."""
+    verts = mesh.vertices[mesh.cells]
+    edges = verts[:, 1:, :] - verts[:, :1, :]
+    dets = np.linalg.det(edges)
+    fact = float(math.factorial(mesh.dim))
+    return np.abs(dets) / fact
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cell_count_is_factorial_per_cube(dim):
     n0 = (3,) * dim
@@ -26,7 +35,7 @@ def test_cell_count_is_factorial_per_cube(dim):
 def test_cell_volumes_tile_the_box(dim):
     dom = BoxDomain(dim, (0.0,) * dim, tuple(1.0 + 0.5 * i for i in range(dim)))
     mesh = build_initial_mesh(dom, (2,) * dim)
-    vols = mesh.cell_volumes()
+    vols = cell_volumes(mesh)
     assert np.all(vols > 0)
     assert np.isclose(vols.sum(), dom.volume, rtol=1e-13)
 
@@ -101,7 +110,7 @@ def test_kuhn_refinement_is_self_similar():
     coarse = build_initial_mesh(BoxDomain.unit(2), (1, 1))
     fine = refine_uniform(coarse)
     assert np.allclose(
-        fine.cell_volumes() * 4, coarse.cell_volumes()[0], rtol=1e-13
+        cell_volumes(fine) * 4, cell_volumes(coarse)[0], rtol=1e-13
     )
     centers = fine.vertices[fine.cells].mean(axis=1)
     cells, _ = coarse.locate(centers)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import gpmg.newton as newton_mod
 
-from gpmg.assembly import FemSpace, Operators, evaluate_field
+from gpmg.assembly import FemSpace, Operators
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import ConfigurationError, StagnationError, UsageError
 from gpmg.expr import parse
@@ -32,6 +32,7 @@ from gpmg.newton import (
 )
 from gpmg.nonlinearity import Nonlinearity
 from gpmg.state import IterateX
+from field_oracle import evaluate_field
 from scf_oracle import scf_oracle
 
 
@@ -125,6 +126,32 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     (system, vcycle), = solved
     assert len(vcycle.mats) == len(ctxs)
     assert (vcycle.mats[-1] != system.k).nnz == 0
+
+
+def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
+    # the interior prolongations are cached per space pair: two mg_cg
+    # steps' V-cycles and the H1 Riesz V-cycle hold the same objects
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2", 2))
+    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x = newton_step(ctxs[:2], x)
+    x = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
+    vcycles = []
+    build = newton_mod._build_vcycle
+
+    def recording_build(*args):
+        vcycles.append(build(*args))
+        return vcycles[-1]
+
+    monkeypatch.setattr(newton_mod, "_build_vcycle", recording_build)
+    cfg = SolverConfig(method="mg_cg")
+    newton_step(ctxs, newton_step(ctxs, x, cfg), cfg)
+    riesz = ctxs[-1]._riesz_solver().vcycle
+    assert len(vcycles) == 2 and len(riesz.prolongs) == len(ctxs) - 1
+    for first, second, h1 in zip(*(v.prolongs for v in vcycles),
+                                 riesz.prolongs):
+        assert first is second is h1
 
 
 def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
@@ -315,12 +342,16 @@ def test_mixing_halves_theta_on_overshoot():
 def test_mixing_stagnation_error(monkeypatch):
     # resi rises at every theta: the search halves theta down to theta_min,
     # no further, and reports the start's resi and the last trial's
+    # the step is a synthetic target 1 away from x0 in lam (and in u on
+    # the interior), so each theta tried reads off lam to round-off
     ctx = ctx_1d(n=8, zeta=1.0)
     x0 = scf_solve(ctx, ScfConfig(tol=1e-4))
     steps = []
 
     def recording_step(levels, x, cfg=None):
-        steps.append(newton_step(levels, x, cfg))
+        u = x.u.copy()
+        u[ctx.space.interior_dofs] += 1.0
+        steps.append(IterateX(lam=x.lam + 1.0, u=u))
         return steps[-1]
 
     tried = []
