@@ -126,7 +126,7 @@ def _det_inv(jac):
     d = jac.shape[-1]
     a = [[jac[:, i, j] for j in range(d)] for i in range(d)]
     if d == 1:
-        cof = [[np.ones(len(jac))]]
+        cof = [[1.0]]
     elif d == 2:
         cof = [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
     else:
