@@ -5,11 +5,12 @@ nonlinear load vectors, the eigenvalue residual functional, its H1 Riesz
 norm, the energy, and coarse-to-fine transfer.
 Dirichlet conditions are handled by reduction to the interior dof set.
 All forms share one kernel: per-cell weights times a reference table that
-the space caches per quadrature rule (`RuleTables`). Every matrix on a
-space is a data array on the space's one CSR pattern (`CsrPattern`, built
-on first use): a form is a bincount of its element entries into their
-slots, sums of forms are sums of data arrays, and the interior block is a
-cached gather of the data.
+the space caches per quadrature rule (`RuleTables`), taken a block of
+`CELL_BLOCK` cells at a time, so only the output has one row per cell.
+Every matrix on a space is a data array on the space's one CSR pattern
+(`CsrPattern`, built on first use): a form is a bincount of its element
+entries into their slots, sums of forms are sums of data arrays, and the
+interior block is a cached gather of the data.
 """
 
 import copy
@@ -37,6 +38,16 @@ __all__ = [
 
 # Relative tolerance of the Riesz solve (see `Operators.riesz_norm`).
 RIESZ_TOL = 1e-6
+
+# Cells per block of the quadrature kernel (`_cell_rows`). A block's
+# largest temporaries are its values at the quadrature points, at most
+# 4,096 x 64 doubles = 2 MB (3D P2's weighted rule; 0.3 MB for 2D P1's 9
+# points), and the potential's points, three times that. Timed per form
+# on a 2-vCPU Xeon VM (2D P1 at 524,288 cells, 3D P2 at 24,576): blocks
+# of 1,024 to 8,192 cells are within noise of each other and up to 2.5x
+# faster than one block; from 8,192 on, 3D P2's potential points are
+# fresh mappings again and page-fault on every call.
+CELL_BLOCK = 4096
 
 
 class FemSpace:
@@ -236,12 +247,38 @@ class RuleTables:
         ).reshape(elem.dim**2, nb * nb)
 
 
-def _scatter(space, cell_weights, table):
-    """The matrix kernel: row c of cell_weights @ table is cell c's element
-    matrix, flattened nb x nb. Summed into the space's pattern, then
-    symmetrized as (A + A') / 2."""
+def _cell_rows(space, table, weights_of):
+    """The quadrature kernel: row c of the result is cell c's weights times
+    table. weights_of(s) builds the weights of the cells in slice s, so no
+    temporary spans more than CELL_BLOCK cells; only the returned rows are
+    one per cell."""
+    n = space.mesh.n_cells
+    out = None
+    for start in range(0, n, CELL_BLOCK):
+        s = slice(start, min(start + CELL_BLOCK, n))
+        weights = weights_of(s)
+        if out is None:
+            # allocated after the first block's temporaries: allocated
+            # before them, the heap held 1.5 MB more at the peak RSS of a
+            # one-block 3D P2 solve (3,072 cells; 93 MB, not 91 MB)
+            out = np.empty((n, table.shape[1]))
+        np.matmul(weights, table, out=out[s])
+    return out
+
+
+def _quadrature_rows(space, table, values_of):
+    """_cell_rows with weights values_of(s) * |det J|: values_of(s) gives
+    the integrand at the rule's points of the cells in slice s."""
+    _, det, _ = space.geometry()
+    return _cell_rows(space, table, lambda s: values_of(s) * det[s, None])
+
+
+def _scatter(space, rows):
+    """The matrix assembly: row c of rows is cell c's element matrix,
+    flattened nb x nb. Summed into the space's pattern, then symmetrized
+    as (A + A') / 2."""
     pattern = space.pattern()
-    data = np.bincount(pattern.slot, weights=(cell_weights @ table).ravel(),
+    data = np.bincount(pattern.slot, weights=rows.ravel(),
                        minlength=pattern.nnz)
     data += data[pattern.tperm]
     data *= 0.5
@@ -253,67 +290,82 @@ def assemble_stiffness(space):
     identity."""
     d = space.dim
     _, det, inv = space.geometry()
-    # physical gradient is inv @ grad_ref, so the cell metric is
-    # det inv' inv, built one symmetric pair of entries at a time
-    b = np.empty((len(det), d, d))
-    for i in range(d):
-        for j in range(i, d):
-            m = inv[:, 0, i] * inv[:, 0, j]
-            for k in range(1, d):
-                m += inv[:, k, i] * inv[:, k, j]
-            m *= det
-            b[:, i, j] = m
-            b[:, j, i] = m
+
+    def metric(s):
+        # physical gradient is inv @ grad_ref, so the cell metric is
+        # det inv' inv, built one symmetric pair of entries at a time
+        inv_s, det_s = inv[s], det[s]
+        b = np.empty((len(det_s), d, d))
+        for i in range(d):
+            for j in range(i, d):
+                m = inv_s[:, 0, i] * inv_s[:, 0, j]
+                for k in range(1, d):
+                    m += inv_s[:, k, i] * inv_s[:, k, j]
+                m *= det_s
+                b[:, i, j] = m
+                b[:, j, i] = m
+        return b.reshape(len(det_s), d * d)
+
     tables = space.rule(space.bilinear_degree)
-    return _scatter(space, b.reshape(len(b), d * d), tables.stiffness)
+    return _scatter(space, _cell_rows(space, tables.stiffness, metric))
 
 
 def assemble_mass(space):
     tables = space.rule(space.bilinear_degree)
-    _, det, _ = space.geometry()
-    return _scatter(space, det[:, None] * np.ones(len(tables.w)), tables.wphiphi)
+    ones = np.ones(len(tables.w))
+    return _scatter(space, _quadrature_rows(space, tables.wphiphi,
+                                            lambda s: ones))
 
 
-def _weighted_mass(space, vals):
-    """Mass matrix weighted by vals (n_cells, nq) at the weighted rule's points."""
-    _, det, _ = space.geometry()
+def _weighted_mass(space, values_of):
+    """Mass matrix weighted by values_of(s), the weight at the weighted
+    rule's points of the cells in slice s."""
     tables = space.rule(space.weighted_degree)
-    return _scatter(space, vals * det[:, None], tables.wphiphi)
+    return _scatter(space, _quadrature_rows(space, tables.wphiphi,
+                                            values_of))
 
 
-def _spatial_weight_values(space, weight):
+def _spatial_values(space, weight):
+    """values_of for a spatial function (Expr or callable) at the weighted
+    rule's points."""
     verts, _, _ = space.geometry()
-    pts = space.rule(space.weighted_degree).points @ verts  # (nc, nq, dim)
-    flat = pts.reshape(-1, space.dim)
-    if isinstance(weight, expr_mod.Expr):
-        vals = expr_mod.evaluate(weight, flat)
-    else:
-        vals = np.asarray(weight(flat), dtype=float)
-    return vals.reshape(pts.shape[0], pts.shape[1])
+    points = space.rule(space.weighted_degree).points
+
+    def values_of(s):
+        pts = points @ verts[s]  # (cells of s, nq, dim)
+        flat = pts.reshape(-1, space.dim)
+        if isinstance(weight, expr_mod.Expr):
+            vals = expr_mod.evaluate(weight, flat)
+        else:
+            vals = np.asarray(weight(flat), dtype=float)
+        return vals.reshape(pts.shape[:2])
+
+    return values_of
 
 
 def assemble_weighted_mass(space, weight):
     """Mass matrix weighted by a spatial function (Expr or callable)."""
-    return _weighted_mass(space, _spatial_weight_values(space, weight))
+    return _weighted_mass(space, _spatial_values(space, weight))
 
 
-def _field_at_quad(space, u):
-    """Values of the FEM field u at the weighted rule's points, (n_cells, nq)."""
-    return u[space.cell_dofs] @ space.rule(space.weighted_degree).phi.T
+def _field_values(space, u, transform):
+    """values_of for transform(u(x)), u a FEM field, at the weighted rule's
+    points."""
+    phi_t = space.rule(space.weighted_degree).phi.T
+    return lambda s: transform(u[space.cell_dofs[s]] @ phi_t)
 
 
 def assemble_field_weighted_mass(space, u, transform):
     """Mass matrix weighted by transform(u(x)) with u a FEM field."""
-    return _weighted_mass(space, transform(_field_at_quad(space, u)))
+    return _weighted_mass(space, _field_values(space, u, transform))
 
 
 def assemble_field_load(space, u, transform):
     """Load vector (transform(u(x)), phi_i) with u a FEM field."""
-    _, det, _ = space.geometry()
-    g = transform(_field_at_quad(space, u)) * det[:, None]
-    elem = g @ space.rule(space.weighted_degree).wphi
+    rows = _quadrature_rows(space, space.rule(space.weighted_degree).wphi,
+                            _field_values(space, u, transform))
     return np.bincount(
-        space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dofs
+        space.cell_dofs.ravel(), weights=rows.ravel(), minlength=space.n_dofs
     )
 
 
@@ -377,13 +429,18 @@ class Operators:
         self.h1_mat = pattern.matrix(stiffness.data + self.mass.data)
         self.linear_part = stiffness
         if potential is not None:
-            vals = _spatial_weight_values(space, potential)
-            if not np.isfinite(vals).all():
-                raise ConfigurationError(
-                    "problem.potential evaluates to inf or nan on the domain"
-                )
+            values_of = _spatial_values(space, potential)
+
+            def finite_values(s):
+                vals = values_of(s)
+                if not np.isfinite(vals).all():
+                    raise ConfigurationError(
+                        "problem.potential evaluates to inf or nan on the "
+                        "domain")
+                return vals
+
             self.linear_part = pattern.matrix(
-                stiffness.data + _weighted_mass(space, vals).data)
+                stiffness.data + _weighted_mass(space, finite_values).data)
 
     def residual(self, lam, u):
         """Vector of <F(lam,u), phi_i> with boundary rows zeroed."""
@@ -456,8 +513,8 @@ class Operators:
 
     def energy(self, u):
         quad = 0.5 * (u @ (self.linear_part @ u))
-        _, det, _ = self.space.geometry()
-        big_f = F_eval(self.nl, _field_at_quad(self.space, u) ** 2) * det[:, None]
         w = self.space.rule(self.space.weighted_degree).w
-        quad += 0.5 * float(np.sum(big_f @ w))
-        return quad
+        per_cell = _quadrature_rows(
+            self.space, w[:, None],
+            _field_values(self.space, u, lambda t: F_eval(self.nl, t**2)))
+        return quad + 0.5 * float(np.sum(per_cell))

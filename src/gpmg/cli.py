@@ -169,7 +169,9 @@ def _parser():
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)
         s.add_argument("--mixing", action="store_true",
-                       help="use the adaptively damped (mixing) driver")
+                       help="use the adaptively damped (mixing) driver; "
+                            "a config with mixing.enabled = true uses it "
+                            "without this flag, which cannot switch it off")
         s.add_argument("--direct", action="store_true",
                        help="bench only: also time a from-scratch solve "
                             "on every level")

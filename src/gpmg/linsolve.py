@@ -172,7 +172,7 @@ class VCycleHierarchy:
         self.post_smooth = post_smooth
         # level 0 is solved exactly; only the finer levels are smoothed
         self.mats = [mats[0].tocsr()]
-        self.prolongs, self.smoothers = [], []
+        self.prolongs, self.restricts, self.smoothers = [], [], []
         self.coarse_lu = factor_symmetric(self.mats[0])
         for m, p in zip(mats[1:], prolongs):
             self._push(m, p)
@@ -180,7 +180,9 @@ class VCycleHierarchy:
     def _push(self, mat, prolong):
         mat = mat.tocsr()
         self.mats.append(mat)
-        self.prolongs.append(prolong.tocsr())
+        prolong = prolong.tocsr()
+        self.prolongs.append(prolong)
+        self.restricts.append(prolong.T)  # a view: no copy of the data
         self.smoothers.append(ChebyshevSmoother.for_matrix(mat))
 
     def refined(self, mat, prolong):
@@ -188,7 +190,7 @@ class VCycleHierarchy:
         the current finest level into it. The coarsest LU and every
         existing smoother are shared, not redone."""
         other = copy.copy(self)
-        for name in ("mats", "prolongs", "smoothers"):
+        for name in ("mats", "prolongs", "restricts", "smoothers"):
             setattr(other, name, list(getattr(self, name)))
         other._push(mat, prolong)
         return other
@@ -202,8 +204,8 @@ class VCycleHierarchy:
             return self.coarse_lu.solve(b)
         k, smoother = self.mats[lvl], self.smoothers[lvl - 1]
         x = smoother.smooth(k, b, self.pre_smooth)
-        p = self.prolongs[lvl - 1]
-        x += p @ self._cycle(lvl - 1, p.T @ (b - k @ x))
+        x += self.prolongs[lvl - 1] @ self._cycle(
+            lvl - 1, self.restricts[lvl - 1] @ (b - k @ x))
         return smoother.smooth(k, b, self.post_smooth, x)
 
 

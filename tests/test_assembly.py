@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,7 @@ from gpmg.assembly import (
     prolongation_matrix,
 )
 from gpmg.elements import quadrature, shape_gradients, shape_values
-from gpmg.errors import UsageError
+from gpmg.errors import ConfigurationError, UsageError
 from gpmg.expr import evaluate, parse
 from gpmg.linsolve import ChebyshevSmoother
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
@@ -439,17 +441,17 @@ def test_newton_matrix_sums_the_separate_masses(kernel_case):
 # (rows of more than 16 element entries get reordered), so it agrees to
 # round-off. `_ordered_scatter` sums them densely in element order, the
 # order the pattern's bincount uses, so it agrees bit for bit.
-def _coo_scatter(space, cell_weights, table):
+def _coo_scatter(space, elem):
     nb = space.elem.n_basis
     rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nb)).ravel()
-    mat = sp.coo_matrix(((cell_weights @ table).ravel(), (rows, cols)),
+    mat = sp.coo_matrix((elem.ravel(), (rows, cols)),
                         shape=(space.n_dofs, space.n_dofs)).tocsr()
     return (mat + mat.T) * 0.5
 
 
-def _ordered_scatter(space, cell_weights, table):
-    return sp.csr_matrix(_ref_matrix(space, cell_weights @ table))
+def _ordered_scatter(space, elem):
+    return sp.csr_matrix(_ref_matrix(space, elem))
 
 
 PATTERN_CASES = {
@@ -547,3 +549,98 @@ def test_interior_gather_equals_fancy_slicing(pattern_case):
     _assert_same_csr(assemble_newton_system(ctx, x0).k,
                      _newton_matrix(ctx, NEWTON_LAMBDA, u)[ix][:, ix])
     _assert_same_csr(ctx._riesz_solver().k, ctx.h1_mat[ix][:, ix])
+
+
+# The quadrature kernels walk the cells CELL_BLOCK at a time.
+def test_cell_rows_visit_every_cell_once_in_order(monkeypatch):
+    # 40 cells in blocks of 7: five full blocks and a partial one
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (5, 4)), 1)
+    monkeypatch.setattr(assembly_mod, "CELL_BLOCK", 7)
+    cells = np.arange(space.mesh.n_cells)
+    seen = []
+
+    def weights_of(s):
+        seen.append(cells[s])
+        return cells[s, None].astype(float)
+
+    rows = assembly_mod._cell_rows(space, np.array([[1.0, -2.0]]), weights_of)
+    assert [len(block) for block in seen] == [7] * 5 + [5]
+    assert np.array_equal(np.concatenate(seen), cells)
+    assert np.array_equal(rows, cells[:, None] * np.array([1.0, -2.0]))
+
+
+def _block_forms(space, potential, u):
+    nl = Nonlinearity(zeta=2.5)
+    return {
+        "mass": assemble_mass(space).data,
+        "stiffness": assemble_stiffness(space).data,
+        "potential": assemble_weighted_mass(space, potential).data,
+        "field": assemble_field_weighted_mass(
+            space, u, lambda t: f_eval(nl, t**2)).data,
+        "load": assemble_field_load(space, u, lambda t: f_eval(nl, t**2) * t),
+        "energy": np.array([Operators(space, nl, potential).energy(u)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["2d-p1", "3d-p2"])
+def test_forms_do_not_depend_on_the_block_size(case, monkeypatch):
+    # bit for bit in 2D P1; in 3D P2 OpenBLAS may take another kernel for
+    # a short block's GEMM, so to a few ulps of the largest entry
+    dim, degree, cells, potential = PATTERN_CASES[case]
+    dom = BoxDomain(dim, (0.0,) * dim, (1.5,) + (1.0,) * (dim - 1))
+    space = FemSpace(build_initial_mesh(dom, cells), degree)
+    potential = parse(potential, dim)
+    u = np.random.default_rng(dim).standard_normal(space.n_dofs)
+    assert space.mesh.n_cells % 7 != 0
+    monkeypatch.setattr(assembly_mod, "CELL_BLOCK", space.mesh.n_cells)
+    one_block = _block_forms(space, potential, u)
+    monkeypatch.setattr(assembly_mod, "CELL_BLOCK", 7)
+    blocked = _block_forms(space, potential, u)
+    for name, want in one_block.items():
+        if degree == 1:
+            assert np.array_equal(blocked[name], want), name
+        else:
+            tol = 4 * np.finfo(float).eps * np.abs(want).max()
+            assert np.abs(blocked[name] - want).max() <= tol, name
+
+
+def test_potential_is_checked_on_every_block(monkeypatch):
+    # nan only at x1 > 0.85, in the last column of cells: not in the first
+    # block of 7 cells
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (5, 4)), 1)
+    potential = parse("(0.85 - x1)^0.5", 2)
+    monkeypatch.setattr(assembly_mod, "CELL_BLOCK", 7)
+    first = assembly_mod._spatial_values(space, potential)(slice(0, 7))
+    assert np.isfinite(first).all()
+    with pytest.raises(ConfigurationError,
+                       match="problem.potential evaluates to inf or nan"):
+        Operators(space, Nonlinearity(zeta=1.0), potential=potential)
+
+
+def test_field_forms_allocate_only_their_output_and_a_few_blocks():
+    # a 2D P1 mesh of 12.5 blocks; beyond its output rows and the bincount
+    # output (for a matrix, also the gather of its transpose) a form holds
+    # at most a few blocks' temporaries at once, not one per cell
+    block = assembly_mod.CELL_BLOCK
+    n = int(np.ceil(np.sqrt(12.5 * block / 2)))
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (n, n)), 1)
+    nl = Nonlinearity(zeta=1.0)
+    u = np.random.default_rng(0).standard_normal(space.n_dofs)
+    nc, nb = space.mesh.n_cells, space.elem.n_basis
+    nq = len(space.rule(space.weighted_degree).w)
+    cases = [
+        (lambda: assemble_field_load(space, u, lambda t: f_eval(nl, t**2) * t),
+         nc * nb + space.n_dofs),
+        (lambda: assemble_field_weighted_mass(
+            space, u, lambda t: f_eval(nl, t**2)),
+         nc * nb * nb + 2 * space.pattern().nnz),
+    ]
+    for form, output in cases:
+        form()  # the geometry, pattern and tables are cached before tracing
+        tracemalloc.start()
+        try:
+            form()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (output + 4 * block * nq)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import gpmg.assembly as assembly_mod
 import gpmg.eigsolve as eigsolve_mod
 import gpmg.newton as newton_mod
 from gpmg.assembly import prolongation_matrix
@@ -392,6 +393,18 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, value):
     cfg = GPE_1D.replace("problem.zeta = 10.0", f"problem.zeta = {value}")
     code, err = _one_line_exit(tmp_path, capsys, cfg)
     assert code == 2 and "problem.zeta" in err and "finite" in err
+
+
+def test_potential_non_finite_past_the_first_block_is_config_error(
+        tmp_path, capsys, monkeypatch):
+    # nan only at x1 > 0.75: the coarse mesh's last two of 8 cells, which
+    # are outside its first block of 4
+    monkeypatch.setattr(assembly_mod, "CELL_BLOCK", 4)
+    cfg = GPE_1D.replace("problem.potential = x1^2",
+                         "problem.potential = (0.75 - x1)^0.5")
+    code, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert code == 2
+    assert "problem.potential evaluates to inf or nan" in err
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys,

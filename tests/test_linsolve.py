@@ -432,6 +432,34 @@ def test_vcycle_apply_factors_nothing(monkeypatch):
     assert calls == []
 
 
+def test_refined_hierarchies_share_the_restrictions():
+    # each level's restriction is the view prolong.T, made once when the
+    # level joins and shared by every refinement; the V-cycle equals the
+    # one that transposes on every visit, bit for bit
+    mats, prolongs = poisson_hierarchy(levels=4)
+    coarse = VCycleHierarchy(mats[:-1], prolongs[:-1])
+    fine = coarse.refined(mats[-1], prolongs[-1])
+    other = coarse.refined(mats[-1], prolongs[-1])
+    assert len(coarse.restricts) == len(mats) - 2
+    for shared, *refined in zip(coarse.restricts, fine.restricts,
+                                other.restricts):
+        assert all(r is shared for r in refined)
+    for p, r in zip(fine.prolongs, fine.restricts):
+        assert np.shares_memory(r.data, p.data)
+
+    def uncached(lvl, b):
+        if lvl == 0:
+            return fine.coarse_lu.solve(b)
+        k, smoother = fine.mats[lvl], fine.smoothers[lvl - 1]
+        x = smoother.smooth(k, b, fine.pre_smooth)
+        p = fine.prolongs[lvl - 1]
+        x += p @ uncached(lvl - 1, p.T @ (b - k @ x))
+        return smoother.smooth(k, b, fine.post_smooth, x)
+
+    b = np.random.default_rng(7).standard_normal(mats[-1].shape[0])
+    assert np.array_equal(fine.apply(b), uncached(len(mats) - 1, b))
+
+
 def backward_error(a, x, b):
     anorm = float(abs(a).sum(axis=1).max())
     return float(np.linalg.norm(a @ x - b)) / (
