@@ -2,7 +2,7 @@
 
 Covers stiffness (identity diffusion), mass and weighted-mass matrices,
 nonlinear load vectors, the eigenvalue residual functional, its H1 Riesz
-norm, the energy, and coarse-to-fine transfer.
+norm, and coarse-to-fine transfer.
 Dirichlet conditions are handled by reduction to the interior dof set.
 All forms share one kernel: per-cell weights times a reference table that
 the space caches per quadrature rule (`RuleTables`), taken a block of
@@ -23,7 +23,7 @@ from . import expr as expr_mod
 from .elements import quadrature, reference_element, shape_gradients, shape_values
 from .errors import ConfigurationError, UsageError
 from .linsolve import SolverConfig, SpdSolver, VCycleHierarchy
-from .nonlinearity import F_eval, f_eval
+from .nonlinearity import f_eval
 
 __all__ = [
     "FemSpace",
@@ -510,11 +510,3 @@ class Operators:
         """lambda = <F(0,u), u> = a(u,u) + (f(u^2)u, u) for mass-normalized
         u with zero boundary values."""
         return float(u @ self.residual(0.0, u))
-
-    def energy(self, u):
-        quad = 0.5 * (u @ (self.linear_part @ u))
-        w = self.space.rule(self.space.weighted_degree).w
-        per_cell = _quadrature_rows(
-            self.space, w[:, None],
-            _field_values(self.space, u, lambda t: F_eval(self.nl, t**2)))
-        return quad + 0.5 * float(np.sum(per_cell))

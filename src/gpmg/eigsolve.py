@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as dla
+import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigurationError,
@@ -22,17 +23,12 @@ from .errors import (
     SolverError,
     StagnationError,
 )
-from .linsolve import factor_symmetric
 from .newton import MixingParams, _finalize, _stop_at, damped_newton, resi
 from .state import IterateX
 
 __all__ = ["ScfConfig", "smallest_eigpair", "scf_solve"]
 
 DENSE_EIG_LIMIT = 2000
-# shift-and-invert iteration above DENSE_EIG_LIMIT: residual tolerance
-# relative to ||x|| and the iteration cap
-EIG_TOL = 1e-10
-EIG_MAX_ITER = 500
 
 
 @dataclass
@@ -51,8 +47,9 @@ class ScfConfig:
 def smallest_eigpair(kfull, m):
     """Smallest eigenpair of K v = mu M v, v normalized to v'Mv = 1.
 
-    Dense solve below a size threshold; otherwise shift-and-invert power
-    iteration with occasional Rayleigh-quotient shift updates.
+    Dense solve up to DENSE_EIG_LIMIT dofs; above it one ARPACK call in
+    shift-and-invert mode about 0 (Lanczos on K^-1 M), started from the
+    vector of ones so that repeated calls agree bit for bit.
     """
     n = kfull.shape[0]
     if n <= DENSE_EIG_LIMIT:
@@ -62,32 +59,12 @@ def smallest_eigpair(kfull, m):
             subset_by_index=[0, 0],
         )
         return float(w[0]), v[:, 0]
-
-    kc = kfull.tocsc()
-    mc = m.tocsr()
-    lu = factor_symmetric(kc)
-    sigma = 0.0
-    x = np.ones(n)
-    x /= np.sqrt(x @ (mc @ x))
-    for it in range(EIG_MAX_ITER):
-        y = lu.solve(mc @ x)
-        y /= np.sqrt(max(y @ (mc @ y), 1e-300))
-        if y @ (mc @ x) < 0:
-            y = -y
-        x = y
-        rho = float(x @ (kfull @ x))  # x is M-normalized
-        res = float(np.linalg.norm(kfull @ x - rho * (mc @ x)))
-        if res <= EIG_TOL * float(np.linalg.norm(x)):
-            return rho, x
-        # Rayleigh shift update: refactor once the fixed shift stalls.
-        if it > 0 and it % 20 == 0:
-            sigma = rho * (1.0 - 1e-3)
-            lu = factor_symmetric(kc - sigma * m.tocsc())
-    raise SolverError(
-        f"eigensolver did not reach {EIG_TOL:.1e} in {EIG_MAX_ITER} "
-        f"iterations (last residual {res:.3e})",
-        achieved=res,
-    )
+    try:
+        w, v = spla.eigsh(kfull, 1, M=m, sigma=0.0, v0=np.ones(n))
+    except spla.ArpackError as err:
+        raise SolverError(f"eigensolver (ARPACK) failed: {err}") from err
+    v = v[:, 0]
+    return float(w[0]), v / np.sqrt(v @ (m @ v))
 
 
 def _zeta_ladder(zeta):

@@ -2,9 +2,9 @@
 
 The Newton step's saddle-point system [[K, -m], [-m', 0]] is solved by a
 rank-1 Schur reduction to two solves with K. K itself is handled by a
-sparse direct factorization, plain CG, or CG preconditioned with a
-geometric V-cycle whose smoother is a Chebyshev polynomial in D^-1 K
-(D the diagonal of K), so smoothing costs matvecs only.
+sparse direct factorization or by CG preconditioned with a geometric
+V-cycle whose smoother is a Chebyshev polynomial in D^-1 K (D the diagonal
+of K), so smoothing costs matvecs only.
 
 Every factorization is made once and solved against many times: each
 sparse LU goes through `factor_symmetric`. A V-cycle factors only its
@@ -124,15 +124,21 @@ class ChebyshevSmoother:
 
 @dataclass
 class SolverConfig:
-    method: str = "auto"  # auto | direct | cg | mg_cg
+    # the accepted values of `method` (config key solver.method)
+    METHODS = ("auto", "direct", "mg_cg")
+
+    method: str = "auto"
     rel_tol: float = 1e-10
     max_iter: int = 1000
     pre_smooth: int = 2
     post_smooth: int = 2
 
     def __post_init__(self):
-        if self.method not in ("auto", "direct", "cg", "mg_cg"):
-            raise ConfigurationError(f"unknown solver method {self.method!r}")
+        if self.method not in self.METHODS:
+            raise ConfigurationError(
+                f"solver.method must be one of {', '.join(self.METHODS)}, "
+                f"got {self.method!r}"
+            )
         if not 0.0 < self.rel_tol < 1.0:
             raise ConfigurationError("solver rel_tol must be in (0, 1)")
         for key in ("max_iter", "pre_smooth", "post_smooth"):
@@ -229,7 +235,7 @@ class SpdSolver:
         self._knorm = None
         if self.method == "direct":
             self._lu = factor_symmetric(k)
-        elif self.method == "mg_cg" and vcycle is None:
+        elif vcycle is None:
             raise ConfigurationError("mg_cg requires a V-cycle hierarchy")
 
     @property
@@ -259,12 +265,10 @@ class SpdSolver:
                     break
                 x = x + self._lu.solve(b - self.k @ x)
         else:
-            precond = None
-            if self.method == "mg_cg":
-                # dtype given, so scipy does not probe it with a V-cycle
-                precond = spla.LinearOperator(
-                    self.k.shape, matvec=self.vcycle.apply, dtype=float
-                )
+            # dtype given, so scipy does not probe it with a V-cycle
+            precond = spla.LinearOperator(
+                self.k.shape, matvec=self.vcycle.apply, dtype=float
+            )
             count = [0]
 
             def _cb(_):
@@ -283,8 +287,8 @@ class SpdSolver:
             if info != 0:
                 achieved = float(np.linalg.norm(self.k @ x - b)) / bnorm
                 raise SolverError(
-                    f"cg failed to converge in {self.cfg.max_iter} iterations "
-                    f"(relative residual {achieved:.3e})",
+                    f"mg_cg failed to converge in {self.cfg.max_iter} "
+                    f"iterations (relative residual {achieved:.3e})",
                     achieved=achieved,
                 )
         achieved = self._backward_error(x, b)

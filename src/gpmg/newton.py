@@ -128,30 +128,15 @@ def assemble_newton_system(ctx, x0):
     return BorderedSystem(k=k, m=m, r=r, c=c)
 
 
-def _nested_dofs(coarse_space, fine_space):
-    """The fine dof at each coarse dof's node: the row of the 1 in that
-    column of the prolongation (every other entry of the column is < 1)."""
-    p = prolongation_matrix(coarse_space, fine_space)
-    rows = np.repeat(np.arange(fine_space.n_dofs), np.diff(p.indptr))
-    first = np.lexsort((-p.data, p.indices))
-    starts = np.searchsorted(p.indices[first], np.arange(coarse_space.n_dofs))
-    return rows[first[starts]]
-
-
-def _build_vcycle(levels, x0, k, cfg):
-    """V-cycle for k, the interior Newton matrix at x0 on levels[-1]. The
-    coarser levels' Newton matrices are re-assembled (not Galerkin) at x0
-    injected down the hierarchy."""
-    points = [x0.u]
-    for idx in range(len(levels) - 2, -1, -1):
-        points.insert(0, points[0][
-            _nested_dofs(levels[idx].space, levels[idx + 1].space)
-        ])
-    mats = [ctx.space.pattern().interior(_newton_matrix(ctx, x0.lam, u))
-            for ctx, u in zip(levels[:-1], points)]
-    mats.append(k)
+def _build_vcycle(levels, k, cfg):
+    """V-cycle for k, the step's interior Newton matrix on levels[-1]. Each
+    coarser level's matrix is the Galerkin product P' K P of the next finer
+    one, P the cached interior prolongation between the two."""
     prolongs = [_interior_prolongation(coarse.space, fine.space)
                 for coarse, fine in zip(levels, levels[1:])]
+    mats = [k]
+    for p in reversed(prolongs):
+        mats.insert(0, (p.T @ (mats[0] @ p)).tocsr())
     return VCycleHierarchy(
         mats, prolongs, pre_smooth=cfg.pre_smooth, post_smooth=cfg.post_smooth
     )
@@ -172,7 +157,7 @@ def newton_step(levels, x0, cfg=None):
     method = cfg.resolved_method(system.k.shape[0], ctx.space.mesh.dim,
                                  ctx.space.degree)
     if len(levels) > 1 and method == "mg_cg":
-        vcycle = _build_vcycle(levels, x0, system.k, cfg)
+        vcycle = _build_vcycle(levels, system.k, cfg)
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u

@@ -1,10 +1,12 @@
-"""Test oracle for FEM fields, independent of the assembly code: point
-evaluation through the mesh's point location and the element's shape
-functions."""
+"""Test oracles for FEM fields: point evaluation through the mesh's point
+location and the element's shape functions, independent of the assembly
+code; and the energy of a field, on the assembly's quadrature kernel."""
 
 import numpy as np
 
+from gpmg.assembly import _field_values, _quadrature_rows
 from gpmg.elements import shape_values
+from gpmg.nonlinearity import F_eval
 
 
 def evaluate_field(space, u, points):
@@ -15,3 +17,16 @@ def evaluate_field(space, u, points):
     dofs = space.cell_dofs[cid]  # (npts, nb)
     vals = np.sum(phi * u[dofs], axis=1)
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
+
+
+def energy(ops, u):
+    """E(u) = 1/2 a(u, u) + 1/2 int F(u^2) on ops' level, a the linear
+    part (stiffness plus potential mass) and F the nonlinearity's energy
+    density."""
+    space = ops.space
+    quad = 0.5 * (u @ (ops.linear_part @ u))
+    w = space.rule(space.weighted_degree).w
+    per_cell = _quadrature_rows(
+        space, w[:, None],
+        _field_values(space, u, lambda t: F_eval(ops.nl, t**2)))
+    return quad + 0.5 * float(np.sum(per_cell))

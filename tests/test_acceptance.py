@@ -265,7 +265,7 @@ def test_acceptance_8_linear_complexity():
         system = assemble_newton_system(ctx, x0p)
         from gpmg.newton import _build_vcycle
 
-        vc = _build_vcycle(ctxs[:idx + 1], x0p, system.k, SolverConfig())
+        vc = _build_vcycle(ctxs[:idx + 1], system.k, SolverConfig())
         t_mg, t_dir = best_per_call([
             lambda: solve_bordered(system, SolverConfig(method="mg_cg"),
                                    vcycle=vc),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import gpmg.assembly as assembly_mod
 import gpmg.eigsolve as eigsolve_mod
@@ -386,6 +387,35 @@ def test_smoothing_count_below_one_is_config_error(tmp_path, capsys, key,
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_iter_below_one_is_config_error(tmp_path, capsys, value):
     _assert_mg_cg_count_rejected(tmp_path, capsys, "solver.max_iter", value)
+
+
+def test_plain_cg_method_is_config_error(tmp_path, capsys):
+    # solver.method takes auto, direct or mg_cg; plain CG is not one
+    code, err = _one_line_exit(tmp_path, capsys,
+                               GPE_1D + "solver.method = cg\n")
+    assert code == 2 and "solver.method" in err and "'cg'" in err
+
+
+def test_readme_lists_the_solver_methods():
+    # the solver.method row of the README's key table lists, after the
+    # colon of its meaning, exactly the methods SolverConfig accepts
+    readme = (CONFIG_DIR.parents[2] / "README.md").read_text()
+    row, = [line for line in readme.splitlines()
+            if line.startswith("| `solver.method` |")]
+    listing = row.split("|")[3].split(":", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)`", listing)) == set(SolverConfig.METHODS)
+
+
+def test_arpack_failure_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # with the dense limit at 0, ARPACK computes the coarse eigenpair
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(eigsolve_mod, "DENSE_EIG_LIMIT", 0)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    code, err = _one_line_exit(tmp_path, capsys, GPE_1D)
+    assert code == 3 and "ARPACK" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

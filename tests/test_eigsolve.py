@@ -9,6 +9,7 @@ from gpmg.errors import NonConvergenceError, ResourceLimitError
 from gpmg.expr import parse
 from gpmg.mesh import BoxDomain, build_initial_mesh
 from gpmg.nonlinearity import Nonlinearity
+from field_oracle import energy
 from scf_oracle import scf_oracle
 
 EX1_POTENTIAL = "x1^2 + 2*x2^2 + 4*x3^2"
@@ -37,8 +38,18 @@ def test_smallest_eigpair_iterative_path(monkeypatch):
     _, k, m = interior_pencil(n=64)
     dense = smallest_eigpair(k, m)
     monkeypatch.setattr(eigsolve_mod, "DENSE_EIG_LIMIT", 0)
-    iterative = smallest_eigpair(k, m)
-    assert np.isclose(dense[0], iterative[0], rtol=1e-9)
+    lam, v = smallest_eigpair(k, m)
+    assert np.isclose(dense[0], lam, rtol=1e-9)
+    assert np.isclose(v @ (m @ v), 1.0, rtol=1e-12)
+    assert np.linalg.norm(k @ v - lam * (m @ v)) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_smallest_eigpair_iterative_path_is_deterministic(monkeypatch):
+    # ARPACK starts from a fixed vector, not a random one
+    _, k, m = interior_pencil(n=8, dim=2)
+    monkeypatch.setattr(eigsolve_mod, "DENSE_EIG_LIMIT", 0)
+    (lam1, v1), (lam2, v2) = smallest_eigpair(k, m), smallest_eigpair(k, m)
+    assert lam1 == lam2 and np.array_equal(v1, v2)
 
 
 def test_1d_laplacian_eigenvalue():
@@ -132,4 +143,4 @@ def test_scf_strong_coupling_finds_the_ground_state():
     x = scf_solve(ops)
     u_int = x.u[ops.space.interior_dofs]
     assert np.all(u_int > 0)
-    assert ops.energy(x.u) < 702.9
+    assert energy(ops, x.u) < 702.9

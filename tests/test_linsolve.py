@@ -47,17 +47,15 @@ def poisson_hierarchy(n0=4, levels=3, dim=2):
     return mats, prolongs
 
 
-def test_direct_cg_mgcg_agree():
+def test_direct_and_mg_cg_agree():
     mats, prolongs = poisson_hierarchy()
     k = mats[-1]
     rng = np.random.default_rng(0)
     b = rng.standard_normal(k.shape[0])
     x_dir = SpdSolver(k, SolverConfig(method="direct")).solve(b)
-    x_cg = SpdSolver(k, SolverConfig(method="cg")).solve(b)
     vc = VCycleHierarchy(mats, prolongs)
     mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc)
     x_mg = mg.solve(b)
-    assert np.allclose(x_dir, x_cg, atol=1e-8)
     assert np.allclose(x_dir, x_mg, atol=1e-8)
     # the one ||K||_inf that solve_bordered also scales its check by
     assert mg.knorm == float(abs(k).sum(axis=1).max())
@@ -96,7 +94,7 @@ def test_auto_switches_to_mg_cg_at_its_crossover(dim, degree, crossover):
     auto = SolverConfig()
     assert auto.resolved_method(crossover, dim, degree) == "direct"
     assert auto.resolved_method(crossover + 1, dim, degree) == "mg_cg"
-    for method in ("direct", "cg", "mg_cg"):
+    for method in ("direct", "mg_cg"):
         cfg = SolverConfig(method=method)
         for n in (crossover, crossover + 1):
             assert cfg.resolved_method(n, dim, degree) == method
@@ -129,11 +127,12 @@ def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, limit,
 
 
 def test_cg_failure_reports_achieved_residual():
-    mats, _ = poisson_hierarchy(levels=3)
+    mats, prolongs = poisson_hierarchy(levels=3)
     k = mats[-1]
     b = np.ones(k.shape[0])
+    vc = VCycleHierarchy(mats, prolongs)
     with pytest.raises(SolverError) as exc:
-        SpdSolver(k, SolverConfig(method="cg", max_iter=2)).solve(b)
+        SpdSolver(k, SolverConfig(method="mg_cg", max_iter=1), vc).solve(b)
     assert exc.value.achieved is not None
 
 
@@ -186,8 +185,11 @@ def test_indefinite_matrix_coercivity_error_on_iterative_path():
     k = sp.csr_matrix(np.diag(d))
     m = np.array([1.0, 0.0, 0.0, 0.0])
     system = BorderedSystem(k=k, m=m, r=np.ones(4), c=0.0)
-    with pytest.raises((CoercivityError, SolverError)):
-        solve_bordered(system, SolverConfig(method="cg", max_iter=50))
+    # a one-level V-cycle is K's LU, so PCG solves exactly, and the Schur
+    # scalar's sign is what mg_cg rejects
+    with pytest.raises(CoercivityError, match="Schur"):
+        solve_bordered(system, SolverConfig(method="mg_cg"),
+                       vcycle=VCycleHierarchy([k], []))
     # the direct path still produces the verified saddle-point solution
     sol = solve_bordered(system, SolverConfig(method="direct"))
     assert sol.schur < 0
@@ -227,7 +229,7 @@ def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
     for coarse, fine in zip(ctxs[1:], ctxs[2:]):
         x = _prolong_iterate(x, coarse.space, fine.space)
     k = assemble_newton_system(ctxs[-1], x).k
-    vc = _build_vcycle(ctxs, x, k, SolverConfig())
+    vc = _build_vcycle(ctxs, k, SolverConfig())
     return vc.mats, vc.prolongs
 
 
@@ -353,7 +355,7 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
     x = _prolong_iterate(newton_step(ctxs[:2], x), ctxs[1].space,
                          ctxs[2].space)
     system = assemble_newton_system(ops, x)
-    vc = _build_vcycle(ctxs, x, system.k, SolverConfig())
+    vc = _build_vcycle(ctxs, system.k, SolverConfig())
     applied.clear()
     solvers.clear()
     solve_bordered(system, SolverConfig(method="mg_cg"), vcycle=vc)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import gpmg.newton as newton_mod
 
-from gpmg.assembly import FemSpace, Operators
+from gpmg.assembly import FemSpace, Operators, prolongation_matrix
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import ConfigurationError, StagnationError, UsageError
 from gpmg.expr import parse
@@ -17,7 +17,7 @@ from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
     FULL_STEP,
     MixingParams,
-    _nested_dofs,
+    _build_vcycle,
     _prolong_iterate,
     _prolong_to_finest,
     assemble_newton_system,
@@ -32,7 +32,6 @@ from gpmg.newton import (
 )
 from gpmg.nonlinearity import Nonlinearity
 from gpmg.state import IterateX
-from field_oracle import evaluate_field
 from scf_oracle import scf_oracle
 
 
@@ -97,8 +96,9 @@ def test_mg_cg_step_uses_the_levels_it_is_given():
 
 
 def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
-    # one weighted-mass assembly per level: the V-cycle's top matrix is the
-    # step's own Newton matrix, not a second assembly of it
+    # one weighted-mass assembly, on the finest space: the V-cycle's top
+    # matrix is the step's own Newton matrix, not a second assembly of it,
+    # and its coarser matrices are Galerkin products, not assembled at all
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
@@ -121,8 +121,7 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
                         recording_assemble)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
     newton_step(ctxs, x0, SolverConfig(method="mg_cg"))
-    assert len(assembled) == len(ctxs)
-    assert {id(s) for s in assembled} == {id(c.space) for c in ctxs}
+    assert [id(s) for s in assembled] == [id(ctxs[-1].space)]
     (system, vcycle), = solved
     assert len(vcycle.mats) == len(ctxs)
     assert (vcycle.mats[-1] != system.k).nnz == 0
@@ -198,17 +197,29 @@ def test_border_equation_exact_after_solve():
 
 @pytest.mark.parametrize("dim,degree,levels", [(2, 1, 4), (3, 2, 3)],
                          ids=["2d-p1", "3d-p2"])
-def test_nested_dofs_gather_equals_point_evaluation(dim, degree, levels):
-    # gathering a fine field at the nested dofs is its nodal interpolant
-    # on the coarse space, bit for bit
+def test_newton_vcycle_coarse_matrices_are_galerkin_products(dim, degree,
+                                                             levels):
+    # the top matrix is the step's own; each coarser one is P' K P of the
+    # next finer, bit for bit, on the coarse space's interior pattern
     hier = build_hierarchy(BoxDomain.unit(dim), (2,) * dim, levels)
-    spaces = [FemSpace(m, degree) for m in hier.levels]
-    rng = np.random.default_rng(dim)
-    for coarse, fine in zip(spaces, spaces[1:]):
-        u = rng.standard_normal(fine.n_dofs)
-        gathered = u[_nested_dofs(coarse, fine)]
-        assert np.array_equal(gathered,
-                              evaluate_field(fine, u, coarse.dof_coords))
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2", dim))
+    space = ctxs[-1].space
+    u = np.zeros(space.n_dofs)
+    u[space.interior_dofs] = np.random.default_rng(dim).random(
+        space.interior_dofs.size)
+    k = assemble_newton_system(ctxs[-1], IterateX(lam=3.0, u=u)).k
+    vc = _build_vcycle(ctxs, k, SolverConfig())
+    assert len(vc.mats) == levels
+    assert (vc.mats[-1] != k).nnz == 0
+    for i, (coarse, fine) in enumerate(zip(ctxs, ctxs[1:])):
+        p = prolongation_matrix(coarse.space, fine.space)[
+            fine.space.interior_dofs][:, coarse.space.interior_dofs].tocsr()
+        got, want = vc.mats[i], p.T @ (vc.mats[i + 1] @ p)
+        assert got.shape == want.shape and (got != want).nnz == 0
+        pattern = coarse.space.pattern()
+        assert np.array_equal(got.indptr, pattern.interior_indptr)
+        assert np.array_equal(got.indices, pattern.interior_indices)
 
 
 def test_newton_requires_matching_space():
