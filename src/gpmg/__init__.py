@@ -48,7 +48,7 @@ from .newton import (
     newton_step,
     resi,
 )
-from .nonlinearity import Nonlinearity, check_assumptions
+from .nonlinearity import Nonlinearity
 from .state import IterateX, TraceRow
 
 __version__ = "0.1.0"

@@ -8,9 +8,10 @@ All forms share one kernel: per-cell weights times a reference table that
 the space caches per quadrature rule (`RuleTables`), taken a block of
 `CELL_BLOCK` cells at a time, so only the output has one row per cell.
 Every matrix on a space is a data array on the space's one CSR pattern
-(`CsrPattern`, built on first use): a form is a bincount of its element
-entries into their slots, sums of forms are sums of data arrays, and the
-interior block is a cached gather of the data.
+(`CsrPattern`, built on first use): a form is a bincount of the upper
+triangles of its element matrices into the upper slots, gathered into full
+storage; sums of forms are sums of data arrays, and the interior block is
+a cached gather of the data. Of the cell geometry only |det J| is kept.
 """
 
 import copy
@@ -86,7 +87,7 @@ class FemSpace:
         self.boundary_mask = boundary
         self.boundary_dofs = np.where(boundary)[0]
         self.interior_dofs = np.where(~boundary)[0]
-        self._geom = None
+        self._det = None
         self._pattern = None
         self._quad_cache = {}
         self._prolongation_from = {}
@@ -113,14 +114,23 @@ class FemSpace:
             self._quad_cache[key] = RuleTables(self.elem, key)
         return self._quad_cache[key]
 
-    def geometry(self):
-        """(verts, det, inv) per cell: the vertex coordinates (nc, d+1, d),
-        |det J| and J^-1 for J (nc, d, d) the cell's edge vectors as rows."""
-        if self._geom is None:
-            verts = self.mesh.vertices[self.mesh.cells]
-            det, inv = _det_inv(verts[:, 1:, :] - verts[:, :1, :])
-            self._geom = (verts, np.abs(det), inv)
-        return self._geom
+    def geometry(self, s):
+        """(det, inv) of the cells in slice s: |det J| and J^-1 for J
+        (cells, d, d) the cell's edge vectors as rows. Computed afresh on
+        each call, a CELL_BLOCK of cells at a time by the stiffness metric,
+        the one reader of J^-1; only |det J| is kept (`cell_det`)."""
+        verts = self.mesh.vertices[self.mesh.cells[s]]
+        det, inv = _det_inv(verts[:, 1:, :] - verts[:, :1, :])
+        return np.abs(det), inv
+
+    def cell_det(self):
+        """|det J| per cell, cached: the one per-cell array every
+        quadrature form reads."""
+        if self._det is None:
+            self._det = np.empty(self.mesh.n_cells)
+            for s in _cell_blocks(self.mesh.n_cells):
+                self._det[s] = self.geometry(s)[0]
+        return self._det
 
     def pattern(self):
         """The CSR pattern every matrix on this space shares."""
@@ -157,21 +167,36 @@ def _det_inv(jac):
 
 class CsrPattern:
     """The sparsity pattern of the matrices on one space, (`indptr`,
-    `indices`) with sorted columns, and where each element entry lands in
-    its data array.
+    `indices`) in full storage with sorted columns, and where each element
+    entry lands in its data array.
 
-    `slot[e]` is the data index of element entry e, the entries taken cell
-    by cell, each cell's nb x nb block row-major. `tperm[s]` is the data
-    index of slot s's transpose. `interior_gather` picks, in order, the
-    data of the interior-by-interior block, whose pattern is
-    (`interior_indptr`, `interior_indices`). The four index arrays are
-    read-only: every matrix on the space holds them, so an in-place edit
-    of one would corrupt them all."""
+    Every form is symmetric, so a cell contributes only its local pairs
+    a <= b, in `np.triu_indices(nb)` order, each to the upper-triangle
+    slot of its global dof pair (min, max). `slot[e]` is the upper slot of
+    element entry e, the entries taken cell by cell, and `mirror[k]` the
+    upper slot of data entry k: a form's data are its `n_upper` slot sums
+    gathered through `mirror`, so (i, j) and (j, i) read one sum and every
+    matrix is symmetric bit for bit. `interior_gather` picks, in order,
+    the data of the interior-by-interior block, whose pattern is
+    (`interior_indptr`, `interior_indices`). The maps are int32 below 2^31
+    entries, except `slot`, kept intp: `np.bincount` copies any other
+    index dtype to intp on every call. The index arrays are read-only:
+    every matrix on the space holds them, so an in-place edit of one would
+    corrupt them all."""
 
     def __init__(self, cell_dofs, n, boundary_mask):
-        keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
-        # one sort of the element entries' (row, col) keys; each run of
-        # equal keys is one slot. The buffers of one entry per element
+        a, b = np.triu_indices(cell_dofs.shape[1])
+        # np.take, unlike [:, a], returns C order, so ravel copies nothing
+        lo = np.take(cell_dofs, a, axis=1).ravel()
+        hi = np.take(cell_dofs, b, axis=1).ravel()
+        keys = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        del lo
+        keys *= n
+        keys += hi
+        del hi
+        # one sort of the upper element entries' (row, col) keys; each run
+        # of equal keys is one slot. The buffers of one entry per element
         # entry are reused, since fresh ones cost page faults comparable
         # to the sort.
         order = np.argsort(keys, kind="stable")
@@ -185,30 +210,41 @@ class CsrPattern:
         self.slot = keys
         self.slot[order] = ids
         del order, ids, first
-        self.nnz = unique.size
-        idx = np.int32 if max(n, self.nnz) < 2**31 else np.int64
+        self.n_upper = unique.size
         rows = unique // n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        # the full pattern is the upper one plus its strict part's
+        # transpose; its data are the upper slots, 1-based so that no
+        # entry is a zero the sum would drop
+        upper = sp.csr_matrix(
+            (np.arange(1, self.n_upper + 1), unique - rows * n, indptr),
+            shape=(n, n))
+        del unique, rows, indptr
+        full = upper + sp.triu(upper, k=1).T
+        full.sort_indices()
         self.shape = (n, n)
-        self.indices = (unique - rows * n).astype(idx)
-        self.indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        # The element-local swap (a, b) -> (b, a) maps the pattern onto
-        # itself, so it is symmetric: its CSC form has the same indptr and
-        # indices, and the CSC transpose of the slot numbers 0..nnz-1 holds
-        # at each slot the slot of its transpose.
-        self.tperm = sp.csr_matrix(
-            (np.arange(self.nnz), self.indices, self.indptr),
-            shape=self.shape).tocsc().data
+        self.nnz = full.nnz
+        idx = np.int32 if max(n, self.nnz) < 2**31 else np.int64
+        self.indices = full.indices.astype(idx)
+        self.indptr = full.indptr.astype(idx)
+        self.mirror = full.data.astype(idx)
+        self.mirror -= 1
+        del upper, full
 
         interior = ~boundary_mask
-        self.interior_gather = np.flatnonzero(
-            interior[rows] & interior[self.indices])
+        inner = np.repeat(interior, np.diff(self.indptr))
+        inner &= interior[self.indices]
+        self.interior_gather = np.flatnonzero(inner).astype(idx)
         renumber = np.cumsum(interior) - 1
         self.interior_indices = renumber[
             self.indices[self.interior_gather]].astype(idx)
-        counts = np.bincount(rows[self.interior_gather], minlength=n)[interior]
-        self.interior_indptr = np.zeros(counts.size + 1, dtype=idx)
-        np.cumsum(counts, out=self.interior_indptr[1:])
+        # the kept entries before each row's start; a boundary row keeps
+        # none, so at interior row i (and at the end) that is where row i
+        # of the interior block starts (ends)
+        before = np.zeros(self.nnz + 1, dtype=idx)
+        np.cumsum(inner, out=before[1:])
+        self.interior_indptr = before[self.indptr][np.append(interior, True)]
         for name in ("indices", "indptr", "interior_indices",
                      "interior_indptr"):
             getattr(self, name).flags.writeable = False
@@ -229,22 +265,30 @@ class CsrPattern:
 
 class RuleTables:
     """A quadrature rule on the reference cell and the tables the forms
-    contract against: w, w phi_i (nq, nb), w phi_i phi_j (nq, nb^2), and
-    the stiffness table sum_q w d_a phi_i d_b phi_j shaped (d^2, nb^2)."""
+    contract against: w, w phi_i (nq, nb), and the upper-triangle columns
+    (i, j), i <= j in `np.triu_indices(nb)` order, of w phi_i phi_j (nq,
+    nb(nb+1)/2) and of the stiffness table sum_q w d_a phi_i d_b phi_j,
+    shaped (d^2, nb(nb+1)/2)."""
 
     def __init__(self, elem, exact_degree):
         rule = quadrature(elem.dim, exact_degree)
         phi = shape_values(elem, rule.points)
         grad = shape_gradients(elem, rule.points)
-        nq, nb = phi.shape
+        i, j = np.triu_indices(phi.shape[1])
         self.points = rule.points
         self.phi = phi
         self.w = rule.weights
         self.wphi = self.w[:, None] * phi
-        self.wphiphi = (self.wphi[:, :, None] * phi[:, None, :]).reshape(nq, -1)
+        self.wphiphi = self.wphi[:, i] * phi[:, j]
         self.stiffness = np.einsum(
             "q,qia,qjb->abij", self.w, grad, grad
-        ).reshape(elem.dim**2, nb * nb)
+        )[:, :, i, j].reshape(elem.dim**2, i.size)
+
+
+def _cell_blocks(n):
+    """Slices of at most CELL_BLOCK consecutive cells covering n cells."""
+    for start in range(0, n, CELL_BLOCK):
+        yield slice(start, min(start + CELL_BLOCK, n))
 
 
 def _cell_rows(space, table, weights_of):
@@ -254,8 +298,7 @@ def _cell_rows(space, table, weights_of):
     one per cell."""
     n = space.mesh.n_cells
     out = None
-    for start in range(0, n, CELL_BLOCK):
-        s = slice(start, min(start + CELL_BLOCK, n))
+    for s in _cell_blocks(n):
         weights = weights_of(s)
         if out is None:
             # allocated after the first block's temporaries: allocated
@@ -269,32 +312,29 @@ def _cell_rows(space, table, weights_of):
 def _quadrature_rows(space, table, values_of):
     """_cell_rows with weights values_of(s) * |det J|: values_of(s) gives
     the integrand at the rule's points of the cells in slice s."""
-    _, det, _ = space.geometry()
+    det = space.cell_det()
     return _cell_rows(space, table, lambda s: values_of(s) * det[s, None])
 
 
 def _scatter(space, rows):
-    """The matrix assembly: row c of rows is cell c's element matrix,
-    flattened nb x nb. Summed into the space's pattern, then symmetrized
-    as (A + A') / 2."""
+    """The matrix assembly: row c of rows is the upper triangle of cell
+    c's element matrix, in `np.triu_indices(nb)` order. Summed into the
+    pattern's upper slots, then gathered into full storage."""
     pattern = space.pattern()
-    data = np.bincount(pattern.slot, weights=rows.ravel(),
-                       minlength=pattern.nnz)
-    data += data[pattern.tperm]
-    data *= 0.5
-    return pattern.matrix(data)
+    upper = np.bincount(pattern.slot, weights=rows.ravel(),
+                        minlength=pattern.n_upper)
+    return pattern.matrix(upper[pattern.mirror])
 
 
 def assemble_stiffness(space):
     """Stiffness matrix (grad u, grad v): the PDE's diffusion is the
     identity."""
     d = space.dim
-    _, det, inv = space.geometry()
 
     def metric(s):
         # physical gradient is inv @ grad_ref, so the cell metric is
         # det inv' inv, built one symmetric pair of entries at a time
-        inv_s, det_s = inv[s], det[s]
+        det_s, inv_s = space.geometry(s)
         b = np.empty((len(det_s), d, d))
         for i in range(d):
             for j in range(i, d):
@@ -328,11 +368,11 @@ def _weighted_mass(space, values_of):
 def _spatial_values(space, weight):
     """values_of for a spatial function (Expr or callable) at the weighted
     rule's points."""
-    verts, _, _ = space.geometry()
+    mesh = space.mesh
     points = space.rule(space.weighted_degree).points
 
     def values_of(s):
-        pts = points @ verts[s]  # (cells of s, nq, dim)
+        pts = points @ mesh.vertices[mesh.cells[s]]  # (cells of s, nq, dim)
         flat = pts.reshape(-1, space.dim)
         if isinstance(weight, expr_mod.Expr):
             vals = expr_mod.evaluate(weight, flat)

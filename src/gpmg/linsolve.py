@@ -91,8 +91,8 @@ class ChebyshevSmoother:
         diag = k.diagonal()
         if not np.all(diag > 0.0):
             raise CoercivityError(
-                "V-cycle level matrix has a nonpositive diagonal entry, so "
-                "it is not positive definite"
+                "matrix has a nonpositive diagonal entry, so it is not "
+                "positive definite"
             )
         dinv = 1.0 / diag
         v = np.random.default_rng(0).standard_normal(k.shape[0])
@@ -189,7 +189,12 @@ class VCycleHierarchy:
         prolong = prolong.tocsr()
         self.prolongs.append(prolong)
         self.restricts.append(prolong.T)  # a view: no copy of the data
-        self.smoothers.append(ChebyshevSmoother.for_matrix(mat))
+        try:
+            self.smoothers.append(ChebyshevSmoother.for_matrix(mat))
+        except CoercivityError as err:
+            raise CoercivityError(
+                f"V-cycle level {len(self.mats)} (1 is the coarsest), "
+                f"{mat.shape[0]} interior dofs: {err}") from err
 
     def refined(self, mat, prolong):
         """This hierarchy with one finer level K on top, prolong mapping

@@ -26,7 +26,14 @@ from .assembly import (
     assemble_field_weighted_mass,
     prolongation_matrix,
 )
-from .errors import ConfigurationError, StagnationError, UsageError
+from .errors import (
+    CoercivityError,
+    ConfigurationError,
+    NonConvergenceError,
+    SolverError,
+    StagnationError,
+    UsageError,
+)
 from .linsolve import BorderedSystem, SolverConfig, VCycleHierarchy, solve_bordered
 from .nonlinearity import f_eval, fprime_eval
 from .state import IterateX, TraceRow
@@ -277,34 +284,34 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
     for idx, ctx in enumerate(contexts):
         t0 = time.perf_counter()
         theta = resi_new = None
-        if idx == 0:
-            x = scf_solve(ctx, scf_cfg)
-        else:
-            x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
-            # on the finest level x0p is the previous row's iterate
-            # prolongated once, so that row's traced resi is x0p's resi
-            resi_old = rows[-1].resi if idx == len(contexts) - 1 else None
-            try:
+        try:
+            if idx == 0:
+                x = scf_solve(ctx, scf_cfg)
+            else:
+                x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
+                # on the finest level x0p is the previous row's iterate
+                # prolongated once, so that row's traced resi is x0p's resi
+                resi_old = rows[-1].resi if idx == len(contexts) - 1 else None
                 x, theta, resi_new = mixing_iteration(
-                    contexts[:idx + 1], x0p, params or FULL_STEP,
-                    solver_cfg, resi_old
+                    contexts[:idx + 1], x0p, params or FULL_STEP, solver_cfg,
+                    resi_old
                 )
-            except StagnationError as err:
-                hint = ("; rerun with the mixing driver (--mixing)"
-                        if params is None else "")
-                raise StagnationError(
-                    f"level {idx + 1}: {err}{hint}", err.resi_old,
-                    err.resi_new
-                ) from err
-            if params is None:
-                theta = None
-        step_ms = (time.perf_counter() - t0) * 1e3
+            step_ms = (time.perf_counter() - t0) * 1e3
+            traced = _traced_resi(contexts, x, idx, resi_new)
+        except (SolverError, CoercivityError, NonConvergenceError,
+                StagnationError) as err:
+            # every solver failure (exit 3) names the level it ended
+            hint = ("; rerun with the mixing driver (--mixing)"
+                    if isinstance(err, StagnationError) and params is None
+                    else "")
+            err.args = (f"level {idx + 1}: {err}{hint}",)
+            raise
         rows.append(TraceRow(
             level=idx + 1,
             n_dofs=ctx.space.n_dofs,
             lam=x.lam,
-            resi=_traced_resi(contexts, x, idx, resi_new),
-            theta=theta,
+            resi=traced,
+            theta=None if params is None else theta,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
             err_lambda=(abs(x.lam - reference_lambda)
                         if reference_lambda is not None else None),

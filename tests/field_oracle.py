@@ -1,12 +1,19 @@
 """Test oracles for FEM fields: point evaluation through the mesh's point
 location and the element's shape functions, independent of the assembly
-code; and the energy of a field, on the assembly's quadrature kernel."""
+code; and the energy of a field, on the assembly's quadrature kernel, with
+its density F."""
 
 import numpy as np
 
 from gpmg.assembly import _field_values, _quadrature_rows
 from gpmg.elements import shape_values
-from gpmg.nonlinearity import F_eval
+
+
+def F_eval(nl, t):
+    """The energy density F(t) = zeta t^(sigma+1) / (sigma+1), the
+    antiderivative of f with F(0) = 0."""
+    t = np.asarray(t, dtype=float)
+    return nl.zeta * t ** (nl.sigma + 1) / (nl.sigma + 1)
 
 
 def evaluate_field(space, u, points):

@@ -22,9 +22,9 @@ from gpmg.expr import evaluate, parse
 from gpmg.linsolve import ChebyshevSmoother
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import _newton_matrix, assemble_newton_system, build_contexts
-from gpmg.nonlinearity import F_eval, Nonlinearity, f_eval, fprime_eval
+from gpmg.nonlinearity import Nonlinearity, f_eval, fprime_eval
 from gpmg.state import IterateX
-from field_oracle import energy, evaluate_field
+from field_oracle import F_eval, energy, evaluate_field
 
 
 def space_1d(n=8, degree=2):
@@ -322,16 +322,21 @@ def _assert_inverse_close(got, want):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_geometry_matches_lapack(dim):
+def test_geometry_matches_lapack(dim, monkeypatch):
+    # the cached |det J|, and the geometry of each block of 4 cells, which
+    # the stiffness metric computes afresh
+    monkeypatch.setattr(assembly_mod, "CELL_BLOCK", 4)
     lower, upper, cells = GEOMETRY_BOXES[dim]
     hier = build_hierarchy(BoxDomain(dim, lower, upper), cells, 2)
     for mesh in hier.levels:
         space = FemSpace(mesh, 1)
-        verts, det, inv = space.geometry()
-        assert np.array_equal(verts, mesh.vertices[mesh.cells])
         want_det, want_inv = _ref_geometry(space)
-        np.testing.assert_allclose(det, want_det, rtol=1e-14, atol=0.0)
-        _assert_inverse_close(inv, want_inv)
+        np.testing.assert_allclose(space.cell_det(), want_det, rtol=1e-14,
+                                   atol=0.0)
+        for s in assembly_mod._cell_blocks(mesh.n_cells):
+            det, inv = space.geometry(s)
+            assert np.array_equal(det, space.cell_det()[s])
+            _assert_inverse_close(inv, want_inv[s])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -355,8 +360,9 @@ def test_cell_det_is_the_step_product_exactly(dim, upper, cells):
     # with no rounding (LAPACK's det of the 1x1 matrix 0.125 is 1 ulp high)
     hier = build_hierarchy(BoxDomain(dim, (0.0,) * dim, upper), cells, 2)
     for mesh in hier.levels:
-        _, det, _ = FemSpace(mesh, 1).geometry()
-        assert np.all(det == np.prod(mesh.steps))
+        space = FemSpace(mesh, 1)
+        assert np.all(space.cell_det() == np.prod(mesh.steps))
+        assert np.all(space.geometry(slice(None))[0] == np.prod(mesh.steps))
 
 
 @pytest.mark.parametrize("dim,cells", [(1, (5,)), (2, (3, 4)),
@@ -435,23 +441,32 @@ def test_newton_matrix_sums_the_separate_masses(kernel_case):
 
 
 
-# Two oracles for the shared pattern's scatter. `_coo_scatter` is the COO
-# assembly it replaced: COO -> CSR, then (A + A') / 2. scipy sums a row's
-# duplicate entries in the order its unstable per-row sort leaves them
-# (rows of more than 16 element entries get reordered), so it agrees to
-# round-off. `_ordered_scatter` sums them densely in element order, the
-# order the pattern's bincount uses, so it agrees bit for bit.
+# Two oracles for the shared pattern's scatter, which both take each
+# cell's upper-triangle rows: they sum the entries at (min, max) of the
+# dof pair and mirror the strict upper triangle. `_coo_scatter` sums them
+# as a COO matrix; scipy adds a row's duplicate entries in the order its
+# unstable per-row sort leaves them (rows of more than 16 entries get
+# reordered), so it agrees to round-off. `_ordered_scatter` sums them
+# densely in element order, the order the pattern's bincount uses, so it
+# agrees bit for bit.
+def _upper_entries(space, elem):
+    a, b = np.triu_indices(space.elem.n_basis)
+    da, db = space.cell_dofs[:, a], space.cell_dofs[:, b]
+    return np.minimum(da, db).ravel(), np.maximum(da, db).ravel(), elem.ravel()
+
+
 def _coo_scatter(space, elem):
-    nb = space.elem.n_basis
-    rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nb)).ravel()
-    mat = sp.coo_matrix((elem.ravel(), (rows, cols)),
-                        shape=(space.n_dofs, space.n_dofs)).tocsr()
-    return (mat + mat.T) * 0.5
+    lo, hi, vals = _upper_entries(space, elem)
+    upper = sp.coo_matrix((vals, (lo, hi)),
+                          shape=(space.n_dofs, space.n_dofs)).tocsr()
+    return upper + sp.triu(upper, k=1).T
 
 
 def _ordered_scatter(space, elem):
-    return sp.csr_matrix(_ref_matrix(space, elem))
+    lo, hi, vals = _upper_entries(space, elem)
+    upper = np.zeros((space.n_dofs, space.n_dofs))
+    np.add.at(upper, (lo, hi), vals)
+    return sp.csr_matrix(upper + np.triu(upper, k=1).T)
 
 
 PATTERN_CASES = {
@@ -511,7 +526,7 @@ def _reference_matrices(ctx, potential, u, scatter, monkeypatch):
 
 def test_pattern_assembly_matches_coo_assembly(pattern_case, monkeypatch):
     # bit for bit against the element-order sums, to 1e-15 of the largest
-    # entry against the COO path; and exactly symmetric, as (A + A') / 2
+    # entry against the COO path; and exactly symmetric, as the mirror
     # makes every form and hence every sum of forms
     ctx, potential, u = pattern_case
     got = _pattern_matrices(ctx, potential, u)
@@ -618,9 +633,10 @@ def test_potential_is_checked_on_every_block(monkeypatch):
 
 
 def test_field_forms_allocate_only_their_output_and_a_few_blocks():
-    # a 2D P1 mesh of 12.5 blocks; beyond its output rows and the bincount
-    # output (for a matrix, also the gather of its transpose) a form holds
-    # at most a few blocks' temporaries at once, not one per cell
+    # a 2D P1 mesh of 12.5 blocks; beyond its output rows (for a matrix,
+    # the upper triangle of each element matrix) and the bincount output
+    # (for a matrix, also its gather into full storage) a form holds at
+    # most a few blocks' temporaries at once, not one per cell
     block = assembly_mod.CELL_BLOCK
     n = int(np.ceil(np.sqrt(12.5 * block / 2)))
     space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (n, n)), 1)
@@ -633,7 +649,7 @@ def test_field_forms_allocate_only_their_output_and_a_few_blocks():
          nc * nb + space.n_dofs),
         (lambda: assemble_field_weighted_mass(
             space, u, lambda t: f_eval(nl, t**2)),
-         nc * nb * nb + 2 * space.pattern().nnz),
+         nc * nb * (nb + 1) // 2 + 2 * space.pattern().nnz),
     ]
     for form, output in cases:
         form()  # the geometry, pattern and tables are cached before tracing
@@ -644,3 +660,28 @@ def test_field_forms_allocate_only_their_output_and_a_few_blocks():
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (output + 4 * block * nq)
+
+
+def test_a_level_retains_a_fixed_budget_per_element_entry():
+    # what one 2D P1 level keeps resident, in bytes per element entry
+    # (cells x nb^2): `slot` (intp, one per upper entry) 5.3, the int32
+    # maps and patterns 6.6, the mass, linear and H1 data 9.5 and |det J|
+    # 0.9, 23.3 in all. Caching the vertex coordinates again would add
+    # 5.3, J^-1 3.6.
+    potential = parse("x1^2 + 2*x2^2", 2)
+    nl = Nonlinearity(zeta=1.0)
+    # a small level first, so that no first-use allocation is traced
+    Operators(FemSpace(build_initial_mesh(BoxDomain.unit(2), (4, 4)), 1), nl,
+              potential)
+    mesh = build_initial_mesh(BoxDomain.unit(2), (64, 64))
+    tracemalloc.start()
+    try:
+        ops = Operators(FemSpace(mesh, 1), nl, potential)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 24 * mesh.n_cells * ops.space.elem.n_basis**2
+    pattern = ops.space.pattern()
+    assert pattern.mirror.dtype == np.int32
+    assert pattern.interior_gather.dtype == np.int32
+    assert pattern.slot.dtype == np.intp

@@ -1,0 +1,56 @@
+import importlib
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture
+def bench_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
+    return importlib.import_module("bench_record")
+
+
+def _record(*metrics):
+    return {"runs": [{"seed": seed, "metrics": m}
+                     for seed, m in enumerate(metrics, start=1)]}
+
+
+def test_pair_summary_gives_each_pairs_ratio_and_the_pairs_improved(
+        bench_record):
+    parent = _record({"peak_rss_mb": 450.0, "setup_s": 1.0, "schur": 2.0},
+                     {"peak_rss_mb": 460.0, "setup_s": 1.0, "schur": 2.0},
+                     {"peak_rss_mb": 400.0, "setup_s": 2.0, "schur": 4.0})
+    change = _record({"peak_rss_mb": 360.0, "setup_s": 1.1, "schur": 3.0},
+                     {"peak_rss_mb": 368.0, "setup_s": 0.5, "schur": 2.0},
+                     {"peak_rss_mb": 400.0, "setup_s": 1.0, "schur": 2.0})
+    better = {"peak_rss_mb": "lower", "setup_s": "lower", "schur": "higher",
+              "absent_s": "lower"}
+    assert bench_record.pair_summary(parent, change, better) == [
+        "peak_rss_mb: change/parent 0.800 0.800 1.000; better in 2 of 3 "
+        "pairs",
+        "setup_s: change/parent 1.100 0.500 0.500; better in 2 of 3 pairs",
+        "schur: change/parent 1.500 1.000 0.500; better in 1 of 3 pairs",
+    ]
+
+
+def test_paired_runs_alternate_which_tree_goes_first(bench_record,
+                                                      monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        calls.append((tree, seed))
+        return {"tree": tree, "seed": seed}
+
+    monkeypatch.setattr(bench_record, "run_seed", fake_run)
+    parent_runs, change_runs = bench_record.paired_runs(
+        "parent", "change", "p1_2d_mgcg", [5, 6, 7], 10.0, 0)
+    assert calls == [("parent", 5), ("change", 5), ("change", 6),
+                     ("parent", 6), ("parent", 7), ("change", 7)]
+    assert [r["seed"] for r in parent_runs] == [5, 6, 7]
+    assert {r["tree"] for r in change_runs} == {"change"}
+
+
+def test_metric_directions_read_the_benchmark_declaration(bench_record):
+    better = bench_record.metric_directions(Path(__file__).parents[1])
+    assert better["peak_rss_mb"] == "lower"
+    assert better["linsolve.method_mg_cg"] == "higher"

@@ -416,6 +416,7 @@ def test_arpack_failure_is_solver_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     code, err = _one_line_exit(tmp_path, capsys, GPE_1D)
     assert code == 3 and "ARPACK" in err
+    assert err.startswith("error: level 1: ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -503,6 +504,29 @@ def test_sign_changing_coarse_state_is_nonconvergence(tmp_path, capsys,
     monkeypatch.setattr(eigsolve_mod, "smallest_eigpair", second_eigpair)
     code, err = _one_line_exit(tmp_path, capsys, GPE_1D)
     assert code == 3 and "sign-changing" in err
+    assert err.startswith("error: level 1: ")
+
+
+def test_linear_solver_failure_names_the_level(tmp_path, capsys):
+    # one PCG iteration cannot reach solver.rel_tol on level 2's step
+    cfg = GPE_1D + "solver.method = mg_cg\nsolver.max_iter = 1\n"
+    code, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert code == 3 and "failed to converge in 1 iterations" in err
+    assert err.startswith("error: level 2: ")
+
+
+def test_nonpositive_vcycle_diagonal_names_both_levels(tmp_path, capsys):
+    # example 2 at zeta = 1e3 from theta = 1: on level 3 (3,375 interior
+    # dofs, so mg_cg) the Galerkin coarse matrix of the Newton V-cycle
+    # (343 interior dofs) has nonpositive diagonal entries
+    text = (CONFIG_DIR / "example2.cfg").read_text()
+    text = text.replace("problem.zeta = 100.0", "problem.zeta = 1000")
+    text = text.replace("mixing.theta_init = 0.5", "mixing.theta_init = 1.0")
+    code, err = _one_line_exit(tmp_path, capsys, text)
+    assert code == 3
+    assert err.startswith("error: level 3: V-cycle level 2 (1 is the "
+                          "coarsest), 343 interior dofs: ")
+    assert "nonpositive diagonal entry" in err
 
 
 @pytest.mark.parametrize("flags", [[], ["--mixing"]], ids=["newton", "mixing"])

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from gpmg.errors import ConfigurationError, UsageError
-from gpmg.nonlinearity import (
-    F_eval,
-    Nonlinearity,
-    check_assumptions,
-    f_eval,
-    fprime_eval,
-)
+from gpmg.nonlinearity import Nonlinearity, f_eval, fprime_eval
+from field_oracle import F_eval
 
 
 def test_power_law_values():
@@ -50,17 +45,3 @@ def test_validation():
     with pytest.raises(UsageError):
         f_eval(nl, np.array([-0.1]))
 
-
-def test_check_assumptions_passes_for_cubic():
-    nl = Nonlinearity(zeta=1.0)
-    report = check_assumptions(nl, np.linspace(1e-4, 10.0, 50))
-    assert report.all_passed
-    assert "[ok]" in str(report)
-    assert "FLAG" not in str(report)
-
-
-def test_check_assumptions_reports_failures():
-    # sigma = 2 violates the subquadratic-growth hypothesis
-    nl = Nonlinearity(zeta=1.0, sigma=2.0)
-    report = check_assumptions(nl, np.linspace(1e-4, 10.0, 50))
-    assert not report.all_passed

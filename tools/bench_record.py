@@ -2,6 +2,7 @@
 
 usage: python3 tools/bench_record.py --workload NAME --seeds S [S ...]
                                      --seconds T --trace 0|1 [--root DIR]
+                                     [--parent DIR]
 
 Runs `python3 perfbench/run.py` once per seed in the source tree ROOT
 (default: the current directory), reads each run's last JSON line and its
@@ -9,8 +10,14 @@ Runs `python3 perfbench/run.py` once per seed in the source tree ROOT
 record to `BENCH_<workload>_<YYYYMMDD>.json` in the current directory: the
 machine and library environment with ROOT's git sha, whether ROOT had
 uncommitted changes, every run's metric medians, and the median of those
-over the seeds. Records accumulate, so running the parent commit's tree
-and then the change's writes a before/after pair into one file.
+over the seeds. Records accumulate.
+
+With --parent DIR, each seed is run in the parent tree DIR and in ROOT
+back to back, the parent first on the 1st, 3rd, ... seed and ROOT first on
+the others, so host drift hits both sides of a pair alike. Both records
+are appended, the parent's first, and for each metric that ROOT's
+BENCHMARK.json lists, the ROOT/parent ratio of every pair is printed with
+the number of pairs in which ROOT is better.
 """
 
 import argparse
@@ -60,8 +67,8 @@ def run_seed(root, workload, seed, seconds, trace):
     }
 
 
-def record(root, workload, seeds, seconds, trace):
-    runs = [run_seed(root, workload, s, seconds, trace) for s in seeds]
+def record(root, workload, seeds, seconds, trace, runs):
+    """The BENCH record of runs, one per seed, made in the tree root."""
     names = [n for n in runs[0]["metrics"]
              if all(n in r["metrics"] for r in runs)]
     return {
@@ -83,6 +90,46 @@ def record(root, workload, seeds, seconds, trace):
     }
 
 
+def paired_runs(parent, root, workload, seeds, seconds, trace):
+    """(parent runs, root runs), one pair per seed, the order of each
+    pair alternating from parent first."""
+    runs = {parent: [], root: []}
+    for i, seed in enumerate(seeds):
+        for tree in ((parent, root) if i % 2 == 0 else (root, parent)):
+            runs[tree].append(run_seed(tree, workload, seed, seconds, trace))
+    return runs[parent], runs[root]
+
+
+def metric_directions(root):
+    """{metric: "lower" | "higher"} from root's BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    return {m["name"]: m["better"]
+            for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+
+
+def pair_summary(parent_rec, change_rec, better):
+    """One line per metric in `better` that both records hold: the
+    change/parent ratio of each seed's pair and how many pairs improved."""
+    lines = []
+    pairs = list(zip(parent_rec["runs"], change_rec["runs"]))
+    for name, direction in better.items():
+        values = [(p["metrics"][name], c["metrics"][name]) for p, c in pairs
+                  if name in p["metrics"] and name in c["metrics"]]
+        if not values:
+            continue
+        ratios = " ".join(f"{c / p:.3f}" if p else "n/a" for p, c in values)
+        improved = sum((c < p) if direction == "lower" else (c > p)
+                       for p, c in values)
+        lines.append(f"{name}: change/parent {ratios}; better in "
+                     f"{improved} of {len(values)} pairs")
+    return lines
+
+
+def _has_perfbench(root):
+    return os.path.isfile(os.path.join(root, "perfbench", "run.py"))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
@@ -91,31 +138,47 @@ def main(argv=None):
     p.add_argument("--trace", type=int, choices=(0, 1), required=True)
     p.add_argument("--root", default=".",
                    help="source tree to benchmark (default: current dir)")
+    p.add_argument("--parent", default=None,
+                   help="parent source tree to run in pairs with ROOT")
     args = p.parse_args(argv)
 
-    root = os.path.abspath(args.root)
-    if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
-        print(f"error: {root} holds no perfbench/run.py", file=sys.stderr)
-        return 2
+    trees = [os.path.abspath(args.root)]
+    if args.parent is not None:
+        trees.insert(0, os.path.abspath(args.parent))
+    for tree in trees:
+        if not _has_perfbench(tree):
+            print(f"error: {tree} holds no perfbench/run.py", file=sys.stderr)
+            return 2
+    spec = (args.workload, args.seeds, args.seconds, args.trace)
     try:
-        rec = record(root, args.workload, args.seeds, args.seconds,
-                     args.trace)
+        if args.parent is None:
+            runs = [[run_seed(trees[0], args.workload, s, args.seconds,
+                              args.trace) for s in args.seeds]]
+        else:
+            runs = paired_runs(*trees, *spec)
+            better = metric_directions(trees[1])
     except (RuntimeError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    recs = [record(tree, *spec, tree_runs)
+            for tree, tree_runs in zip(trees, runs)]
     out = f"BENCH_{args.workload}_{time.strftime('%Y%m%d', time.gmtime())}.json"
     data = {"workload": args.workload, "records": []}
     if os.path.exists(out):
         with open(out, encoding="utf-8") as fh:
             data = json.load(fh)
-    data["records"].append(rec)
+    data["records"].extend(recs)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, m in rec["medians"].items():
-        print(f"{name} = {m['value']!r} {m['unit']}")
-    print(f"# {rec['env']['git_sha'][:12]} appended to {out}")
-    return 0 if all(r["correct"] for r in rec["runs"]) else 1
+    for rec in recs:
+        for name, m in rec["medians"].items():
+            print(f"{name} = {m['value']!r} {m['unit']}")
+        print(f"# {rec['env']['git_sha'][:12]} appended to {out}")
+    if args.parent is not None:
+        for line in pair_summary(*recs, better):
+            print(line)
+    return 0 if all(r["correct"] for rec in recs for r in rec["runs"]) else 1
 
 
 if __name__ == "__main__":
