@@ -126,10 +126,6 @@ def pair_summary(parent_rec, change_rec, better):
     return lines
 
 
-def _has_perfbench(root):
-    return os.path.isfile(os.path.join(root, "perfbench", "run.py"))
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
@@ -146,7 +142,7 @@ def main(argv=None):
     if args.parent is not None:
         trees.insert(0, os.path.abspath(args.parent))
     for tree in trees:
-        if not _has_perfbench(tree):
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             print(f"error: {tree} holds no perfbench/run.py", file=sys.stderr)
             return 2
     spec = (args.workload, args.seeds, args.seconds, args.trace)
@@ -155,8 +151,8 @@ def main(argv=None):
             runs = [[run_seed(trees[0], args.workload, s, args.seconds,
                               args.trace) for s in args.seeds]]
         else:
-            runs = paired_runs(*trees, *spec)
             better = metric_directions(trees[1])
+            runs = paired_runs(*trees, *spec)
     except (RuntimeError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
