@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from . import expr as expr_mod
 from .elements import quadrature, reference_element, shape_gradients, shape_values
 from .errors import ConfigurationError, UsageError
-from .linsolve import SolverConfig, SpdSolver, VCycleHierarchy
+from .linsolve import SolverConfig, SpdSolver, VCycleHierarchy, as_float32
 from .nonlinearity import f_eval
 
 __all__ = [
@@ -92,6 +92,7 @@ class FemSpace:
         self._quad_cache = {}
         self._prolongation_from = {}
         self._interior_prolongation_from = {}
+        self._interior_prolongation32_from = {}
 
     @property
     def dim(self):
@@ -442,13 +443,25 @@ def prolongation_matrix(coarse, fine):
 
 def _interior_prolongation(coarse_space, fine_space):
     """The prolongation between the interior dofs, cached on the fine space
-    like the full one, so every V-cycle over the pair shares one matrix."""
+    like the full one: the P of every Galerkin product P' K P."""
     key = id(coarse_space)
     cache = fine_space._interior_prolongation_from
     if key not in cache:
         p = prolongation_matrix(coarse_space, fine_space)
         cache[key] = p[fine_space.interior_dofs][
             :, coarse_space.interior_dofs].tocsr()
+    return cache[key]
+
+
+def _interior_prolongation32(coarse_space, fine_space):
+    """The interior prolongation as float32 data on its index arrays,
+    cached beside it, so every V-cycle over the pair (the Riesz one and
+    each Newton step's) shares one matrix."""
+    key = id(coarse_space)
+    cache = fine_space._interior_prolongation32_from
+    if key not in cache:
+        cache[key] = as_float32(_interior_prolongation(coarse_space,
+                                                       fine_space))
     return cache[key]
 
 
@@ -515,7 +528,8 @@ class Operators:
                 vcycle = VCycleHierarchy([h1], [])
             else:
                 vcycle = self.coarser._riesz_solver().vcycle.refined(
-                    h1, _interior_prolongation(self.coarser.space, self.space)
+                    h1, _interior_prolongation32(self.coarser.space,
+                                                 self.space)
                 )
             self._riesz = SpdSolver(
                 h1, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL), vcycle
@@ -526,15 +540,19 @@ class Operators:
         """H1 norm of the Riesz representative of an interior functional f:
         sqrt(f.z) with z = A^-1 f, A the interior H1 matrix.
 
-        z is solved by PCG to RIESZ_TOL. CG from zero is a Galerkin
-        projection, so its iterate z_k has f.z_k = ||z_k||_A^2 and an error
-        e_k that is A-orthogonal to z_k; hence f.z_k = f.z - ||e_k||_A^2.
-        The computed norm is low by about half the square of the relative
-        energy-norm error ||e_k||_A / ||z||_A, and never high. At 1e-6
-        (CG stops at a relative residual of 1e-7) PCG takes 6-8 iterations
-        and the norm matched an LU to 7e-14 relative or better on every
-        call of the 2D P1 and 3D P2 benchmark runs: far below the gaps the
-        mixing test decides between."""
+        z is solved by PCG to RIESZ_TOL. CG from zero with a symmetric
+        preconditioner is a Galerkin projection, so its iterate z_k has
+        f.z_k = ||z_k||_A^2 and an error e_k that is A-orthogonal to z_k;
+        hence f.z_k = f.z - ||e_k||_A^2, low by about half the square of
+        the relative energy-norm error ||e_k||_A / ||z||_A. The V-cycle
+        runs in float32, so it is symmetric only to float32 rounding, and
+        the norm can also be high by round-off. At 1e-6 (CG stops at a
+        relative residual of 1e-7) PCG takes 6-8 iterations. On every call
+        of the seed-0 runs of `p1_2d_mgcg`, `ex2_mixing` and `ex1_newton`
+        the norm matched an LU solve with one refinement step to 1.1e-13,
+        5.1e-14 and 1.1e-14 relative (3e-15 with a float64 V-cycle), and
+        was high by at most 8.6e-14: far below the gaps the mixing test
+        decides between."""
         r = functional[self.space.interior_dofs]
         z = self._riesz_solver().solve(r)
         return float(np.sqrt(max(z @ r, 0.0)))

@@ -6,6 +6,12 @@ sparse direct factorization or by CG preconditioned with a geometric
 V-cycle whose smoother is a Chebyshev polynomial in D^-1 K (D the diagonal
 of K), so smoothing costs matvecs only.
 
+PCG, its backward-error check and the bordered solve run in float64. The
+V-cycle only has to approximate K^-1, so its smoothed levels run in
+float32 (matrices, prolongations, D^-1 and vectors), which halves the
+bytes each memory-bound matvec moves per nonzero value; the coarsest
+level is a float64 LU.
+
 Every factorization is made once and solved against many times: each
 sparse LU goes through `factor_symmetric`. A V-cycle factors only its
 coarsest level; a finer level's smoother (inverse diagonal and Chebyshev
@@ -27,6 +33,7 @@ __all__ = [
     "BorderedSolution",
     "VCycleHierarchy",
     "SpdSolver",
+    "as_float32",
     "factor_symmetric",
     "solve_bordered",
 ]
@@ -71,6 +78,23 @@ CHEBYSHEV_HI_FACTOR = 1.1
 CHEBYSHEV_LO_RATIO = 10.0
 
 
+def as_float32(a):
+    """The sparse matrix a as float32 CSR on a's own index arrays: only
+    the data is copied, and nothing if a is float32 CSR already."""
+    a = a.tocsr()
+    if a.dtype == np.float32:
+        return a
+    return sp.csr_matrix((a.data.astype(np.float32), a.indices, a.indptr),
+                         shape=a.shape)
+
+
+def _residual(k, b, x):
+    """b - K x, in the fresh vector the matvec makes."""
+    r = k @ x
+    np.subtract(b, r, out=r)
+    return r
+
+
 @dataclass(frozen=True)
 class ChebyshevSmoother:
     """Chebyshev iteration on K x = b preconditioned by D^-1, over the
@@ -87,7 +111,9 @@ class ChebyshevSmoother:
     @classmethod
     def for_matrix(cls, k):
         """Smoother for K: hi from a fixed-seed power estimate of
-        lambda_max(D^-1 K), lo = hi / CHEBYSHEV_LO_RATIO."""
+        lambda_max(D^-1 K), lo = hi / CHEBYSHEV_LO_RATIO. The diagonal
+        check and the estimate run on K as given; D^-1 is then rounded to
+        float32, the precision of the V-cycle it smooths in."""
         diag = k.diagonal()
         if not np.all(diag > 0.0):
             raise CoercivityError(
@@ -102,21 +128,31 @@ class ChebyshevSmoother:
         # Rayleigh quotient of the pencil (K, D): never above lambda_max
         estimate = float(v @ (k @ v)) / float(v @ (diag * v))
         hi = CHEBYSHEV_HI_FACTOR * estimate
-        return cls(dinv, hi / CHEBYSHEV_LO_RATIO, hi)
+        return cls(dinv.astype(np.float32), hi / CHEBYSHEV_LO_RATIO, hi)
 
     def smooth(self, k, b, degree, x=None):
-        """x (zero if None) after `degree` Chebyshev steps: `degree`
-        matvecs with K, one fewer from zero."""
+        """x (zero if None, else updated in place) after `degree` Chebyshev
+        steps: `degree` matvecs with K, one fewer from zero. Each matvec
+        makes the one fresh vector of its step; the rest works in place."""
         theta, delta = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
         sigma = theta / delta
-        r = b if x is None else b - k @ x
-        d = (self.dinv * r) / theta
-        x = d.copy() if x is None else x + d
+        if x is None:
+            d = self.dinv * b
+            d /= theta
+            x = d.copy()
+        else:
+            d = _residual(k, b, x)
+            d *= self.dinv
+            d /= theta
+            x += d
         rho = 1.0 / sigma
         for _ in range(degree - 1):
             rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (
-                self.dinv * (b - k @ x))
+            r = _residual(k, b, x)
+            r *= self.dinv
+            r *= 2.0 * rho_next / delta
+            d *= rho_next * rho
+            d += r
             x += d
             rho = rho_next
         return x
@@ -167,8 +203,16 @@ class VCycleHierarchy:
     correction and of degree post_smooth after it (each >= 1), one matvec
     per degree, except that pre-smoothing starts from zero and saves one.
     Both apply the same interval, so with pre_smooth == post_smooth the
-    V-cycle is symmetric and can precondition CG. The coarsest level is
-    factored by `factor_symmetric`.
+    V-cycle is symmetric up to float32 rounding and can precondition CG.
+
+    The smoothed levels run in float32: each one's matrix and the
+    prolongation into it are kept as float32 data on the given index
+    arrays (`as_float32`, which keeps a float32 prolongation as it is, so
+    hierarchies can share one), and so are D^-1 and the cycle's vectors.
+    The matrices are given in float64 and rounded once, after the
+    smoother's set-up. The coarsest level is factored in float64 by
+    `factor_symmetric`. `apply` takes and returns float64, and a one-level
+    hierarchy is the exact float64 LU solve.
     """
 
     def __init__(self, mats, prolongs, pre_smooth=2, post_smooth=2):
@@ -184,17 +228,17 @@ class VCycleHierarchy:
             self._push(m, p)
 
     def _push(self, mat, prolong):
-        mat = mat.tocsr()
-        self.mats.append(mat)
-        prolong = prolong.tocsr()
-        self.prolongs.append(prolong)
-        self.restricts.append(prolong.T)  # a view: no copy of the data
         try:
-            self.smoothers.append(ChebyshevSmoother.for_matrix(mat))
+            smoother = ChebyshevSmoother.for_matrix(mat)
         except CoercivityError as err:
             raise CoercivityError(
-                f"V-cycle level {len(self.mats)} (1 is the coarsest), "
+                f"V-cycle level {len(self.mats) + 1} (1 is the coarsest), "
                 f"{mat.shape[0]} interior dofs: {err}") from err
+        self.smoothers.append(smoother)
+        self.mats.append(as_float32(mat))
+        prolong = as_float32(prolong)
+        self.prolongs.append(prolong)
+        self.restricts.append(prolong.T)  # a view: no copy of the data
 
     def refined(self, mat, prolong):
         """This hierarchy with one finer level K on top, prolong mapping
@@ -207,16 +251,21 @@ class VCycleHierarchy:
         return other
 
     def apply(self, b):
-        """One V-cycle on the finest level from zero initial guess."""
-        return self._cycle(len(self.mats) - 1, np.asarray(b, dtype=float))
+        """One V-cycle on the finest level from zero initial guess, float64
+        in and out; on one level, the coarsest LU solve."""
+        b = np.asarray(b, dtype=float)
+        if len(self.mats) == 1:
+            return self.coarse_lu.solve(b)
+        return self._cycle(len(self.mats) - 1,
+                           b.astype(np.float32)).astype(float)
 
     def _cycle(self, lvl, b):
         if lvl == 0:
-            return self.coarse_lu.solve(b)
+            return self.coarse_lu.solve(b.astype(float)).astype(np.float32)
         k, smoother = self.mats[lvl], self.smoothers[lvl - 1]
         x = smoother.smooth(k, b, self.pre_smooth)
         x += self.prolongs[lvl - 1] @ self._cycle(
-            lvl - 1, self.restricts[lvl - 1] @ (b - k @ x))
+            lvl - 1, self.restricts[lvl - 1] @ _residual(k, b, x))
         return smoother.smooth(k, b, self.post_smooth, x)
 
 
@@ -245,9 +294,12 @@ class SpdSolver:
 
     @property
     def knorm(self):
-        """||K||_inf, computed once."""
+        """||K||_inf, computed once; |K| is built on K's own index arrays."""
         if self._knorm is None:
-            self._knorm = float(abs(self.k).sum(axis=1).max())
+            k = self.k
+            absk = sp.csr_matrix((np.abs(k.data), k.indices, k.indptr),
+                                 shape=k.shape)
+            self._knorm = float(absk.sum(axis=1).max())
         return self._knorm
 
     def _backward_error(self, x, b):

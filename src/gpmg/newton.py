@@ -22,6 +22,7 @@ from .assembly import (
     FemSpace,
     Operators,
     _interior_prolongation,
+    _interior_prolongation32,
     assemble_field_load,
     assemble_field_weighted_mass,
     prolongation_matrix,
@@ -103,15 +104,18 @@ def resi(ctx, x):
 
 
 def _newton_matrix(ctx, lam0, u0_full):
-    """The Newton matrix at (lam0, u0_full) on the space's whole pattern."""
-    data = ctx.linear_part.data - lam0 * ctx.mass.data
-    if ctx.nl.zeta != 0:
+    """The Newton matrix at (lam0, u0_full) on the space's whole pattern.
+    The linear part is added into the field mass's fresh data array, so
+    the sum needs no array of its own."""
+    if ctx.nl.zeta == 0:
+        data = ctx.linear_part.data - lam0 * ctx.mass.data
+    else:
         def weight(t):
             t2 = t**2
             return f_eval(ctx.nl, t2) + 2.0 * fprime_eval(ctx.nl, t2) * t2
 
-        data = data + assemble_field_weighted_mass(
-            ctx.space, u0_full, weight).data
+        data = assemble_field_weighted_mass(ctx.space, u0_full, weight).data
+        data += ctx.linear_part.data - lam0 * ctx.mass.data
     return ctx.space.pattern().matrix(data)
 
 
@@ -138,14 +142,16 @@ def assemble_newton_system(ctx, x0):
 def _build_vcycle(levels, k, cfg):
     """V-cycle for k, the step's interior Newton matrix on levels[-1]. Each
     coarser level's matrix is the Galerkin product P' K P of the next finer
-    one, P the cached interior prolongation between the two."""
-    prolongs = [_interior_prolongation(coarse.space, fine.space)
-                for coarse, fine in zip(levels, levels[1:])]
+    one, formed in float64 from the cached interior prolongation P between
+    the two; the hierarchy runs on that P's cached float32 copy."""
+    pairs = list(zip(levels, levels[1:]))
     mats = [k]
-    for p in reversed(prolongs):
+    for coarse, fine in reversed(pairs):
+        p = _interior_prolongation(coarse.space, fine.space)
         mats.insert(0, (p.T @ (mats[0] @ p)).tocsr())
     return VCycleHierarchy(
-        mats, prolongs, pre_smooth=cfg.pre_smooth, post_smooth=cfg.post_smooth
+        mats, [_interior_prolongation32(c.space, f.space) for c, f in pairs],
+        pre_smooth=cfg.pre_smooth, post_smooth=cfg.post_smooth
     )
 
 
@@ -164,7 +170,12 @@ def newton_step(levels, x0, cfg=None):
     method = cfg.resolved_method(system.k.shape[0], ctx.space.mesh.dim,
                                  ctx.space.degree)
     if len(levels) > 1 and method == "mg_cg":
-        vcycle = _build_vcycle(levels, system.k, cfg)
+        try:
+            vcycle = _build_vcycle(levels, system.k, cfg)
+        except CoercivityError as err:
+            raise CoercivityError(
+                f"{err}; Newton matrix at lambda0 = {x0.lam:.6e}, "
+                f"zeta = {ctx.nl.zeta:g}") from err
     sol = solve_bordered(system, cfg, vcycle=vcycle)
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u

@@ -515,18 +515,44 @@ def test_linear_solver_failure_names_the_level(tmp_path, capsys):
     assert err.startswith("error: level 2: ")
 
 
-def test_nonpositive_vcycle_diagonal_names_both_levels(tmp_path, capsys):
-    # example 2 at zeta = 1e3 from theta = 1: on level 3 (3,375 interior
-    # dofs, so mg_cg) the Galerkin coarse matrix of the Newton V-cycle
-    # (343 interior dofs) has nonpositive diagonal entries
+def example2_at_zeta_1000():
+    """example2.cfg (n0 = 2, 3 levels, mixing) at zeta = 1e3 from theta = 1:
+    on level 3 (3,375 interior dofs, so mg_cg) the Galerkin coarse matrix
+    of the Newton V-cycle (343 interior dofs) has nonpositive diagonal
+    entries."""
     text = (CONFIG_DIR / "example2.cfg").read_text()
     text = text.replace("problem.zeta = 100.0", "problem.zeta = 1000")
-    text = text.replace("mixing.theta_init = 0.5", "mixing.theta_init = 1.0")
-    code, err = _one_line_exit(tmp_path, capsys, text)
+    return text.replace("mixing.theta_init = 0.5", "mixing.theta_init = 1.0")
+
+
+def test_nonpositive_vcycle_diagonal_names_both_levels(tmp_path, capsys):
+    code, err = _one_line_exit(tmp_path, capsys, example2_at_zeta_1000())
     assert code == 3
     assert err.startswith("error: level 3: V-cycle level 2 (1 is the "
                           "coarsest), 343 interior dofs: ")
     assert "nonpositive diagonal entry" in err
+
+
+def test_vcycle_coercivity_error_names_lambda0_and_zeta(tmp_path, capsys,
+                                                       monkeypatch):
+    # the one stderr line also names the linearization point lambda0 of
+    # the Newton matrix whose V-cycle failed, and zeta
+    starts = []
+    assemble = newton_mod.assemble_newton_system
+
+    def recording(ctx, x0):
+        starts.append(x0.lam)
+        return assemble(ctx, x0)
+
+    monkeypatch.setattr(newton_mod, "assemble_newton_system", recording)
+    code, err = _one_line_exit(tmp_path, capsys, example2_at_zeta_1000())
+    assert code == 3
+    assert err.startswith("error: level 3: V-cycle level 2 (1 is the "
+                          "coarsest), 343 interior dofs: ")
+    match = re.search(r"; Newton matrix at lambda0 = (\S+), zeta = 1000$",
+                      err.strip())
+    assert match is not None
+    assert float(match.group(1)) == pytest.approx(starts[-1], rel=1e-6)
 
 
 @pytest.mark.parametrize("flags", [[], ["--mixing"]], ids=["newton", "mixing"])

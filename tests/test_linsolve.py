@@ -7,7 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev, Polynomial
 
-from gpmg.assembly import FemSpace, Operators, assemble_mass, assemble_stiffness
+from gpmg.assembly import (
+    RIESZ_TOL,
+    FemSpace,
+    Operators,
+    _interior_prolongation,
+    assemble_mass,
+    assemble_stiffness,
+)
 from gpmg.eigsolve import scf_solve
 from gpmg.errors import CoercivityError, ConfigurationError, SolverError
 from gpmg.expr import parse
@@ -216,10 +223,23 @@ def test_backward_error_contract_near_singular():
     assert res <= 1e-10 * (knorm * np.linalg.norm(x) + np.linalg.norm(b))
 
 
+# float32 unit roundoff, the precision of a V-cycle's smoothed levels
+U32 = 2.0**-24
+# What a correct V-cycle may differ by from the same cycle in exact
+# arithmetic on its float32-rounded operators (relative to the result), or
+# from its own transpose (relative to its largest entry): a worst case of
+# one U32 per float32 rounding, summed linearly over the about 10^2
+# roundings an entry passes through in one cycle of the hierarchies below
+# (4 levels x 2 smoothings x 3 steps x ~5 operations), rounded up to 2^7.
+VCYCLE_ROUNDING = 2**7 * U32
+
+
 def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
     """Interior Newton matrices of a 2D P1 problem (zeta = 1; other
     dimensions and degrees on request) at an iterate one Newton step into
-    level 2, prolongated to the finest level."""
+    level 2, prolongated to the finest level, with the float64 interior
+    prolongations: the finest matrix and the float64 Galerkin products
+    P' K P below it, the operators `_build_vcycle` hands its hierarchy."""
     hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
     potential = " + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim))
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
@@ -228,9 +248,28 @@ def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
     x = newton_step(ctxs[:2], x)
     for coarse, fine in zip(ctxs[1:], ctxs[2:]):
         x = _prolong_iterate(x, coarse.space, fine.space)
-    k = assemble_newton_system(ctxs[-1], x).k
-    vc = _build_vcycle(ctxs, k, SolverConfig())
-    return vc.mats, vc.prolongs
+    prolongs = [_interior_prolongation(coarse.space, fine.space)
+                for coarse, fine in zip(ctxs, ctxs[1:])]
+    mats = [assemble_newton_system(ctxs[-1], x).k]
+    for p in reversed(prolongs):
+        mats.insert(0, (p.T @ (mats[0] @ p)).tocsr())
+    return mats, prolongs
+
+
+def h1_hierarchy(dim, degree, n0, levels):
+    """Interior H1 matrices of each level and the float64 interior
+    prolongations: the operators of the finest level's Riesz V-cycle."""
+    hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0))
+    mats = [ops.space.pattern().interior(ops.h1_mat) for ops in ctxs]
+    prolongs = [_interior_prolongation(coarse.space, fine.space)
+                for coarse, fine in zip(ctxs, ctxs[1:])]
+    return mats, prolongs
+
+
+def rounded(mat):
+    """mat's float32 rounding, back in float64."""
+    return mat.astype(np.float32).astype(float)
 
 
 def chebyshev_step_polynomial(lo, hi, degree):
@@ -282,20 +321,27 @@ def vcycle_asymmetry(vc, rng):
 ], ids=["poisson", "newton"])
 def test_vcycle_matches_dense_chebyshev_reference(build, degree):
     # pre-smoothing skips the matvec with the zero start: an off-by-one in
-    # the number of steps shows at every degree
+    # the number of steps shows at every degree. The reference runs in
+    # float64 on the operators the float32 cycle holds: the smoothed
+    # levels' matrices and the prolongations rounded to float32, the
+    # coarsest matrix as given
     mats, prolongs = build()
     vc = VCycleHierarchy(mats, prolongs, pre_smooth=degree,
                          post_smooth=degree)
     intervals = [(s.lo, s.hi) for s in vc.smoothers]
     assert len(intervals) == len(mats) - 1
+    held = [mats[0], *map(rounded, mats[1:])]
     rng = np.random.default_rng(5)
     for _ in range(3):
         b = rng.standard_normal(mats[-1].shape[0])
-        ref = reference_vcycle(mats, prolongs, intervals, b, pre=degree,
-                               post=degree)
-        assert np.linalg.norm(vc.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref = reference_vcycle(held, list(map(rounded, prolongs)),
+                               intervals, b, pre=degree, post=degree)
+        got = vc.apply(b)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - ref) <= VCYCLE_ROUNDING * np.linalg.norm(
+            ref)
     # CG needs a symmetric preconditioner
-    assert vcycle_asymmetry(vc, rng) <= 1e-12
+    assert vcycle_asymmetry(vc, rng) <= VCYCLE_ROUNDING
 
 
 @pytest.mark.parametrize("dim,degree,n0,levels", [
@@ -305,14 +351,10 @@ def test_vcycle_matches_dense_chebyshev_reference(build, degree):
 def test_chebyshev_interval_covers_the_spectrum(dim, degree, n0, levels,
                                                 kind):
     # the smoother contracts in the K-norm only while lambda_max(D^-1 K)
-    # < hi + lo; the V-cycle is then an SPD preconditioner
-    if kind == "newton":
-        mats, prolongs = newton_hierarchy(dim, degree, n0, levels)
-    else:
-        hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
-        ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0))
-        vc = ctxs[-1]._riesz_solver().vcycle
-        mats, prolongs = vc.mats, vc.prolongs
+    # < hi + lo; the V-cycle is then an SPD preconditioner, symmetric up to
+    # its float32 rounding (pre = 2, post = 3 makes it ~1e-2 asymmetric)
+    build = newton_hierarchy if kind == "newton" else h1_hierarchy
+    mats, prolongs = build(dim, degree, n0, levels)
     vc = VCycleHierarchy(mats, prolongs)
     for k, smoother in zip(mats[1:], vc.smoothers):
         d = k.diagonal()
@@ -322,8 +364,65 @@ def test_chebyshev_interval_covers_the_spectrum(dim, degree, n0, levels,
         assert smoother.lo == smoother.hi / 10
     n = mats[-1].shape[0]
     b_mat = np.column_stack([vc.apply(e) for e in np.eye(n)])
-    assert np.abs(b_mat - b_mat.T).max() <= 1e-12 * np.abs(b_mat).max()
+    assert (np.abs(b_mat - b_mat.T).max()
+            <= VCYCLE_ROUNDING * np.abs(b_mat).max())
     assert sla.eigvalsh(0.5 * (b_mat + b_mat.T))[0] > 0.0
+
+
+def cg_iterations(k, b, rtol, apply):
+    """PCG iterations of scipy's cg on K x = b from zero, to rtol, with
+    the preconditioner apply."""
+    count = [0]
+
+    def _cb(_):
+        count[0] += 1
+
+    precond = spla.LinearOperator(k.shape, matvec=apply, dtype=float)
+    _, info = spla.cg(k, b, rtol=rtol, atol=0.0, M=precond, callback=_cb)
+    assert info == 0
+    return count[0]
+
+
+@pytest.mark.parametrize("dim,degree,n0,levels", [
+    (2, 1, 4, 4), (3, 2, 1, 3),
+], ids=["2d_p1", "3d_p2"])
+@pytest.mark.parametrize("kind", ["riesz", "newton"])
+def test_float32_vcycle_takes_the_pcg_iterations_of_float64(dim, degree,
+                                                            n0, levels,
+                                                            kind):
+    # the cycle preconditions as well as the same cycle run in float64 (the
+    # dense reference on the float64 operators): SpdSolver's PCG, to the
+    # Riesz or the Newton tolerance, takes as many iterations with either
+    if kind == "newton":
+        mats, prolongs = newton_hierarchy(dim, degree, n0, levels)
+        cfg = SolverConfig(method="mg_cg")
+    else:
+        mats, prolongs = h1_hierarchy(dim, degree, n0, levels)
+        cfg = SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL)
+    vc = VCycleHierarchy(mats, prolongs)
+    intervals = [(s.lo, s.hi) for s in vc.smoothers]
+    k = mats[-1]
+    solver = SpdSolver(k, cfg, vc)
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        b = rng.standard_normal(k.shape[0])
+        solver.solve(b)
+        want = cg_iterations(k, b, cfg.rel_tol * 0.1, lambda r: (
+            reference_vcycle(mats, prolongs, intervals, r)))
+        assert solver.iteration_counts[-1] == want > 2
+
+
+def test_one_level_hierarchy_is_the_float64_lu():
+    # no level is smoothed, so nothing is rounded: the apply is the exact
+    # LU solve and PCG converges in one iteration
+    k = h1_interior(2, 1, 16)
+    vc = VCycleHierarchy([k], [])
+    b = np.random.default_rng(10).standard_normal(k.shape[0])
+    assert np.array_equal(vc.apply(b), factor_symmetric(k).solve(b))
+    solver = SpdSolver(k, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL), vc)
+    solver.solve(b)
+    solver.solve(k @ b)
+    assert solver.iteration_counts == [1, 1]
 
 
 def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
@@ -377,10 +476,12 @@ def test_vcycle_symmetry_check_catches_a_different_post_interval():
 
     mats, prolongs = poisson_hierarchy(levels=4)
     broken = VCycleHierarchy(mats, prolongs)
-    assert vcycle_asymmetry(broken, np.random.default_rng(6)) <= 1e-12
+    assert vcycle_asymmetry(broken, np.random.default_rng(6)) <= (
+        VCYCLE_ROUNDING)
     broken.smoothers = [PostInterval(s, replace(s, lo=s.hi / 30))
                         for s in broken.smoothers]
-    assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
+    assert vcycle_asymmetry(broken, np.random.default_rng(6)) > (
+        VCYCLE_ROUNDING)
 
 
 def test_vcycle_symmetry_check_catches_lower_post_sweeps():
@@ -398,7 +499,8 @@ def test_vcycle_symmetry_check_catches_lower_post_sweeps():
     mats, prolongs = poisson_hierarchy(levels=4)
     broken = VCycleHierarchy(mats, prolongs)
     broken.smoothers = [LowerSweeps() for _ in broken.smoothers]
-    assert vcycle_asymmetry(broken, np.random.default_rng(6)) > 1e-6
+    assert vcycle_asymmetry(broken, np.random.default_rng(6)) > (
+        VCYCLE_ROUNDING)
 
 
 @pytest.mark.parametrize("shift", [1.0, 1.5], ids=["zero", "negative"])
@@ -439,7 +541,9 @@ def test_vcycle_apply_factors_nothing(monkeypatch):
 def test_refined_hierarchies_share_the_restrictions():
     # each level's restriction is the view prolong.T, made once when the
     # level joins and shared by every refinement; the V-cycle equals the
-    # one that transposes on every visit, bit for bit
+    # one that transposes on every visit, bit for bit. The float32 level
+    # matrices and prolongations copy only the data of the float64 ones
+    # given, not their index arrays
     mats, prolongs = poisson_hierarchy(levels=4)
     coarse = VCycleHierarchy(mats[:-1], prolongs[:-1])
     fine = coarse.refined(mats[-1], prolongs[-1])
@@ -450,10 +554,19 @@ def test_refined_hierarchies_share_the_restrictions():
         assert all(r is shared for r in refined)
     for p, r in zip(fine.prolongs, fine.restricts):
         assert np.shares_memory(r.data, p.data)
+    assert fine.mats[0].dtype == np.float64
+    for held, given in [*zip(fine.mats[1:], mats[1:]),
+                        *zip(fine.prolongs, prolongs)]:
+        assert held.dtype == np.float32
+        assert np.array_equal(held.data, given.data.astype(np.float32))
+        assert np.shares_memory(held.indices, given.indices)
+        assert np.shares_memory(held.indptr, given.indptr)
+    for smoother in fine.smoothers:
+        assert smoother.dinv.dtype == np.float32
 
     def uncached(lvl, b):
         if lvl == 0:
-            return fine.coarse_lu.solve(b)
+            return fine.coarse_lu.solve(b.astype(float)).astype(np.float32)
         k, smoother = fine.mats[lvl], fine.smoothers[lvl - 1]
         x = smoother.smooth(k, b, fine.pre_smooth)
         p = fine.prolongs[lvl - 1]
@@ -461,7 +574,9 @@ def test_refined_hierarchies_share_the_restrictions():
         return smoother.smooth(k, b, fine.post_smooth, x)
 
     b = np.random.default_rng(7).standard_normal(mats[-1].shape[0])
-    assert np.array_equal(fine.apply(b), uncached(len(mats) - 1, b))
+    want = uncached(len(mats) - 1, b.astype(np.float32))
+    assert want.dtype == np.float32
+    assert np.array_equal(fine.apply(b), want.astype(float))
 
 
 def backward_error(a, x, b):

@@ -8,11 +8,16 @@ import scipy.sparse.linalg as spla
 
 import gpmg.newton as newton_mod
 
-from gpmg.assembly import FemSpace, Operators, prolongation_matrix
+from gpmg.assembly import (
+    FemSpace,
+    Operators,
+    _interior_prolongation,
+    prolongation_matrix,
+)
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import ConfigurationError, StagnationError, UsageError
 from gpmg.expr import parse
-from gpmg.linsolve import SolverConfig
+from gpmg.linsolve import SolverConfig, VCycleHierarchy
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
     FULL_STEP,
@@ -124,12 +129,18 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     assert [id(s) for s in assembled] == [id(ctxs[-1].space)]
     (system, vcycle), = solved
     assert len(vcycle.mats) == len(ctxs)
-    assert (vcycle.mats[-1] != system.k).nnz == 0
+    # the V-cycle holds the step's matrix rounded to float32, on its
+    # index arrays
+    top = vcycle.mats[-1]
+    assert np.array_equal(top.data, system.k.data.astype(np.float32))
+    assert np.shares_memory(top.indices, system.k.indices)
+    assert np.shares_memory(top.indptr, system.k.indptr)
 
 
 def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
-    # the interior prolongations are cached per space pair: two mg_cg
-    # steps' V-cycles and the H1 Riesz V-cycle hold the same objects
+    # the interior prolongations are cached per space pair, in float32 on
+    # the float64 one's index arrays: two mg_cg steps' V-cycles and the H1
+    # Riesz V-cycle hold the same objects
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
@@ -151,6 +162,12 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
     for first, second, h1 in zip(*(v.prolongs for v in vcycles),
                                  riesz.prolongs):
         assert first is second is h1
+    for coarse, fine, p in zip(ctxs, ctxs[1:], riesz.prolongs):
+        p64 = _interior_prolongation(coarse.space, fine.space)
+        assert p.dtype == np.float32
+        assert np.array_equal(p.data, p64.data.astype(np.float32))
+        assert np.shares_memory(p.indices, p64.indices)
+        assert np.shares_memory(p.indptr, p64.indptr)
 
 
 def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
@@ -197,10 +214,13 @@ def test_border_equation_exact_after_solve():
 
 @pytest.mark.parametrize("dim,degree,levels", [(2, 1, 4), (3, 2, 3)],
                          ids=["2d-p1", "3d-p2"])
-def test_newton_vcycle_coarse_matrices_are_galerkin_products(dim, degree,
+def test_newton_vcycle_coarse_matrices_are_galerkin_products(monkeypatch,
+                                                             dim, degree,
                                                              levels):
     # the top matrix is the step's own; each coarser one is P' K P of the
-    # next finer, bit for bit, on the coarse space's interior pattern
+    # next finer, formed in float64 bit for bit on the coarse space's
+    # interior pattern. The hierarchy is handed those float64 matrices and
+    # holds the smoothed ones rounded to float32 on the same index arrays
     hier = build_hierarchy(BoxDomain.unit(dim), (2,) * dim, levels)
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", dim))
@@ -209,17 +229,31 @@ def test_newton_vcycle_coarse_matrices_are_galerkin_products(dim, degree,
     u[space.interior_dofs] = np.random.default_rng(dim).random(
         space.interior_dofs.size)
     k = assemble_newton_system(ctxs[-1], IterateX(lam=3.0, u=u)).k
+    given = []
+
+    def recording(mats, prolongs, **kwargs):
+        given.extend(mats)
+        return VCycleHierarchy(mats, prolongs, **kwargs)
+
+    monkeypatch.setattr(newton_mod, "VCycleHierarchy", recording)
     vc = _build_vcycle(ctxs, k, SolverConfig())
-    assert len(vc.mats) == levels
-    assert (vc.mats[-1] != k).nnz == 0
+    assert len(given) == len(vc.mats) == levels
+    assert given[-1] is k
     for i, (coarse, fine) in enumerate(zip(ctxs, ctxs[1:])):
         p = prolongation_matrix(coarse.space, fine.space)[
             fine.space.interior_dofs][:, coarse.space.interior_dofs].tocsr()
-        got, want = vc.mats[i], p.T @ (vc.mats[i + 1] @ p)
+        got, want = given[i], p.T @ (given[i + 1] @ p)
+        assert got.dtype == np.float64
         assert got.shape == want.shape and (got != want).nnz == 0
         pattern = coarse.space.pattern()
         assert np.array_equal(got.indptr, pattern.interior_indptr)
         assert np.array_equal(got.indices, pattern.interior_indices)
+    # the coarsest level is the float64 matrix its LU factors
+    assert vc.mats[0] is given[0]
+    for held, mat in zip(vc.mats[1:], given[1:]):
+        assert np.array_equal(held.data, mat.data.astype(np.float32))
+        assert np.shares_memory(held.indices, mat.indices)
+        assert np.shares_memory(held.indptr, mat.indptr)
 
 
 def test_newton_requires_matching_space():
@@ -424,6 +458,41 @@ def test_mixing_decisions_same_under_pcg_and_lu_riesz_norm(monkeypatch):
     assert [r.theta for r in pcg_trace] == [r.theta for r in lu_trace]
     np.testing.assert_allclose([r.resi for r in pcg_trace],
                                [r.resi for r in lu_trace], rtol=1e-10)
+
+
+@pytest.mark.parametrize("dim,degree,n0,levels,zeta,potential,params", [
+    (2, 1, 4, 4, 1.0, "x1^2 + 2*x2^2", None),
+    (3, 2, 2, 3, 100.0, EX2_POTENTIAL, MixingParams(theta_init=0.5)),
+], ids=["2d-p1-newton", "3d-p2-mixing"])
+def test_riesz_norm_matches_an_lu_on_every_call(monkeypatch, dim, degree, n0,
+                                                levels, zeta, potential,
+                                                params):
+    # the float32 V-cycle only preconditions the float64 PCG: every Riesz
+    # norm a driver run evaluates is an LU's to 1e-12 relative
+    calls = []
+    riesz_norm = Operators.riesz_norm
+
+    def recording(ops, functional):
+        calls.append((ops, functional.copy(), riesz_norm(ops, functional)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(Operators, "riesz_norm", recording)
+    hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=zeta),
+                          potential=parse(potential, dim))
+    if params is None:
+        multigrid_newton(ctxs)
+    else:
+        multigrid_mixing(ctxs, params=params)
+    assert {id(ops) for ops, _, _ in calls} >= {id(ops) for ops in ctxs[1:]}
+    lus = {}
+    for ops, functional, got in calls:
+        ix = ops.space.interior_dofs
+        if id(ops.h1_mat) not in lus:
+            lus[id(ops.h1_mat)] = spla.splu(ops.h1_mat[ix][:, ix].tocsc())
+        r = functional[ix]
+        want = float(np.sqrt(lus[id(ops.h1_mat)].solve(r) @ r))
+        assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("mixing", [False, True], ids=["newton", "mixing"])
