@@ -25,6 +25,7 @@ from gpmg.newton import _newton_matrix, assemble_newton_system, build_contexts
 from gpmg.nonlinearity import Nonlinearity, f_eval, fprime_eval
 from gpmg.state import IterateX
 from field_oracle import F_eval, energy, evaluate_field
+from riesz_bounds import assert_riesz_norm_close
 
 
 def space_1d(n=8, degree=2):
@@ -193,7 +194,7 @@ def test_linked_riesz_norm_matches_dense_solve(dim, degree, n0, potential):
             r = np.zeros(ops.space.n_dofs)
             r[ix] = rng.standard_normal(ix.size)
             want = np.sqrt(r[ix] @ np.linalg.solve(h1, r[ix]))
-            assert np.isclose(ops.riesz_norm(r), want, rtol=1e-10, atol=0.0)
+            assert_riesz_norm_close(ops.riesz_norm(r), want)
 
 
 def test_riesz_solvers_factor_each_level_once(monkeypatch):

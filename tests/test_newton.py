@@ -37,6 +37,7 @@ from gpmg.newton import (
 )
 from gpmg.nonlinearity import Nonlinearity
 from gpmg.state import IterateX
+from riesz_bounds import assert_riesz_norm_close
 from scf_oracle import scf_oracle
 
 
@@ -454,10 +455,11 @@ def test_mixing_decisions_same_under_pcg_and_lu_riesz_norm(monkeypatch):
     # 2, level 2's start and one trial, and level 3's one trial: its start
     # is level 2's traced iterate, whose resi is reused
     assert len(pcg_norms) == len(lu_norms) == 20
-    np.testing.assert_allclose(pcg_norms, lu_norms, rtol=1e-10, atol=0.0)
+    assert_riesz_norm_close(pcg_norms, lu_norms)
     assert [r.theta for r in pcg_trace] == [r.theta for r in lu_trace]
-    np.testing.assert_allclose([r.resi for r in pcg_trace],
-                               [r.resi for r in lu_trace], rtol=1e-10)
+    # the iterates are the same, so each resi differs by its norm's error
+    assert_riesz_norm_close([r.resi for r in pcg_trace],
+                            [r.resi for r in lu_trace])
 
 
 @pytest.mark.parametrize("dim,degree,n0,levels,zeta,potential,params", [
@@ -467,8 +469,8 @@ def test_mixing_decisions_same_under_pcg_and_lu_riesz_norm(monkeypatch):
 def test_riesz_norm_matches_an_lu_on_every_call(monkeypatch, dim, degree, n0,
                                                 levels, zeta, potential,
                                                 params):
-    # the float32 V-cycle only preconditions the float64 PCG: every Riesz
-    # norm a driver run evaluates is an LU's to 1e-12 relative
+    # every Riesz norm a driver run evaluates is an LU's within the
+    # contract: low by the PCG's truncation, high by float32 round-off
     calls = []
     riesz_norm = Operators.riesz_norm
 
@@ -492,7 +494,20 @@ def test_riesz_norm_matches_an_lu_on_every_call(monkeypatch, dim, degree, n0,
             lus[id(ops.h1_mat)] = spla.splu(ops.h1_mat[ix][:, ix].tocsc())
         r = functional[ix]
         want = float(np.sqrt(lus[id(ops.h1_mat)].solve(r) @ r))
-        assert abs(got - want) <= 1e-12 * want
+        assert_riesz_norm_close(got, want)
+
+
+def test_finest_riesz_solves_stop_at_the_norms_accuracy():
+    # RIESZ_TOL asks only what the norm's contract needs: every finest
+    # Riesz PCG solve of a 2D P1 Newton run takes at most 5 iterations
+    # (measured 4, 4, 4, 5; 7, 7, 7, 8 when solved to 1e-6)
+    hier = build_hierarchy(BoxDomain.unit(2), (8, 8), 4)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    multigrid_newton(ctxs)
+    counts = ctxs[-1]._riesz_solver().iteration_counts
+    assert len(counts) == 4
+    assert max(counts) <= 5
 
 
 @pytest.mark.parametrize("mixing", [False, True], ids=["newton", "mixing"])
