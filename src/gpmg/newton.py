@@ -10,11 +10,12 @@ with K = stiffness + potential mass + M_{f(u0^2)} + 2 M_{f'(u0^2) u0^2}
 - lam0 M on interior dofs. Every step is accepted by one rule, the mixing
 step's resi_new <= resi_old; plain Newton is the mixing step at theta = 1.
 The multigrid drivers solve the coarsest space nonlinearly once and take
-one (possibly damped) Newton step per level.
+one (possibly damped) Newton step per level. A step solved by mg_cg is
+inexact: its linear tolerance follows the step's own resi.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,6 +161,31 @@ def _prolong_iterate(x0, coarse_space, fine_space):
     return IterateX(lam=x0.lam, u=p @ x0.u)
 
 
+def _runs_mg_cg(levels, cfg):
+    """Whether a Newton step on levels[-1] solves by mg_cg: cfg resolves to
+    it there, and there is a coarser level for the V-cycle."""
+    space = levels[-1].space
+    method = cfg.resolved_method(space.interior_dofs.size, space.mesh.dim,
+                                 space.degree)
+    return len(levels) > 1 and method == "mg_cg"
+
+
+def _step_config(levels, cfg, resi_old, lam0):
+    """cfg for a Newton step from an iterate with resi resi_old and
+    eigenvalue lam0. An mg_cg step solves to max(cfg.rel_tol,
+    (resi_old/|lam0|)^2): an inexact Newton step keeps the quadratic rate
+    when its linear residual is O(||F||) relative to ||F|| (Dembo,
+    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and the step
+    solves the full-form system for u1, whose right side is O(1), so that
+    forcing term is a relative tolerance quadratic in resi. A direct step,
+    whose cost does not depend on the tolerance, keeps cfg.rel_tol, and so
+    does a step whose quadratic term is not below 1 (lam0 = 0 included)."""
+    ratio = resi_old / abs(lam0) if lam0 != 0.0 else np.inf
+    if ratio < 1.0 and ratio**2 > cfg.rel_tol and _runs_mg_cg(levels, cfg):
+        return replace(cfg, rel_tol=ratio**2)
+    return cfg
+
+
 def newton_step(levels, x0, cfg=None):
     """One Newton step on levels[-1] from x0, an iterate already on its
     space. levels runs coarsest first; mg_cg needs more than one."""
@@ -167,9 +193,7 @@ def newton_step(levels, x0, cfg=None):
     ctx = levels[-1]
     system = assemble_newton_system(ctx, x0)
     vcycle = None
-    method = cfg.resolved_method(system.k.shape[0], ctx.space.mesh.dim,
-                                 ctx.space.degree)
-    if len(levels) > 1 and method == "mg_cg":
+    if _runs_mg_cg(levels, cfg):
         try:
             vcycle = _build_vcycle(levels, system.k, cfg)
         except CoercivityError as err:
@@ -187,13 +211,15 @@ def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
     space: solve once, then halve theta from params.theta_init until resi
     does not rise, or raise StagnationError before theta drops below
     params.theta_min. Never re-solves during the line search. resi_old is
-    x0's resi, computed here unless given. Returns the accepted iterate,
-    its theta and its resi."""
+    x0's resi, computed here unless given; it sets the linear tolerance of
+    an mg_cg step (`_step_config`). Returns the accepted iterate, its theta
+    and its resi."""
     params = params or MixingParams()
     ctx = levels[-1]
     if resi_old is None:
         resi_old = resi(ctx, x0)
-    xhat = newton_step(levels, x0, cfg)
+    step_cfg = _step_config(levels, cfg or SolverConfig(), resi_old, x0.lam)
+    xhat = newton_step(levels, x0, step_cfg)
     theta = params.theta_init
     while True:
         lam = (1.0 - theta) * x0.lam + theta * xhat.lam

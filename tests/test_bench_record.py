@@ -1,4 +1,5 @@
 import importlib
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,27 @@ def test_metric_directions_read_the_benchmark_declaration(bench_record):
     better = bench_record.metric_directions(Path(__file__).parents[1])
     assert better["peak_rss_mb"] == "lower"
     assert better["linsolve.method_mg_cg"] == "higher"
+
+
+def test_only_program_changes_make_a_tree_dirty(bench_record, tmp_path):
+    # the BENCH files the tool appends to are tracked; changing one, or any
+    # other file outside src/ and perfbench/, leaves the record clean
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    for name in ("src/gpmg.py", "perfbench/run.py", "BENCH_w_1.json",
+                 "README.md"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("0\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    assert bench_record._dirty(tmp_path) is False
+    (tmp_path / "BENCH_w_1.json").write_text("1\n")
+    (tmp_path / "README.md").write_text("1\n")
+    assert bench_record._dirty(tmp_path) is False
+    for name in ("src/gpmg.py", "perfbench/run.py"):
+        (tmp_path / name).write_text("1\n")
+        assert bench_record._dirty(tmp_path) is True
+        git("checkout", "--", name)

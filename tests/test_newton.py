@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 import gpmg.newton as newton_mod
 
 from gpmg.assembly import (
+    RIESZ_TOL,
     FemSpace,
     Operators,
     _interior_prolongation,
@@ -17,7 +18,7 @@ from gpmg.assembly import (
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import ConfigurationError, StagnationError, UsageError
 from gpmg.expr import parse
-from gpmg.linsolve import SolverConfig, VCycleHierarchy
+from gpmg.linsolve import SolverConfig, SpdSolver, VCycleHierarchy
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
     FULL_STEP,
@@ -508,6 +509,91 @@ def test_finest_riesz_solves_stop_at_the_norms_accuracy():
     counts = ctxs[-1]._riesz_solver().iteration_counts
     assert len(counts) == 4
     assert max(counts) <= 5
+
+
+def _record_newton_solves(monkeypatch):
+    """Lists that fill, one entry per Newton step, with the step's
+    (resi_old, lambda0) and its SpdSolver; the Riesz solvers, built under
+    their own mg_cg config, are left out."""
+    steps, solvers = [], []
+    init = SpdSolver.__init__
+    mixing = newton_mod.mixing_iteration
+
+    def recording_init(self, k, cfg, vcycle=None):
+        init(self, k, cfg, vcycle)
+        if cfg.method != "mg_cg" or cfg.rel_tol != RIESZ_TOL:
+            solvers.append(self)
+
+    def recording_mixing(levels, x0, params=None, cfg=None, resi_old=None):
+        if resi_old is None:
+            resi_old = resi(levels[-1], x0)
+        steps.append((resi_old, x0.lam))
+        return mixing(levels, x0, params, cfg, resi_old)
+
+    monkeypatch.setattr(SpdSolver, "__init__", recording_init)
+    monkeypatch.setattr(newton_mod, "mixing_iteration", recording_mixing)
+    return steps, solvers
+
+
+@pytest.fixture(scope="module")
+def p1_2d_run():
+    """2D P1 from n0 = 16 over 4 levels at zeta = 10 (two coarse rungs):
+    levels 2-3 solve direct, level 4 (16,129 interior dofs) by mg_cg."""
+    hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 4)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=10.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    with pytest.MonkeyPatch.context() as mp:
+        steps, solvers = _record_newton_solves(mp)
+        multigrid_newton(ctxs)
+    return ctxs, steps, solvers
+
+
+def test_finest_mg_cg_newton_solves_stop_at_the_steps_tolerance(p1_2d_run):
+    # the finest step solves to (resi_old/|lambda0|)^2 = 6.5e-6, not to
+    # solver.rel_tol: 7 PCG iterations per solve (11 at 1e-10)
+    ctxs, _, solvers = p1_2d_run
+    finest = solvers[-1]
+    assert finest.k.shape[0] == ctxs[-1].space.interior_dofs.size == 16_129
+    assert finest.method == "mg_cg"
+    assert len(finest.iteration_counts) == 2
+    assert max(finest.iteration_counts) <= 7
+
+
+def test_only_mg_cg_newton_steps_loosen_the_linear_tolerance(p1_2d_run):
+    # an mg_cg step solves to max(rel_tol, (resi_old/|lambda0|)^2); every
+    # direct step, the coarse rungs' included, to rel_tol exactly
+    _, steps, solvers = p1_2d_run
+    rel_tol = SolverConfig().rel_tol
+    assert len(steps) == len(solvers)
+    methods = [s.method for s in solvers]
+    assert methods.count("mg_cg") == 1 and methods.count("direct") >= 7
+    for (resi_old, lam0), solver in zip(steps, solvers):
+        want = rel_tol
+        if solver.method == "mg_cg":
+            want = max(rel_tol, (resi_old / abs(lam0)) ** 2)
+            assert want > rel_tol
+        assert solver.cfg.rel_tol == want
+
+
+def test_converging_mg_cg_steps_return_to_the_rel_tol_floor(monkeypatch):
+    # damped_newton on two levels by mg_cg: the quadratic term falls from
+    # 4e-4 to 3e-16, and each step whose term is below rel_tol solves to
+    # rel_tol itself
+    hier = build_hierarchy(BoxDomain.unit(2), (8, 8), 2)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=10.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    cfg = SolverConfig(method="mg_cg")
+    steps, solvers = _record_newton_solves(monkeypatch)
+    _, history, _ = damped_newton(ctxs, x0, resi(ctxs[1], x0), 1e-11, 8,
+                                  FULL_STEP, cfg)
+    assert history[-1] <= 1e-11
+    terms = [(r / abs(lam0)) ** 2 for r, lam0 in steps]
+    tols = [s.cfg.rel_tol for s in solvers]
+    assert terms[0] > cfg.rel_tol and tols[0] == terms[0]
+    assert terms[-1] < cfg.rel_tol
+    for term, tol in zip(terms, tols):
+        assert tol == max(cfg.rel_tol, term)
 
 
 @pytest.mark.parametrize("mixing", [False, True], ids=["newton", "mixing"])

@@ -9,8 +9,8 @@ Runs `python3 perfbench/run.py` once per seed in the source tree ROOT
 `.perfbench_work/<workload>-seed<S>-trace<T>/summary.json`, and appends one
 record to `BENCH_<workload>_<YYYYMMDD>.json` in the current directory: the
 machine and library environment with ROOT's git sha, whether ROOT had
-uncommitted changes, every run's metric medians, and the median of those
-over the seeds. Records accumulate.
+uncommitted changes under src/ or perfbench/, every run's metric
+medians, and the median of those over the seeds. Records accumulate.
 
 With --parent DIR, each seed is run in the parent tree DIR and in ROOT
 back to back, the parent first on the 1st, 3rd, ... seed and ROOT first on
@@ -29,11 +29,19 @@ import sys
 import time
 
 
+# The program a record measures: the package and the benchmark that runs
+# it. Other tracked files, the BENCH files this tool appends to among them,
+# do not make a tree dirty.
+PROGRAM_PATHS = ("src", "perfbench")
+
+
 def _dirty(root):
-    """Whether ROOT's tracked files differ from its HEAD (None: no git)."""
+    """Whether ROOT's tracked program files differ from its HEAD (None: no
+    git)."""
     try:
         proc = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"],
+            ["git", "status", "--porcelain", "--untracked-files=no", "--",
+             *PROGRAM_PATHS],
             cwd=root, capture_output=True, text=True, timeout=30)
     except (OSError, subprocess.SubprocessError):
         return None
