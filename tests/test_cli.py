@@ -508,7 +508,8 @@ def test_sign_changing_coarse_state_is_nonconvergence(tmp_path, capsys,
 
 
 def test_linear_solver_failure_names_the_level(tmp_path, capsys):
-    # one PCG iteration cannot reach solver.rel_tol on level 2's step
+    # one PCG iteration cannot reach the tolerance of level 2's step
+    # (1.5e-6, from its resi)
     cfg = GPE_1D + "solver.method = mg_cg\nsolver.max_iter = 1\n"
     code, err = _one_line_exit(tmp_path, capsys, cfg)
     assert code == 3 and "failed to converge in 1 iterations" in err
