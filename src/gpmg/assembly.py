@@ -3,15 +3,19 @@
 Covers stiffness (identity diffusion), mass and weighted-mass matrices,
 nonlinear load vectors, the eigenvalue residual functional, its H1 Riesz
 norm, and coarse-to-fine transfer.
-Dirichlet conditions are handled by reduction to the interior dof set.
+Dirichlet conditions are handled by reduction to the interior dof set:
+every matrix is the interior-by-interior block, and every vector but a
+field is indexed like `FemSpace.interior_dofs`. A field (an iterate) has
+one value per dof, zero on the boundary, since the kernel reads it by
+`cell_dofs`.
 All forms share one kernel: per-cell weights times a reference table that
 the space caches per quadrature rule (`RuleTables`), taken a block of
 `CELL_BLOCK` cells at a time, so only the output has one row per cell.
-Every matrix on a space is a data array on the space's one CSR pattern
-(`CsrPattern`, built on first use): a form is a bincount of the upper
-triangles of its element matrices into the upper slots, gathered into full
-storage; sums of forms are sums of data arrays, and the interior block is
-a cached gather of the data. Of the cell geometry only |det J| is kept.
+Every matrix on a space is a data array on the space's one interior CSR
+pattern (`CsrPattern`, built on first use): a form is a bincount of the
+upper triangles of its element matrices into the upper slots, gathered
+into full storage; sums of forms are sums of data arrays. Of the cell
+geometry only |det J| is kept.
 """
 
 import copy
@@ -87,7 +91,6 @@ class FemSpace:
                 )
         self.n_dofs = self.dof_coords.shape[0]
         self.boundary_mask = boundary
-        self.boundary_dofs = np.where(boundary)[0]
         self.interior_dofs = np.where(~boundary)[0]
         self._det = None
         self._pattern = None
@@ -136,10 +139,9 @@ class FemSpace:
         return self._det
 
     def pattern(self):
-        """The CSR pattern every matrix on this space shares."""
+        """The interior CSR pattern every matrix on this space shares."""
         if self._pattern is None:
-            self._pattern = CsrPattern(self.cell_dofs, self.n_dofs,
-                                       self.boundary_mask)
+            self._pattern = CsrPattern(self.cell_dofs, self.boundary_mask)
         return self._pattern
 
 
@@ -169,35 +171,43 @@ def _det_inv(jac):
 
 
 class CsrPattern:
-    """The sparsity pattern of the matrices on one space, (`indptr`,
+    """The sparsity pattern of the matrices on one space, over its interior
+    dofs only, numbered as `FemSpace.interior_dofs` lists them: (`indptr`,
     `indices`) in full storage with sorted columns, and where each element
     entry lands in its data array.
 
     Every form is symmetric, so a cell contributes only its local pairs
     a <= b, in `np.triu_indices(nb)` order, each to the upper-triangle
-    slot of its global dof pair (min, max). `slot[e]` is the upper slot of
-    element entry e, the entries taken cell by cell, and `mirror[k]` the
-    upper slot of data entry k: a form's data are its `n_upper` slot sums
-    gathered through `mirror`, so (i, j) and (j, i) read one sum and every
-    matrix is symmetric bit for bit. `interior_gather` picks, in order,
-    the data of the interior-by-interior block, whose pattern is
-    (`interior_indptr`, `interior_indices`). The maps are int32 below 2^31
-    entries, except `slot`, kept intp: `np.bincount` copies any other
-    index dtype to intp on every call. The index arrays are read-only:
-    every matrix on the space holds them, so an in-place edit of one would
-    corrupt them all."""
+    slot of its dof pair (min, max). `slot[e]` is the upper slot of
+    element entry e, the entries taken cell by cell; an entry that touches
+    a boundary dof goes to slot `n_upper`, one extra bin that no matrix
+    reads. `mirror[k]` is the upper slot of data entry k: a form's data
+    are its slot sums gathered through `mirror`, so (i, j) and (j, i) read
+    one sum and every matrix is symmetric bit for bit. The maps are int32
+    below 2^31 entries, except `slot`, kept intp: `np.bincount` copies any
+    other index dtype to intp on every call. The index arrays are
+    read-only: every matrix on the space holds them, so an in-place edit
+    of one would corrupt them all."""
 
-    def __init__(self, cell_dofs, n, boundary_mask):
+    def __init__(self, cell_dofs, boundary_mask):
+        interior = ~boundary_mask
+        n = int(np.count_nonzero(interior))
+        # each element dof's interior number, -1 on the boundary
+        number = np.where(interior, np.cumsum(interior) - 1, -1)[cell_dofs]
         a, b = np.triu_indices(cell_dofs.shape[1])
         # np.take, unlike [:, a], returns C order, so ravel copies nothing
-        lo = np.take(cell_dofs, a, axis=1).ravel()
-        hi = np.take(cell_dofs, b, axis=1).ravel()
+        lo = np.take(number, a, axis=1).ravel()
+        hi = np.take(number, b, axis=1).ravel()
+        del number
         keys = np.minimum(lo, hi)
         np.maximum(lo, hi, out=hi)
         del lo
         keys *= n
         keys += hi
         del hi
+        # an entry with a boundary dof has min -1, so a negative key; the
+        # boundary bin's key sorts after every interior pair's
+        keys[keys < 0] = n * n
         # one sort of the upper element entries' (row, col) keys; each run
         # of equal keys is one slot. The buffers of one entry per element
         # entry are reused, since fresh ones cost page faults comparable
@@ -213,11 +223,12 @@ class CsrPattern:
         self.slot = keys
         self.slot[order] = ids
         del order, ids, first
+        unique = unique[unique < n * n]
         self.n_upper = unique.size
         rows = unique // n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        # the full pattern is the upper one plus its strict part's
+        # full storage is the upper pattern plus its strict part's
         # transpose; its data are the upper slots, 1-based so that no
         # entry is a zero the sum would drop
         upper = sp.csr_matrix(
@@ -234,36 +245,13 @@ class CsrPattern:
         self.mirror = full.data.astype(idx)
         self.mirror -= 1
         del upper, full
-
-        interior = ~boundary_mask
-        inner = np.repeat(interior, np.diff(self.indptr))
-        inner &= interior[self.indices]
-        self.interior_gather = np.flatnonzero(inner).astype(idx)
-        renumber = np.cumsum(interior) - 1
-        self.interior_indices = renumber[
-            self.indices[self.interior_gather]].astype(idx)
-        # the kept entries before each row's start; a boundary row keeps
-        # none, so at interior row i (and at the end) that is where row i
-        # of the interior block starts (ends)
-        before = np.zeros(self.nnz + 1, dtype=idx)
-        np.cumsum(inner, out=before[1:])
-        self.interior_indptr = before[self.indptr][np.append(interior, True)]
-        for name in ("indices", "indptr", "interior_indices",
-                     "interior_indptr"):
+        for name in ("indices", "indptr"):
             getattr(self, name).flags.writeable = False
 
     def matrix(self, data):
         """The matrix with this pattern and these data."""
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
-
-    def interior(self, mat):
-        """The interior-by-interior block of mat, a matrix on this pattern:
-        mat[ix][:, ix] for ix the interior dofs, by one gather."""
-        n = self.interior_indptr.size - 1
-        return sp.csr_matrix(
-            (mat.data[self.interior_gather], self.interior_indices,
-             self.interior_indptr), shape=(n, n))
 
 
 class RuleTables:
@@ -322,7 +310,8 @@ def _quadrature_rows(space, table, values_of):
 def _scatter(space, rows):
     """The matrix assembly: row c of rows is the upper triangle of cell
     c's element matrix, in `np.triu_indices(nb)` order. Summed into the
-    pattern's upper slots, then gathered into full storage."""
+    pattern's upper slots, then gathered into full storage: the interior
+    block."""
     pattern = space.pattern()
     upper = np.bincount(pattern.slot, weights=rows.ravel(),
                         minlength=pattern.n_upper)
@@ -404,12 +393,13 @@ def assemble_field_weighted_mass(space, u, transform):
 
 
 def assemble_field_load(space, u, transform):
-    """Load vector (transform(u(x)), phi_i) with u a FEM field."""
+    """Load vector (transform(u(x)), phi_i), i interior, with u a FEM
+    field."""
     rows = _quadrature_rows(space, space.rule(space.weighted_degree).wphi,
                             _field_values(space, u, transform))
     return np.bincount(
         space.cell_dofs.ravel(), weights=rows.ravel(), minlength=space.n_dofs
-    )
+    )[space.interior_dofs]
 
 
 def _check_nested(coarse, fine):
@@ -430,15 +420,15 @@ def prolongation_matrix(coarse, fine):
         return fine._prolongation_from[key]
     cid, bary = coarse.mesh.locate(fine.dof_coords)
     phi = shape_values(coarse.elem, bary)
-    nb = coarse.elem.n_basis
-    # row i holds the nb basis values of fine dof i's coarse cell
+    # row i holds the nonzero basis values of fine dof i's coarse cell
+    nonzero = phi != 0.0
+    indptr = np.zeros(fine.n_dofs + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
     p = sp.csr_matrix(
-        (phi.ravel(), coarse.cell_dofs[cid].ravel(),
-         np.arange(0, nb * fine.n_dofs + 1, nb)),
+        (phi[nonzero], coarse.cell_dofs[cid][nonzero], indptr),
         shape=(fine.n_dofs, coarse.n_dofs),
     )
     p.sort_indices()
-    p.eliminate_zeros()
     fine._prolongation_from[key] = p
     return p
 
@@ -469,9 +459,12 @@ def _interior_prolongation32(coarse_space, fine_space):
 
 class Operators:
     """One mesh level of a problem: its space, the cached u-independent
-    operators, and the lazily built H1 Riesz solver. `coarser` is the next
-    coarser level's Operators, if any (`newton.build_contexts` links them);
-    the Riesz solver's V-cycle runs over this level and every coarser one."""
+    interior operators (`mass`, `linear_part` = stiffness + potential mass,
+    `h1` = stiffness + mass), and the lazily built H1 Riesz solver on
+    `h1`. The methods take fields and return interior entries. `coarser`
+    is the next coarser level's Operators, if any (`newton.build_contexts`
+    links them); the Riesz solver's V-cycle runs over this level and every
+    coarser one."""
 
     def __init__(self, space, nl, potential=None, coarser=None):
         self.space = space
@@ -481,7 +474,7 @@ class Operators:
         pattern = space.pattern()
         stiffness = assemble_stiffness(space)
         self.mass = assemble_mass(space)
-        self.h1_mat = pattern.matrix(stiffness.data + self.mass.data)
+        self.h1 = pattern.matrix(stiffness.data + self.mass.data)
         self.linear_part = stiffness
         if potential is not None:
             values_of = _spatial_values(space, potential)
@@ -497,14 +490,16 @@ class Operators:
             self.linear_part = pattern.matrix(
                 stiffness.data + _weighted_mass(space, finite_values).data)
 
-    def residual(self, lam, u):
-        """Vector of <F(lam,u), phi_i> with boundary rows zeroed."""
-        r = self.linear_part @ u - lam * (self.mass @ u)
+    def residual(self, lam, u, mu=None):
+        """<F(lam,u), phi_i> for the interior dofs i. mu is M u, if the
+        caller has it."""
+        ui = u[self.space.interior_dofs]
+        mu = self.mass @ ui if mu is None else mu
+        r = self.linear_part @ ui - lam * mu
         if self.nl.zeta != 0:
-            r = r + assemble_field_load(
+            r += assemble_field_load(
                 self.space, u, lambda t: f_eval(self.nl, t**2) * t
             )
-        r[self.space.boundary_dofs] = 0.0
         return r
 
     def with_zeta(self, zeta):
@@ -519,28 +514,28 @@ class Operators:
         return other
 
     def _riesz_solver(self):
-        """CG on the interior H1 matrix, preconditioned by one V-cycle over
+        """CG on `h1`, preconditioned by one V-cycle over
         this level and every coarser one. The V-cycle refines the coarser
         level's own, so the coarsest LU and each level's smoother are set
         up once; without a coarser level it is the exact LU and CG takes
         one iteration."""
         if self._riesz is None:
-            h1 = self.space.pattern().interior(self.h1_mat)
             if self.coarser is None:
-                vcycle = VCycleHierarchy([h1], [])
+                vcycle = VCycleHierarchy([self.h1], [])
             else:
                 vcycle = self.coarser._riesz_solver().vcycle.refined(
-                    h1, _interior_prolongation32(self.coarser.space,
-                                                 self.space)
+                    self.h1, _interior_prolongation32(self.coarser.space,
+                                                      self.space)
                 )
             self._riesz = SpdSolver(
-                h1, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL), vcycle
+                self.h1, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL),
+                vcycle
             )
         return self._riesz
 
     def riesz_norm(self, functional):
         """H1 norm of the Riesz representative of an interior functional f:
-        sqrt(f.z) with z = A^-1 f, A the interior H1 matrix.
+        sqrt(f.z) with z = A^-1 f, A = `h1`.
 
         z is solved by PCG to RIESZ_TOL. The contract: the norm is at most
         1e-8 relative low and 1e-12 relative high. One printed digit of the
@@ -558,18 +553,19 @@ class Operators:
         with one refinement step, the norm was low by at most 5.0e-9,
         8.2e-10 and 6.3e-10 relative and high by at most 3.3e-14
         (`tools/riesz_accuracy.py` reprints the table)."""
-        r = functional[self.space.interior_dofs]
-        z = self._riesz_solver().solve(r)
-        return float(np.sqrt(max(z @ r, 0.0)))
+        z = self._riesz_solver().solve(functional)
+        return float(np.sqrt(max(z @ functional, 0.0)))
 
     def l2_norm(self, u):
-        return float(np.sqrt(max(u @ (self.mass @ u), 0.0)))
+        ui = u[self.space.interior_dofs]
+        return float(np.sqrt(max(ui @ (self.mass @ ui), 0.0)))
 
     def h1_norm(self, u):
         """sqrt(u' (K + M) u)."""
-        return float(np.sqrt(max(u @ (self.h1_mat @ u), 0.0)))
+        ui = u[self.space.interior_dofs]
+        return float(np.sqrt(max(ui @ (self.h1 @ ui), 0.0)))
 
     def rayleigh_lambda(self, u):
         """lambda = <F(0,u), u> = a(u,u) + (f(u^2)u, u) for mass-normalized
         u with zero boundary values."""
-        return float(u @ self.residual(0.0, u))
+        return float(u[self.space.interior_dofs] @ self.residual(0.0, u))

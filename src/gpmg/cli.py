@@ -107,11 +107,14 @@ def cmd_study(cfg, out_path=None, renormalize=False):
     ref_lam = (cfg.reference_lambda if cfg.reference_lambda is not None
                else x_ref.lam)
 
+    ix = ref_ops.space.interior_dofs
+    m_ref = ref_ops.mass @ x_ref.u[ix]
+
     rows = trace[:cfg.levels]
     for idx, row in enumerate(rows):
         x_k = _finalize(contexts[idx], row.x) if renormalize else row.x
         v = _prolong_to_finest(contexts, x_k.u, idx)
-        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u)) >= 0 else -1.0
+        sign = 1.0 if float(v[ix] @ m_ref) >= 0 else -1.0
         row.err_h1 = ref_ops.h1_norm(sign * v - x_ref.u)
         row.err_lambda = abs(x_k.lam - ref_lam)
     lines = _report_rows(rows)

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse.linalg as spla
 
+from .assembly import assemble_field_load
 from .errors import (
     ConfigurationError,
     NonConvergenceError,
@@ -93,13 +94,12 @@ def scf_solve(ops, cfg=None):
             f"{cfg.dof_cap}"
         )
     ix = space.interior_dofs
-    pattern = space.pattern()
-    lam, u_int = smallest_eigpair(pattern.interior(ops.linear_part),
-                                  pattern.interior(ops.mass))
+    # the integrals of the interior basis functions: w @ u[ix] is the
+    # integral of a field u, and the ground state's is positive
+    w = assemble_field_load(space, np.zeros(space.n_dofs), np.ones_like)
+    lam, u_int = smallest_eigpair(ops.linear_part, ops.mass)
     u = np.zeros(space.n_dofs)
-    u[ix] = u_int
-    if np.sum(ops.mass @ u) < 0:
-        u = -u
+    u[ix] = u_int if w @ u_int >= 0 else -u_int
     x = IterateX(lam=lam, u=u)
     steps = 0
     rungs = _zeta_ladder(ops.nl.zeta)
@@ -133,7 +133,7 @@ def scf_solve(ops, cfg=None):
             "coarse Newton solve converged to a sign-changing state, not "
             "the ground state"
         )
-    if np.sum(ops.mass @ x.u) < 0:
+    if w @ x.u[ix] < 0:
         x.u = -x.u
     x = _finalize(ops, x)
     x.scf_iterations = steps

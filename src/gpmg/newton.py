@@ -98,16 +98,17 @@ def build_contexts(hierarchy, degree, nl, potential=None):
 
 def resi(ctx, x):
     """Computable residual: H1 Riesz norm of the eigen-residual functional
-    plus half the normalization defect."""
-    r = ctx.residual(x.lam, x.u)
-    defect = abs(1.0 - float(x.u @ (ctx.mass @ x.u)))
-    return ctx.riesz_norm(r) + 0.5 * defect
+    plus half the normalization defect. Both read one product M u."""
+    u = x.u[ctx.space.interior_dofs]
+    mu = ctx.mass @ u
+    defect = abs(1.0 - float(u @ mu))
+    return ctx.riesz_norm(ctx.residual(x.lam, x.u, mu)) + 0.5 * defect
 
 
 def _newton_matrix(ctx, lam0, u0_full):
-    """The Newton matrix at (lam0, u0_full) on the space's whole pattern.
-    The linear part is added into the field mass's fresh data array, so
-    the sum needs no array of its own."""
+    """The interior Newton matrix at (lam0, u0_full). The linear part is
+    added into the field mass's fresh data array, so the sum needs no
+    array of its own."""
     if ctx.nl.zeta == 0:
         data = ctx.linear_part.data - lam0 * ctx.mass.data
     else:
@@ -126,17 +127,15 @@ def assemble_newton_system(ctx, x0):
     u0 = x0.u
     if u0.shape != (space.n_dofs,):
         raise UsageError("x0 must live on the target space; prolongate first")
-    ix = space.interior_dofs
-    k = space.pattern().interior(_newton_matrix(ctx, x0.lam, u0))
-    mu0 = ctx.mass @ u0
-    m = mu0[ix].copy()
-    r = -x0.lam * mu0[ix]
+    k = _newton_matrix(ctx, x0.lam, u0)
+    u0i = u0[space.interior_dofs]
+    m = ctx.mass @ u0i
+    r = -x0.lam * m
     if ctx.nl.zeta != 0:
-        load = assemble_field_load(
+        r += 2.0 * assemble_field_load(
             space, u0, lambda t: fprime_eval(ctx.nl, t**2) * t**3
         )
-        r = r + load[ix] * 2.0
-    c = -0.5 - 0.5 * float(u0 @ mu0)
+    c = -0.5 - 0.5 * float(u0i @ m)
     return BorderedSystem(k=k, m=m, r=r, c=c)
 
 

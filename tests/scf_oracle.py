@@ -9,7 +9,7 @@ iterate, and halve the mixing weight whenever the H1 update grows.
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from gpmg.assembly import assemble_field_weighted_mass
+from gpmg.assembly import assemble_field_load, assemble_field_weighted_mass
 from gpmg.nonlinearity import f_eval
 from gpmg.state import IterateX
 
@@ -19,8 +19,8 @@ def scf_oracle(ops, tol=1e-12, max_iter=2000):
     lambda from the Rayleigh identity. Stops when the H1 update is <= tol."""
     space = ops.space
     ix = space.interior_dofs
-    a0 = ops.linear_part[ix][:, ix].tocsc()
-    m = ops.mass[ix][:, ix].tocsc()
+    a0 = ops.linear_part.tocsc()
+    m = ops.mass.tocsc()
 
     def ground(k, start):
         # a fixed start vector keeps ARPACK, and so the oracle, repeatable
@@ -32,7 +32,7 @@ def scf_oracle(ops, tol=1e-12, max_iter=2000):
     for _ in range(max_iter):
         w = assemble_field_weighted_mass(space, u,
                                          lambda t: f_eval(ops.nl, t**2))
-        v = ground((a0 + w[ix][:, ix]).tocsc(), u[ix])
+        v = ground((a0 + w).tocsc(), u[ix])
         v *= np.sign(v @ (m @ u[ix]))
         new = np.zeros(space.n_dofs)
         new[ix] = (1.0 - alpha) * u[ix] + alpha * v
@@ -46,6 +46,6 @@ def scf_oracle(ops, tol=1e-12, max_iter=2000):
             break
     else:
         raise AssertionError(f"SCF oracle: H1 update {diff:.2e} > {tol:.0e}")
-    if np.sum(ops.mass @ u) < 0:
+    if u[ix] @ assemble_field_load(space, u, np.ones_like) < 0:  # int u
         u = -u
     return IterateX(lam=ops.rayleigh_lambda(u), u=u)

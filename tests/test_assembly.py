@@ -35,29 +35,35 @@ def space_1d(n=8, degree=2):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_mass_matrix_integrates_one(dim, degree):
+    # on the full einsum reference, whose interior block is the production
+    # matrix
     dom = BoxDomain(dim, (0.0,) * dim, (2.0,) + (1.0,) * (dim - 1))
     space = FemSpace(build_initial_mesh(dom, (3,) * dim), degree)
-    m = assemble_mass(space)
+    m = _ref_weighted_mass(space, np.ones((space.mesh.n_cells, 1)))
     ones = np.ones(space.n_dofs)
     assert np.isclose(ones @ (m @ ones), dom.volume, rtol=1e-12)
+    _assert_close(assemble_mass(space), _interior_block(space, m))
 
 
 def test_1d_p1_stiffness_stencil():
+    # the interior block, on the reference and in production
     space = space_1d(4, degree=1)
     k = assemble_stiffness(space).toarray()
     h = 0.25
-    interior = space.interior_dofs
-    sub = k[np.ix_(interior, interior)]
+    sub = _interior_block(space, _ref_stiffness(space, np.eye(1)))
     expected = (np.diag(np.full(3, 2.0)) + np.diag(np.full(2, -1.0), 1)
                 + np.diag(np.full(2, -1.0), -1)) / h
     assert np.allclose(sub, expected, atol=1e-13)
+    assert np.allclose(k, expected, atol=1e-13)
+    _assert_close(k, sub)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_stiffness_annihilates_constants(dim):
     space = FemSpace(build_initial_mesh(BoxDomain.unit(dim), (2,) * dim), 2)
-    k = assemble_stiffness(space)
+    k = _ref_stiffness(space, np.eye(dim))
     assert np.allclose(k @ np.ones(space.n_dofs), 0.0, atol=1e-11)
+    _assert_close(assemble_stiffness(space), _interior_block(space, k))
 
 
 def test_stiffness_exact_on_linear_field():
@@ -65,16 +71,29 @@ def test_stiffness_exact_on_linear_field():
     space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (3, 3)), 1)
     c = np.array([2.0, -1.0])
     u = space.dof_coords @ c
-    k = assemble_stiffness(space)
+    k = _ref_stiffness(space, np.eye(2))
     assert np.isclose(u @ (k @ u), c @ c, rtol=1e-12)
+    _assert_close(assemble_stiffness(space), _interior_block(space, k))
 
 
 def test_weighted_mass_against_analytic_integral():
-    # int_0^1 x * u(x)^2 dx with u = x (P2 exact): 1/4
+    # int_0^1 x * u(x)^2 dx with u = x (1 - x) (P2 exact, zero on the
+    # boundary): 1/4 - 2/5 + 1/6 = 1/60
     space = space_1d(6)
     mw = assemble_weighted_mass(space, parse("x1", 1))
-    u = space.dof_coords[:, 0]
-    assert np.isclose(u @ (mw @ u), 0.25, rtol=1e-12)
+    x = space.dof_coords[space.interior_dofs, 0]
+    u = x * (1.0 - x)
+    assert np.isclose(u @ (mw @ u), 1.0 / 60.0, rtol=1e-12)
+
+
+def test_ones_load_integrates_a_field():
+    # (1, phi_i) u_i over the interior dofs i is the integral of a field u,
+    # the sign test of the coarse solve: int_0^1 x (1 - x) dx = 1/6
+    space = space_1d(6)
+    u = space.dof_coords[:, 0] * (1.0 - space.dof_coords[:, 0])
+    ones_load = assemble_field_load(space, u, np.ones_like)
+    assert np.isclose(ones_load @ u[space.interior_dofs], 1.0 / 6.0,
+                      rtol=1e-13)
 
 
 def test_weighted_mass_accepts_callable():
@@ -137,13 +156,12 @@ def test_residual_zero_at_linear_eigenpair():
     nl = Nonlinearity(zeta=0.0)
     k = assemble_stiffness(space).toarray()
     m = assemble_mass(space).toarray()
-    ix = space.interior_dofs
-    vals, vecs = sla.eigh(k[np.ix_(ix, ix)], m[np.ix_(ix, ix)])
+    vals, vecs = sla.eigh(k, m)
     u = np.zeros(space.n_dofs)
-    u[ix] = vecs[:, 0]
+    u[space.interior_dofs] = vecs[:, 0]
     r = Operators(space, nl).residual(vals[0], u)
+    assert r.shape == space.interior_dofs.shape
     assert np.max(np.abs(r)) <= 1e-10
-    assert np.allclose(r[space.boundary_dofs], 0.0)
 
 
 def test_residual_linear_in_functional_scaling():
@@ -166,14 +184,11 @@ def test_riesz_norm_matches_dense_solve(dim, cells, potential):
     space = FemSpace(build_initial_mesh(BoxDomain.unit(dim), cells), 2)
     ops = Operators(space, Nonlinearity(zeta=1.0),
                     potential=parse(potential, dim))
-    ix = space.interior_dofs
-    h1 = (assemble_stiffness(space) + assemble_mass(space)).toarray()[
-        np.ix_(ix, ix)]
+    h1 = (assemble_stiffness(space) + assemble_mass(space)).toarray()
     rng = np.random.default_rng(dim)
     for _ in range(2):  # the second call reuses the cached factorization
-        r = np.zeros(space.n_dofs)
-        r[ix] = rng.standard_normal(ix.size)
-        want = np.sqrt(r[ix] @ np.linalg.solve(h1, r[ix]))
+        r = rng.standard_normal(space.interior_dofs.size)
+        want = np.sqrt(r @ np.linalg.solve(h1, r))
         assert np.isclose(ops.riesz_norm(r), want, rtol=1e-12, atol=0.0)
 
 
@@ -188,12 +203,10 @@ def test_linked_riesz_norm_matches_dense_solve(dim, degree, n0, potential):
                           potential=parse(potential, dim))
     rng = np.random.default_rng(dim)
     for ops in reversed(ctxs):
-        ix = ops.space.interior_dofs
-        h1 = ops.h1_mat.toarray()[np.ix_(ix, ix)]
+        h1 = ops.h1.toarray()
         for _ in range(2):
-            r = np.zeros(ops.space.n_dofs)
-            r[ix] = rng.standard_normal(ix.size)
-            want = np.sqrt(r[ix] @ np.linalg.solve(h1, r[ix]))
+            r = rng.standard_normal(h1.shape[0])
+            want = np.sqrt(r @ np.linalg.solve(h1, r))
             assert_riesz_norm_close(ops.riesz_norm(r), want)
 
 
@@ -218,7 +231,7 @@ def test_riesz_solvers_factor_each_level_once(monkeypatch):
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(ChebyshevSmoother, "for_matrix", counting_for_matrix)
     for ops in [ctxs[-1], *ctxs, ctxs[2].with_zeta(3.0)]:
-        ops.riesz_norm(np.ones(ops.space.n_dofs))
+        ops.riesz_norm(np.ones(ops.space.interior_dofs.size))
     sizes = [ops.space.interior_dofs.size for ops in ctxs]
     assert calls == sizes[:1]
     assert smoothed == sizes[1:]
@@ -235,7 +248,7 @@ def test_operators_rayleigh_identity():
     lam = ops.rayleigh_lambda(u)
     # lambda must make the residual M-orthogonal to u
     r = ops.residual(lam, u)
-    assert abs(u @ r) <= 1e-12 * max(1.0, abs(lam))
+    assert abs(u[space.interior_dofs] @ r) <= 1e-12 * max(1.0, abs(lam))
 
 
 # Reference assembly: the per-cell einsum formulas the table kernel
@@ -300,6 +313,13 @@ def _ref_load(space, g):
     vec = np.zeros(space.n_dofs)
     np.add.at(vec, space.cell_dofs.ravel(), elem.ravel())
     return vec
+
+
+def _interior_block(space, full):
+    """The interior-by-interior block of a dense full-space matrix, or the
+    interior entries of a full-space vector."""
+    ix = space.interior_dofs
+    return full[np.ix_(ix, ix)] if full.ndim == 2 else full[ix]
 
 
 def _assert_close(got, want):
@@ -402,22 +422,27 @@ def kernel_case(request):
 
 
 def test_kernel_matches_einsum_reference(kernel_case):
+    # the interior entries of the full einsum references
     space, potential, u = kernel_case
-    _assert_close(assemble_stiffness(space),
-                  _ref_stiffness(space, np.eye(space.dim)))
-    _assert_close(assemble_mass(space), _ref_weighted_mass(
-        space, np.ones((space.mesh.n_cells, 1))))
-    _assert_close(assemble_weighted_mass(space, potential), _ref_weighted_mass(
-        space, _ref_potential_values(space, potential)))
     uq, _, _ = _ref_quad_values(space, u)
-    _assert_close(assemble_field_weighted_mass(space, u, lambda t: 1.0 + t**2),
-                  _ref_weighted_mass(space, 1.0 + uq**2))
-    _assert_close(assemble_field_load(space, u, lambda t: t**3),
-                  _ref_load(space, uq**3))
+    cases = [
+        (assemble_stiffness(space), _ref_stiffness(space, np.eye(space.dim))),
+        (assemble_mass(space),
+         _ref_weighted_mass(space, np.ones((space.mesh.n_cells, 1)))),
+        (assemble_weighted_mass(space, potential),
+         _ref_weighted_mass(space, _ref_potential_values(space, potential))),
+        (assemble_field_weighted_mass(space, u, lambda t: 1.0 + t**2),
+         _ref_weighted_mass(space, 1.0 + uq**2)),
+        (assemble_field_load(space, u, lambda t: t**3),
+         _ref_load(space, uq**3)),
+    ]
+    for got, want in cases:
+        _assert_close(got, _interior_block(space, want))
 
 
 def test_energy_matches_einsum_reference(kernel_case):
     space, potential, u = kernel_case
+    u = np.where(space.boundary_mask, 0.0, u)  # a field
     nl = Nonlinearity(zeta=2.5)
     ops = Operators(space, nl, potential=potential)
     linear = _ref_stiffness(space, np.eye(space.dim)) + _ref_weighted_mass(
@@ -443,13 +468,14 @@ def test_newton_matrix_sums_the_separate_masses(kernel_case):
 
 
 # Two oracles for the shared pattern's scatter, which both take each
-# cell's upper-triangle rows: they sum the entries at (min, max) of the
-# dof pair and mirror the strict upper triangle. `_coo_scatter` sums them
-# as a COO matrix; scipy adds a row's duplicate entries in the order its
-# unstable per-row sort leaves them (rows of more than 16 entries get
-# reordered), so it agrees to round-off. `_ordered_scatter` sums them
-# densely in element order, the order the pattern's bincount uses, so it
-# agrees bit for bit.
+# cell's upper-triangle rows and build the full-space matrix: they sum the
+# entries at (min, max) of the dof pair and mirror the strict upper
+# triangle. `_coo_scatter` sums them as a COO matrix; scipy adds a row's
+# duplicate entries in the order its unstable per-row sort leaves them
+# (rows of more than 16 entries get reordered), so it agrees to round-off.
+# `_ordered_scatter` sums them densely in element order, the order the
+# pattern's bincount uses, so it agrees bit for bit. Production matrices
+# are the interior blocks of these.
 def _upper_entries(space, elem):
     a, b = np.triu_indices(space.elem.n_basis)
     da, db = space.cell_dofs[:, a], space.cell_dofs[:, b]
@@ -479,6 +505,7 @@ PATTERN_CASES = {
     "3d-p2": (3, 2, (2, 2, 1), "x1^2 + 2*x2^2 + 4*x3^2 + sin(2*pi*x3)^2"),
 }
 NEWTON_LAMBDA = 3.7
+NEWTON_NL = Nonlinearity(zeta=2.5)
 
 
 @pytest.fixture(params=list(PATTERN_CASES), ids=list(PATTERN_CASES))
@@ -487,57 +514,81 @@ def pattern_case(request):
     dom = BoxDomain(dim, (0.0,) * dim, (1.5,) + (1.0,) * (dim - 1))
     space = FemSpace(build_initial_mesh(dom, cells), degree)
     potential = parse(potential, dim)
-    ctx = Operators(space, Nonlinearity(zeta=2.5), potential=potential)
+    ctx = Operators(space, NEWTON_NL, potential=potential)
     u = np.random.default_rng(dim + 3 * degree).standard_normal(space.n_dofs)
     return ctx, potential, u
 
 
+def _newton_weight(t):  # the field weight of `_newton_matrix`
+    t2 = t**2
+    return f_eval(NEWTON_NL, t2) + 2.0 * fprime_eval(NEWTON_NL, t2) * t2
+
+
 def _forms(ctx, potential, u):
     """The forms on ctx's space, by whatever `_scatter` is in place."""
-    nl = ctx.nl
-
-    def newton_weight(t):  # the field weight of `_newton_matrix`
-        t2 = t**2
-        return f_eval(nl, t2) + 2.0 * fprime_eval(nl, t2) * t2
-
     return {
         "mass": assemble_mass(ctx.space),
         "stiffness": assemble_stiffness(ctx.space),
         "potential": assemble_weighted_mass(ctx.space, potential),
-        "field": assemble_field_weighted_mass(ctx.space, u, newton_weight),
+        "field": assemble_field_weighted_mass(ctx.space, u, _newton_weight),
     }
 
 
 def _pattern_matrices(ctx, potential, u):
-    return {**_forms(ctx, potential, u), "h1": ctx.h1_mat,
+    return {**_forms(ctx, potential, u), "h1": ctx.h1,
             "linear": ctx.linear_part,
             "newton": _newton_matrix(ctx, NEWTON_LAMBDA, u)}
 
 
+def _with_sums(forms):
+    """forms plus the sums Operators and `_newton_matrix` make of them."""
+    out = dict(forms)
+    out["h1"] = out["stiffness"] + out["mass"]
+    out["linear"] = out["stiffness"] + out["potential"]
+    out["newton"] = out["linear"] - NEWTON_LAMBDA * out["mass"] + out["field"]
+    return out
+
+
 def _reference_matrices(ctx, potential, u, scatter, monkeypatch):
+    """The full-space matrices of scatter's assembly, dense."""
     with monkeypatch.context() as patch:
         patch.setattr(assembly_mod, "_scatter", scatter)
-        want = _forms(ctx, potential, u)
-    want["h1"] = want["stiffness"] + want["mass"]
-    want["linear"] = want["stiffness"] + want["potential"]
-    want["newton"] = (want["linear"] - NEWTON_LAMBDA * want["mass"]
-                      + want["field"])
-    return {name: mat.toarray() for name, mat in want.items()}
+        forms = _forms(ctx, potential, u)
+    return _with_sums({name: mat.toarray() for name, mat in forms.items()})
+
+
+def _einsum_matrices(ctx, potential, u):
+    """The full-space matrices of the per-cell einsum references."""
+    space = ctx.space
+    uq, _, _ = _ref_quad_values(space, u)
+    return _with_sums({
+        "mass": _ref_weighted_mass(space, np.ones((space.mesh.n_cells, 1))),
+        "stiffness": _ref_stiffness(space, np.eye(space.dim)),
+        "potential": _ref_weighted_mass(
+            space, _ref_potential_values(space, potential)),
+        "field": _ref_weighted_mass(space, _newton_weight(uq)),
+    })
 
 
 def test_pattern_assembly_matches_coo_assembly(pattern_case, monkeypatch):
-    # bit for bit against the element-order sums, to 1e-15 of the largest
-    # entry against the COO path; and exactly symmetric, as the mirror
-    # makes every form and hence every sum of forms
+    # each production matrix is the interior block of the full-space
+    # references: bit for bit against the element-order sums, to 1e-15 of
+    # the largest entry against the COO path and to 1e-13 against the
+    # einsum path; and exactly symmetric, as the mirror makes every form
+    # and hence every sum of forms
     ctx, potential, u = pattern_case
+    space = ctx.space
     got = _pattern_matrices(ctx, potential, u)
     coo = _reference_matrices(ctx, potential, u, _coo_scatter, monkeypatch)
     ordered = _reference_matrices(ctx, potential, u, _ordered_scatter,
                                   monkeypatch)
+    einsum = _einsum_matrices(ctx, potential, u)
     for name, mat in got.items():
         g = mat.toarray()
-        assert np.array_equal(g, ordered[name]), name
-        assert np.abs(g - coo[name]).max() <= 1e-15 * np.abs(coo[name]).max()
+        want = _interior_block(space, coo[name])
+        assert np.array_equal(g, _interior_block(space, ordered[name])), name
+        assert np.abs(g - want).max() <= 1e-15 * np.abs(want).max(), name
+        _assert_close(g, _interior_block(space, einsum[name]))
         assert np.array_equal(g, g.T), name
 
 
@@ -549,22 +600,64 @@ def test_every_matrix_on_a_space_shares_its_pattern(pattern_case):
         assert np.shares_memory(mat.indices, pattern.indices), name
 
 
-def _assert_same_csr(got, want):
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+def _full_pattern(space):
+    """The full-space pattern: every dof pair of a cell, sorted columns."""
+    nb = space.elem.n_basis
+    rows = np.repeat(space.cell_dofs, nb, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nb)).ravel()
+    full = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                         shape=(space.n_dofs, space.n_dofs))
+    full.sort_indices()
+    return full
 
 
 def test_interior_gather_equals_fancy_slicing(pattern_case):
+    # every matrix is one gather from its upper sums into the interior
+    # block, whose index arrays are the full-space pattern's, cut to the
+    # interior by fancy slicing; the solvers are handed these matrices
     ctx, potential, u = pattern_case
-    pattern = ctx.space.pattern()
     ix = ctx.space.interior_dofs
-    for mat in _pattern_matrices(ctx, potential, u).values():
-        _assert_same_csr(pattern.interior(mat), mat[ix][:, ix])
+    want = _full_pattern(ctx.space)[ix][:, ix]
+    want.sort_indices()
+    for name, mat in _pattern_matrices(ctx, potential, u).items():
+        assert mat.shape == want.shape, name
+        assert np.array_equal(mat.indptr, want.indptr), name
+        assert np.array_equal(mat.indices, want.indices), name
     x0 = IterateX(lam=NEWTON_LAMBDA, u=u)
-    _assert_same_csr(assemble_newton_system(ctx, x0).k,
-                     _newton_matrix(ctx, NEWTON_LAMBDA, u)[ix][:, ix])
-    _assert_same_csr(ctx._riesz_solver().k, ctx.h1_mat[ix][:, ix])
+    k = assemble_newton_system(ctx, x0).k
+    assert np.array_equal(k.data, _newton_matrix(ctx, NEWTON_LAMBDA, u).data)
+    assert ctx._riesz_solver().k is ctx.h1
+
+
+def test_no_operator_or_pattern_map_is_full_space_sized(pattern_case):
+    # a level stores interior blocks only: every matrix Operators holds is
+    # n x n for the n interior dofs, and every map of the pattern has one
+    # entry per interior row, per interior nonzero or per upper element
+    # entry; the element entries that touch the boundary share one extra
+    # bin of the slot sums
+    ctx, potential, u = pattern_case
+    space = ctx.space
+    n = space.interior_dofs.size
+    pattern = space.pattern()
+    full = _full_pattern(space)
+    ix = space.interior_dofs
+    assert pattern.shape == (n, n)
+    assert pattern.nnz == full[ix][:, ix].nnz < full.nnz
+    nb = space.elem.n_basis
+    sizes = {"indptr": n + 1, "indices": pattern.nnz,
+             "mirror": pattern.nnz,
+             "slot": space.mesh.n_cells * nb * (nb + 1) // 2}
+    arrays = {name: value for name, value in vars(pattern).items()
+              if isinstance(value, np.ndarray)}
+    assert {name: a.size for name, a in arrays.items()} == sizes
+    assert pattern.slot.max() == pattern.n_upper
+    matrices = {name: value for name, value in vars(ctx).items()
+                if sp.issparse(value)}
+    assert set(matrices) == {"mass", "linear_part", "h1"}
+    for name, mat in matrices.items():
+        assert mat.shape == (n, n), name
+    ctx.riesz_norm(np.ones(n))
+    assert ctx._riesz_solver().k is ctx.h1
 
 
 # The quadrature kernels walk the cells CELL_BLOCK at a time.
@@ -666,9 +759,10 @@ def test_field_forms_allocate_only_their_output_and_a_few_blocks():
 def test_a_level_retains_a_fixed_budget_per_element_entry():
     # what one 2D P1 level keeps resident, in bytes per element entry
     # (cells x nb^2): `slot` (intp, one per upper entry) 5.3, the int32
-    # maps and patterns 6.6, the mass, linear and H1 data 9.5 and |det J|
-    # 0.9, 23.3 in all. Caching the vertex coordinates again would add
-    # 5.3, J^-1 3.6.
+    # interior pattern and `mirror` 3.2, the interior mass, linear and H1
+    # data 8.9, |det J| 0.9 and the dof lists 0.6, 18.9 in all (22.9 with
+    # the full-space maps and matrices beside the interior ones). Caching
+    # the vertex coordinates again would add 5.3, J^-1 3.6.
     potential = parse("x1^2 + 2*x2^2", 2)
     nl = Nonlinearity(zeta=1.0)
     # a small level first, so that no first-use allocation is traced
@@ -681,8 +775,29 @@ def test_a_level_retains_a_fixed_budget_per_element_entry():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained <= 24 * mesh.n_cells * ops.space.elem.n_basis**2
+    assert retained <= 19.5 * mesh.n_cells * ops.space.elem.n_basis**2
     pattern = ops.space.pattern()
     assert pattern.mirror.dtype == np.int32
-    assert pattern.interior_gather.dtype == np.int32
+    assert pattern.indices.dtype == np.int32
     assert pattern.slot.dtype == np.intp
+
+
+def _buffer_bytes(a):
+    """The size of the buffer that holds a's data, through any views."""
+    while a.base is not None:
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_prolongation_holds_only_its_nonzeros(degree):
+    # the cached prolongation's data and indices are buffers of its nnz
+    # entries, not views of one entry per (fine dof, coarse basis function)
+    hier = build_hierarchy(BoxDomain.unit(2), (2, 2), 3)
+    coarse, fine = (FemSpace(m, degree) for m in hier.levels[1:])
+    p = prolongation_matrix(coarse, fine)
+    assert p.nnz < fine.n_dofs * coarse.elem.n_basis
+    assert np.all(p.data != 0.0)
+    for name in ("data", "indices"):
+        a = getattr(p, name)
+        assert _buffer_bytes(a) == a.nbytes == p.nnz * a.itemsize, name

@@ -1,4 +1,5 @@
 import importlib
+import json
 import subprocess
 from pathlib import Path
 
@@ -79,3 +80,33 @@ def test_only_program_changes_make_a_tree_dirty(bench_record, tmp_path):
         (tmp_path / name).write_text("1\n")
         assert bench_record._dirty(tmp_path) is True
         git("checkout", "--", name)
+
+
+def test_parent_sha_names_the_parent_records_commit(bench_record, tmp_path,
+                                                     monkeypatch, capsys):
+    # a `git archive` parent has no .git, so perfbench reads its sha as
+    # "unknown"; --parent-sha writes the commit into the parent's record
+    # only
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "perfbench").mkdir(parents=True)
+        (tmp_path / tree / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "solve_s", "better": "lower"}]}')
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        sha = "unknown" if tree.endswith("parent") else "c" * 40
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"solve_s": 1.0}, "units": {"solve_s": "s"},
+                "env": {"git_sha": sha}}
+
+    monkeypatch.setattr(bench_record, "run_seed", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--workload", "w", "--seeds", "1", "2", "--seconds", "1",
+            "--trace", "0", "--root", "change", "--parent", "parent"]
+    assert bench_record.main([*argv, "--parent-sha", "p" * 40]) == 0
+    (out,) = tmp_path.glob("BENCH_w_*.json")
+    parent, change = json.loads(out.read_text())["records"]
+    assert parent["env"]["git_sha"] == "p" * 40
+    assert change["env"]["git_sha"] == "c" * 40
+    assert bench_record.main(argv[:-2] + ["--parent-sha", "p" * 40]) == 2
+    assert "--parent-sha needs --parent" in capsys.readouterr().err

@@ -246,7 +246,9 @@ def study_oracle(cfg, renormalize):
         v = x.u
         for idx in range(depth - 1, len(ctxs) - 1):
             v = prolongation_matrix(ctxs[idx].space, ctxs[idx + 1].space) @ v
-        sign = 1.0 if float(v @ (ref_ops.mass @ x_ref.u)) >= 0 else -1.0
+        ix = ref_ops.space.interior_dofs
+        inner = float(v[ix] @ (ref_ops.mass @ x_ref.u[ix]))
+        sign = 1.0 if inner >= 0 else -1.0
         errors.append((abs(x.lam - ref_lam),
                        ref_ops.h1_norm(sign * v - x_ref.u)))
     return errors

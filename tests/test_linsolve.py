@@ -46,11 +46,11 @@ def poisson_hierarchy(n0=4, levels=3, dim=2):
     spaces = [FemSpace(m, 1) for m in hier.levels]
     mats, prolongs = [], []
     for i, space in enumerate(spaces):
-        ix = space.interior_dofs
-        mats.append(assemble_stiffness(space)[ix][:, ix].tocsr())
+        mats.append(assemble_stiffness(space))
         if i > 0:
             p = prolongation_matrix(spaces[i - 1], space)
-            prolongs.append(p[ix][:, spaces[i - 1].interior_dofs].tocsr())
+            prolongs.append(p[space.interior_dofs][
+                :, spaces[i - 1].interior_dofs].tocsr())
     return mats, prolongs
 
 
@@ -209,9 +209,8 @@ def test_backward_error_contract_near_singular():
     from gpmg.mesh import build_initial_mesh
 
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (32,)), 1)
-    ix = space.interior_dofs
-    k = assemble_stiffness(space)[ix][:, ix].tocsr()
-    m = assemble_mass(space)[ix][:, ix].tocsr()
+    k = assemble_stiffness(space)
+    m = assemble_mass(space)
     import scipy.linalg as sla
 
     vals = sla.eigh(k.toarray(), m.toarray(), eigvals_only=True)
@@ -261,7 +260,7 @@ def h1_hierarchy(dim, degree, n0, levels):
     prolongations: the operators of the finest level's Riesz V-cycle."""
     hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0))
-    mats = [ops.space.pattern().interior(ops.h1_mat) for ops in ctxs]
+    mats = [ops.h1 for ops in ctxs]
     prolongs = [_interior_prolongation(coarse.space, fine.space)
                 for coarse, fine in zip(ctxs, ctxs[1:])]
     return mats, prolongs
@@ -446,7 +445,8 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
     ops = ctxs[-1]
-    ops.riesz_norm(np.random.default_rng(7).standard_normal(ops.space.n_dofs))
+    ops.riesz_norm(np.random.default_rng(7).standard_normal(
+        ops.space.interior_dofs.size))
     assert len(applied) == sum(ops._riesz_solver().iteration_counts) > 1
     assert all(applied)
 
@@ -588,8 +588,7 @@ def backward_error(a, x, b):
 def h1_interior(dim, degree, cells):
     mesh = build_initial_mesh(BoxDomain.unit(dim), (cells,) * dim)
     ops = Operators(FemSpace(mesh, degree), Nonlinearity(zeta=1.0))
-    ix = ops.space.interior_dofs
-    return ops.h1_mat[ix][:, ix]
+    return ops.h1
 
 
 def indefinite_newton_matrix():
@@ -598,13 +597,11 @@ def indefinite_newton_matrix():
     mesh = build_initial_mesh(BoxDomain.unit(2), (8, 8))
     ops = Operators(FemSpace(mesh, 1), Nonlinearity(zeta=1.0),
                     potential=parse("x1^2 + 2*x2^2", 2))
-    ix = ops.space.interior_dofs
     u0 = np.zeros(ops.space.n_dofs)
-    u0[ix] = 1.0
-    k0 = _newton_matrix(ops, 0.0, u0)[ix][:, ix]
-    m = ops.mass[ix][:, ix]
-    mu = sla.eigh(k0.toarray(), m.toarray(), eigvals_only=True)
-    a = _newton_matrix(ops, 0.5 * (mu[1] + mu[2]), u0)[ix][:, ix]
+    u0[ops.space.interior_dofs] = 1.0
+    k0 = _newton_matrix(ops, 0.0, u0)
+    mu = sla.eigh(k0.toarray(), ops.mass.toarray(), eigvals_only=True)
+    a = _newton_matrix(ops, 0.5 * (mu[1] + mu[2]), u0)
     assert np.sum(np.linalg.eigvalsh(a.toarray()) < 0) == 2
     return a
 

@@ -50,12 +50,9 @@ def ctx_1d(n=16, degree=2, zeta=1.0, potential=None):
 
 def linear_eigenpair(ctx):
     space = ctx.space
-    ix = space.interior_dofs
-    k = ctx.linear_part[ix][:, ix].toarray()
-    m = ctx.mass[ix][:, ix].toarray()
-    vals, vecs = sla.eigh(k, m)
+    vals, vecs = sla.eigh(ctx.linear_part.toarray(), ctx.mass.toarray())
     u = np.zeros(space.n_dofs)
-    u[ix] = vecs[:, 0]
+    u[space.interior_dofs] = vecs[:, 0]
     if u.sum() < 0:
         u = -u
     return IterateX(lam=vals[0], u=u)
@@ -174,7 +171,7 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
 
 def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
     # every matrix a Newton step assembles is data on its space's cached
-    # pattern, cut to the interior by a cached gather: once the first step
+    # interior pattern: once the first step
     # has built the caches, a step and its resi make no COO matrix in
     # gpmg.assembly or gpmg.newton (attributed to the nearest gpmg frame)
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
@@ -208,9 +205,10 @@ def test_border_equation_exact_after_solve():
     ctx = ctx_1d(zeta=2.0, potential=parse("x1^2", 1))
     x0 = scf_solve(ctx, ScfConfig(tol=1e-6))
     x1 = newton_step([ctx], x0)
-    mu0 = ctx.mass @ x0.u
-    lhs = -float(mu0 @ x1.u)
-    rhs = -0.5 - 0.5 * float(x0.u @ mu0)
+    ix = ctx.space.interior_dofs
+    mu0 = ctx.mass @ x0.u[ix]
+    lhs = -float(mu0 @ x1.u[ix])
+    rhs = -0.5 - 0.5 * float(x0.u[ix] @ mu0)
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -248,8 +246,8 @@ def test_newton_vcycle_coarse_matrices_are_galerkin_products(monkeypatch,
         assert got.dtype == np.float64
         assert got.shape == want.shape and (got != want).nnz == 0
         pattern = coarse.space.pattern()
-        assert np.array_equal(got.indptr, pattern.interior_indptr)
-        assert np.array_equal(got.indices, pattern.interior_indices)
+        assert np.array_equal(got.indptr, pattern.indptr)
+        assert np.array_equal(got.indices, pattern.indices)
     # the coarsest level is the float64 matrix its LU factors
     assert vc.mats[0] is given[0]
     for held, mat in zip(vc.mats[1:], given[1:]):
@@ -268,7 +266,7 @@ def test_newton_requires_matching_space():
 
 def test_jacobian_matches_finite_differences():
     # bordered matrix [[K, -m], [-m', 0]] vs FD Jacobian of
-    # G(u, lam) = (residual(lam, u)_int ; 1/2 - (u,u)/2)
+    # G(u, lam) = (residual(lam, u) ; 1/2 - (u,u)/2)
     ctx = ctx_1d(n=12, zeta=1.0, potential=parse("x1^2", 1))
     space = ctx.space
     ix = space.interior_dofs
@@ -288,8 +286,8 @@ def test_jacobian_matches_finite_differences():
     def g(u_int, lam):
         u = np.zeros(space.n_dofs)
         u[ix] = u_int
-        r = ctx.residual(lam, u)[ix]
-        return np.concatenate([r, [0.5 - 0.5 * (u @ (ctx.mass @ u))]])
+        r = ctx.residual(lam, u)
+        return np.concatenate([r, [0.5 - 0.5 * (u_int @ (ctx.mass @ u_int))]])
 
     h = 1e-6
     fd = np.zeros_like(jac)
@@ -444,11 +442,10 @@ def test_mixing_decisions_same_under_pcg_and_lu_riesz_norm(monkeypatch):
     lus = {}
 
     def lu_riesz_norm(ops, functional):
-        ix = ops.space.interior_dofs
-        if id(ops.h1_mat) not in lus:
-            lus[id(ops.h1_mat)] = spla.splu(ops.h1_mat[ix][:, ix].tocsc())
-        r = functional[ix]
-        return float(np.sqrt(max(lus[id(ops.h1_mat)].solve(r) @ r, 0.0)))
+        if id(ops.h1) not in lus:
+            lus[id(ops.h1)] = spla.splu(ops.h1.tocsc())
+        z = lus[id(ops.h1)].solve(functional)
+        return float(np.sqrt(max(z @ functional, 0.0)))
 
     pcg_norms, pcg_trace = run(Operators.riesz_norm)
     lu_norms, lu_trace = run(lu_riesz_norm)
@@ -490,11 +487,9 @@ def test_riesz_norm_matches_an_lu_on_every_call(monkeypatch, dim, degree, n0,
     assert {id(ops) for ops, _, _ in calls} >= {id(ops) for ops in ctxs[1:]}
     lus = {}
     for ops, functional, got in calls:
-        ix = ops.space.interior_dofs
-        if id(ops.h1_mat) not in lus:
-            lus[id(ops.h1_mat)] = spla.splu(ops.h1_mat[ix][:, ix].tocsc())
-        r = functional[ix]
-        want = float(np.sqrt(lus[id(ops.h1_mat)].solve(r) @ r))
+        if id(ops.h1) not in lus:
+            lus[id(ops.h1)] = spla.splu(ops.h1.tocsc())
+        want = float(np.sqrt(lus[id(ops.h1)].solve(functional) @ functional))
         assert_riesz_norm_close(got, want)
 
 

@@ -2,7 +2,7 @@
 
 usage: python3 tools/bench_record.py --workload NAME --seeds S [S ...]
                                      --seconds T --trace 0|1 [--root DIR]
-                                     [--parent DIR]
+                                     [--parent DIR [--parent-sha SHA]]
 
 Runs `python3 perfbench/run.py` once per seed in the source tree ROOT
 (default: the current directory), reads each run's last JSON line and its
@@ -17,7 +17,9 @@ back to back, the parent first on the 1st, 3rd, ... seed and ROOT first on
 the others, so host drift hits both sides of a pair alike. Both records
 are appended, the parent's first, and for each metric that ROOT's
 BENCHMARK.json lists, the ROOT/parent ratio of every pair is printed with
-the number of pairs in which ROOT is better.
+the number of pairs in which ROOT is better. A parent tree made by `git
+archive` has no .git, so perfbench records its sha as "unknown";
+--parent-sha SHA writes the parent's commit into its record's env instead.
 """
 
 import argparse
@@ -75,10 +77,14 @@ def run_seed(root, workload, seed, seconds, trace):
     }
 
 
-def record(root, workload, seeds, seconds, trace, runs):
-    """The BENCH record of runs, one per seed, made in the tree root."""
+def record(root, workload, seeds, seconds, trace, runs, sha=None):
+    """The BENCH record of runs, one per seed, made in the tree root; sha,
+    if given, is root's commit, in place of the one perfbench read."""
     names = [n for n in runs[0]["metrics"]
              if all(n in r["metrics"] for r in runs)]
+    env = dict(runs[0]["env"])
+    if sha is not None:
+        env["git_sha"] = sha
     return {
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         # perfbench's env records the git sha; a dirty tree is not that sha
@@ -87,7 +93,7 @@ def record(root, workload, seeds, seconds, trace, runs):
         "trace": trace,
         "seconds": seconds,
         "seeds": list(seeds),
-        "env": runs[0]["env"],
+        "env": env,
         "medians": {
             n: {"value": statistics.median(r["metrics"][n] for r in runs),
                 "unit": runs[0]["units"][n]}
@@ -144,7 +150,12 @@ def main(argv=None):
                    help="source tree to benchmark (default: current dir)")
     p.add_argument("--parent", default=None,
                    help="parent source tree to run in pairs with ROOT")
+    p.add_argument("--parent-sha", default=None,
+                   help="the parent tree's commit, for its record's env")
     args = p.parse_args(argv)
+    if args.parent_sha is not None and args.parent is None:
+        print("error: --parent-sha needs --parent", file=sys.stderr)
+        return 2
 
     trees = [os.path.abspath(args.root)]
     if args.parent is not None:
@@ -164,8 +175,9 @@ def main(argv=None):
     except (RuntimeError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    recs = [record(tree, *spec, tree_runs)
-            for tree, tree_runs in zip(trees, runs)]
+    shas = [args.parent_sha, None] if args.parent is not None else [None]
+    recs = [record(tree, *spec, tree_runs, sha)
+            for tree, tree_runs, sha in zip(trees, runs, shas)]
     out = f"BENCH_{args.workload}_{time.strftime('%Y%m%d', time.gmtime())}.json"
     data = {"workload": args.workload, "records": []}
     if os.path.exists(out):
