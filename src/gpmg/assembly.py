@@ -8,11 +8,12 @@ every matrix is the interior-by-interior block, and every vector but a
 field is indexed like `FemSpace.interior_dofs`. A field (an iterate) has
 one value per dof, zero on the boundary, since the kernel reads it by
 `cell_dofs`.
-All forms share one kernel: per-cell weights times a reference table that
-the space caches per quadrature rule (`RuleTables`), taken a block of
-`CELL_BLOCK` cells at a time, so only the output has one row per cell.
-Every matrix on a space is a data array on the space's one interior CSR
-pattern (`CsrPattern`, built on first use): a form is a bincount of the
+All forms share one kernel (`_integrate`): per-cell weights times |det J|
+times a reference table that the space caches per quadrature rule
+(`RuleTables`), taken a block of `CELL_BLOCK` cells at a time, each
+block's element rows added straight into the output, so no array has one
+row per cell. Every matrix on a space is a data array on the space's one
+interior CSR pattern (`CsrPattern`, built on first use): a form sums the
 upper triangles of its element matrices into the upper slots, gathered
 into full storage; sums of forms are sums of data arrays. Of the cell
 geometry only |det J| is kept.
@@ -46,10 +47,11 @@ __all__ = [
 # `Operators.riesz_norm`.
 RIESZ_TOL = 1e-3
 
-# Cells per block of the quadrature kernel (`_cell_rows`). A block's
+# Cells per block of the quadrature kernel (`_integrate`). A block's
 # largest temporaries are its values at the quadrature points, at most
 # 4,096 x 64 doubles = 2 MB (3D P2's weighted rule; 0.3 MB for 2D P1's 9
-# points), and the potential's points, three times that. Timed per form
+# points), the potential's points, three times that, and its element
+# rows, 4,096 x 55 doubles in 3D P2. Timed per form
 # on a 2-vCPU Xeon VM (2D P1 at 524,288 cells, 3D P2 at 24,576): blocks
 # of 1,024 to 8,192 cells are within noise of each other and up to 2.5x
 # faster than one block; from 8,192 on, 3D P2's potential points are
@@ -73,11 +75,12 @@ class FemSpace:
             boundary = mesh.boundary_vertex_flags.copy()
         else:
             # edge (a, b), a < b, is the key a * nv + b: key order is the
-            # lexicographic order of the pairs
+            # lexicographic order of the pairs. Keys are int64, since
+            # a * nv overflows int32 beyond 46,341 vertices
             nv = mesh.n_vertices
             ends = mesh.cells[:, self.elem.edges]  # (nc, nloc_edges, 2)
-            keys = (np.minimum(ends[..., 0], ends[..., 1]) * nv
-                    + np.maximum(ends[..., 0], ends[..., 1]))
+            keys = (np.minimum(ends[..., 0], ends[..., 1]).astype(np.int64)
+                    * nv + np.maximum(ends[..., 0], ends[..., 1]))
             edges, inverse = np.unique(keys.ravel(), return_inverse=True)
             edge_ids = inverse.reshape(keys.shape) + nv
             self.cell_dofs = np.hstack([mesh.cells, edge_ids])
@@ -95,7 +98,6 @@ class FemSpace:
         self._det = None
         self._pattern = None
         self._quad_cache = {}
-        self._prolongation_from = {}
         self._interior_prolongation_from = {}
         self._interior_prolongation32_from = {}
 
@@ -184,10 +186,9 @@ class CsrPattern:
     reads. `mirror[k]` is the upper slot of data entry k: a form's data
     are its slot sums gathered through `mirror`, so (i, j) and (j, i) read
     one sum and every matrix is symmetric bit for bit. The maps are int32
-    below 2^31 entries, except `slot`, kept intp: `np.bincount` copies any
-    other index dtype to intp on every call. The index arrays are
-    read-only: every matrix on the space holds them, so an in-place edit
-    of one would corrupt them all."""
+    below 2^31 entries. The index arrays are read-only: every matrix on
+    the space holds them, so an in-place edit of one would corrupt them
+    all."""
 
     def __init__(self, cell_dofs, boundary_mask):
         interior = ~boundary_mask
@@ -220,11 +221,14 @@ class CsrPattern:
         unique = ids[first]
         first[0] = False  # so the running count is the run's 0-based slot
         np.cumsum(first, out=ids)
-        self.slot = keys
-        self.slot[order] = ids
+        keys[order] = ids
         del order, ids, first
         unique = unique[unique < n * n]
         self.n_upper = unique.size
+        # n <= n_upper and nnz < 2 n_upper bound every index below
+        idx = np.int32 if 2 * self.n_upper < 2**31 else np.int64
+        self.slot = keys.astype(idx)
+        del keys
         rows = unique // n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -239,7 +243,6 @@ class CsrPattern:
         full.sort_indices()
         self.shape = (n, n)
         self.nnz = full.nnz
-        idx = np.int32 if max(n, self.nnz) < 2**31 else np.int64
         self.indices = full.indices.astype(idx)
         self.indptr = full.indptr.astype(idx)
         self.mirror = full.data.astype(idx)
@@ -282,39 +285,31 @@ def _cell_blocks(n):
         yield slice(start, min(start + CELL_BLOCK, n))
 
 
-def _cell_rows(space, table, weights_of):
-    """The quadrature kernel: row c of the result is cell c's weights times
-    table. weights_of(s) builds the weights of the cells in slice s, so no
-    temporary spans more than CELL_BLOCK cells; only the returned rows are
-    one per cell."""
-    n = space.mesh.n_cells
-    out = None
-    for s in _cell_blocks(n):
-        weights = weights_of(s)
-        if out is None:
-            # allocated after the first block's temporaries: allocated
-            # before them, the heap held 1.5 MB more at the peak RSS of a
-            # one-block 3D P2 solve (3,072 cells; 93 MB, not 91 MB)
-            out = np.empty((n, table.shape[1]))
-        np.matmul(weights, table, out=out[s])
+def _integrate(space, table, values_of, index, size):
+    """The quadrature kernel and its scatter in one pass. For each block s
+    of cells, values_of(s) * |det J| times table gives one row of element
+    entries per cell; np.add.at adds them, in element order, into
+    out[index[e]] (out of length size), e the block's element entries,
+    numbered cell by cell. np.bincount sums in that same order, so out is
+    its sum bit for bit; only out and one block's temporaries are
+    allocated."""
+    det = space.cell_det()
+    out = np.zeros(size)
+    width = table.shape[1]
+    for s in _cell_blocks(space.mesh.n_cells):
+        rows = (values_of(s) * det[s, None]) @ table
+        np.add.at(out, index[s.start * width:s.stop * width], rows.ravel())
     return out
 
 
-def _quadrature_rows(space, table, values_of):
-    """_cell_rows with weights values_of(s) * |det J|: values_of(s) gives
-    the integrand at the rule's points of the cells in slice s."""
-    det = space.cell_det()
-    return _cell_rows(space, table, lambda s: values_of(s) * det[s, None])
-
-
-def _scatter(space, rows):
-    """The matrix assembly: row c of rows is the upper triangle of cell
-    c's element matrix, in `np.triu_indices(nb)` order. Summed into the
-    pattern's upper slots, then gathered into full storage: the interior
-    block."""
+def _scatter(space, table, values_of):
+    """The matrix of the element rows `_integrate` makes of table and
+    values_of, each the upper triangle of a cell's element matrix in
+    `np.triu_indices(nb)` order: summed into the pattern's upper slots,
+    then gathered into full storage, the interior block."""
     pattern = space.pattern()
-    upper = np.bincount(pattern.slot, weights=rows.ravel(),
-                        minlength=pattern.n_upper)
+    upper = _integrate(space, table, values_of, pattern.slot,
+                       pattern.n_upper + 1)
     return pattern.matrix(upper[pattern.mirror])
 
 
@@ -325,36 +320,34 @@ def assemble_stiffness(space):
 
     def metric(s):
         # physical gradient is inv @ grad_ref, so the cell metric is
-        # det inv' inv, built one symmetric pair of entries at a time
-        det_s, inv_s = space.geometry(s)
-        b = np.empty((len(det_s), d, d))
+        # inv' inv (the kernel scales it by |det J|), built one symmetric
+        # pair of entries at a time
+        inv_s = space.geometry(s)[1]
+        b = np.empty((len(inv_s), d, d))
         for i in range(d):
             for j in range(i, d):
                 m = inv_s[:, 0, i] * inv_s[:, 0, j]
                 for k in range(1, d):
                     m += inv_s[:, k, i] * inv_s[:, k, j]
-                m *= det_s
                 b[:, i, j] = m
                 b[:, j, i] = m
-        return b.reshape(len(det_s), d * d)
+        return b.reshape(len(inv_s), d * d)
 
-    tables = space.rule(space.bilinear_degree)
-    return _scatter(space, _cell_rows(space, tables.stiffness, metric))
+    return _scatter(space, space.rule(space.bilinear_degree).stiffness,
+                    metric)
 
 
 def assemble_mass(space):
     tables = space.rule(space.bilinear_degree)
     ones = np.ones(len(tables.w))
-    return _scatter(space, _quadrature_rows(space, tables.wphiphi,
-                                            lambda s: ones))
+    return _scatter(space, tables.wphiphi, lambda s: ones)
 
 
 def _weighted_mass(space, values_of):
     """Mass matrix weighted by values_of(s), the weight at the weighted
     rule's points of the cells in slice s."""
-    tables = space.rule(space.weighted_degree)
-    return _scatter(space, _quadrature_rows(space, tables.wphiphi,
-                                            values_of))
+    return _scatter(space, space.rule(space.weighted_degree).wphiphi,
+                    values_of)
 
 
 def _spatial_values(space, weight):
@@ -395,11 +388,10 @@ def assemble_field_weighted_mass(space, u, transform):
 def assemble_field_load(space, u, transform):
     """Load vector (transform(u(x)), phi_i), i interior, with u a FEM
     field."""
-    rows = _quadrature_rows(space, space.rule(space.weighted_degree).wphi,
-                            _field_values(space, u, transform))
-    return np.bincount(
-        space.cell_dofs.ravel(), weights=rows.ravel(), minlength=space.n_dofs
-    )[space.interior_dofs]
+    return _integrate(space, space.rule(space.weighted_degree).wphi,
+                      _field_values(space, u, transform),
+                      space.cell_dofs.ravel(), space.n_dofs
+                      )[space.interior_dofs]
 
 
 def _check_nested(coarse, fine):
@@ -413,11 +405,10 @@ def _check_nested(coarse, fine):
 
 
 def prolongation_matrix(coarse, fine):
-    """Sparse nodal-interpolation operator V_coarse -> V_fine (exact embedding)."""
+    """Sparse nodal-interpolation operator V_coarse -> V_fine (exact
+    embedding), built afresh on each call: gpmg itself reads it only
+    through `_interior_prolongation`, which caches the interior block."""
     _check_nested(coarse, fine)
-    key = id(coarse)
-    if key in fine._prolongation_from:
-        return fine._prolongation_from[key]
     cid, bary = coarse.mesh.locate(fine.dof_coords)
     phi = shape_values(coarse.elem, bary)
     # row i holds the nonzero basis values of fine dof i's coarse cell
@@ -429,13 +420,13 @@ def prolongation_matrix(coarse, fine):
         shape=(fine.n_dofs, coarse.n_dofs),
     )
     p.sort_indices()
-    fine._prolongation_from[key] = p
     return p
 
 
 def _interior_prolongation(coarse_space, fine_space):
-    """The prolongation between the interior dofs, cached on the fine space
-    like the full one: the P of every Galerkin product P' K P."""
+    """The prolongation between the interior dofs, cached on the fine
+    space: the P of every Galerkin product P' K P, and of every field,
+    which is zero on the boundary (`newton._prolong_field`)."""
     key = id(coarse_space)
     cache = fine_space._interior_prolongation_from
     if key not in cache:

@@ -74,7 +74,8 @@ class MeshLevel:
 
     Vertices are the tensor grid points in C order; cells are grouped
     cube-major with the dim! Kuhn simplices of each cube in a fixed
-    permutation order.
+    permutation order. Cells are int32 below 2^31 vertices, so products of
+    vertex ids must be taken in int64.
     """
 
     def __init__(self, domain, cells_per_axis, level=1, steps=None):
@@ -135,7 +136,8 @@ class MeshLevel:
         flat = np.ravel_multi_index(
             tuple(multi[..., i] for i in range(d)), vshape
         )
-        return flat.reshape(-1, d + 1).astype(np.int64)
+        idx = np.int32 if self.n_vertices < 2**31 else np.int64
+        return flat.reshape(-1, d + 1).astype(idx)
 
     def _boundary_flags(self):
         flags = np.zeros(self.n_vertices, dtype=bool)

@@ -1,11 +1,11 @@
 """Test oracles for FEM fields: point evaluation through the mesh's point
 location and the element's shape functions, independent of the assembly
-code; and the energy of a field, on the assembly's quadrature kernel, with
-its density F."""
+code; and the energy of a field, on the assembly's quadrature rule and
+field values, with its density F."""
 
 import numpy as np
 
-from gpmg.assembly import _field_values, _quadrature_rows
+from gpmg.assembly import _field_values
 from gpmg.elements import shape_values
 
 
@@ -35,7 +35,7 @@ def energy(ops, u):
     ui = u[space.interior_dofs]
     quad = 0.5 * (ui @ (ops.linear_part @ ui))
     w = space.rule(space.weighted_degree).w
-    per_cell = _quadrature_rows(
-        space, w[:, None],
-        _field_values(space, u, lambda t: F_eval(ops.nl, t**2)))
+    values = _field_values(space, u, lambda t: F_eval(ops.nl, t**2))
+    # one row per cell: its quadrature sum
+    per_cell = (values(slice(None)) * space.cell_det()[:, None]) @ w
     return quad + 0.5 * float(np.sum(per_cell))

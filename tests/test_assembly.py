@@ -468,14 +468,21 @@ def test_newton_matrix_sums_the_separate_masses(kernel_case):
 
 
 # Two oracles for the shared pattern's scatter, which both take each
-# cell's upper-triangle rows and build the full-space matrix: they sum the
+# cell's upper-triangle rows (`_element_rows`, made as the kernel makes
+# them, a block at a time) and build the full-space matrix: they sum the
 # entries at (min, max) of the dof pair and mirror the strict upper
 # triangle. `_coo_scatter` sums them as a COO matrix; scipy adds a row's
 # duplicate entries in the order its unstable per-row sort leaves them
 # (rows of more than 16 entries get reordered), so it agrees to round-off.
 # `_ordered_scatter` sums them densely in element order, the order the
-# pattern's bincount uses, so it agrees bit for bit. Production matrices
+# kernel's np.add.at uses, so it agrees bit for bit. Production matrices
 # are the interior blocks of these.
+def _element_rows(space, table, values_of):
+    det = space.cell_det()
+    return np.vstack([(values_of(s) * det[s, None]) @ table
+                      for s in assembly_mod._cell_blocks(space.mesh.n_cells)])
+
+
 def _upper_entries(space, elem):
     a, b = np.triu_indices(space.elem.n_basis)
     da, db = space.cell_dofs[:, a], space.cell_dofs[:, b]
@@ -551,8 +558,11 @@ def _with_sums(forms):
 
 def _reference_matrices(ctx, potential, u, scatter, monkeypatch):
     """The full-space matrices of scatter's assembly, dense."""
+    def matrix(space, table, values_of):
+        return scatter(space, _element_rows(space, table, values_of))
+
     with monkeypatch.context() as patch:
-        patch.setattr(assembly_mod, "_scatter", scatter)
+        patch.setattr(assembly_mod, "_scatter", matrix)
         forms = _forms(ctx, potential, u)
     return _with_sums({name: mat.toarray() for name, mat in forms.items()})
 
@@ -660,22 +670,34 @@ def test_no_operator_or_pattern_map_is_full_space_sized(pattern_case):
     assert ctx._riesz_solver().k is ctx.h1
 
 
-# The quadrature kernels walk the cells CELL_BLOCK at a time.
+# The quadrature kernel walks the cells CELL_BLOCK at a time.
 def test_cell_rows_visit_every_cell_once_in_order(monkeypatch):
-    # 40 cells in blocks of 7: five full blocks and a partial one
+    # 40 cells in blocks of 7: five full blocks and a partial one. Each
+    # block's rows (values times |det J| times the table) are added into
+    # the output at their element entries' index, in element order: one
+    # entry per bin gives the rows themselves, and colliding bins the
+    # bincount of the rows bit for bit
     space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (5, 4)), 1)
     monkeypatch.setattr(assembly_mod, "CELL_BLOCK", 7)
     cells = np.arange(space.mesh.n_cells)
+    table = np.array([[1.0, -2.0]])
     seen = []
 
-    def weights_of(s):
+    def values_of(s):
         seen.append(cells[s])
-        return cells[s, None].astype(float)
+        return np.sin(cells[s, None] + 0.5)
 
-    rows = assembly_mod._cell_rows(space, np.array([[1.0, -2.0]]), weights_of)
+    rows = np.sin(cells[:, None] + 0.5) * space.cell_det()[:, None] * table
+    out = assembly_mod._integrate(space, table, values_of,
+                                  np.arange(rows.size), rows.size)
     assert [len(block) for block in seen] == [7] * 5 + [5]
     assert np.array_equal(np.concatenate(seen), cells)
-    assert np.array_equal(rows, cells[:, None] * np.array([1.0, -2.0]))
+    assert np.array_equal(out, rows.ravel())
+    index = np.random.default_rng(0).integers(0, 9, rows.size).astype(
+        np.int32)
+    out = assembly_mod._integrate(space, table, values_of, index, 11)
+    assert np.array_equal(out, np.bincount(index, weights=rows.ravel(),
+                                           minlength=11))
 
 
 def _block_forms(space, potential, u):
@@ -727,23 +749,21 @@ def test_potential_is_checked_on_every_block(monkeypatch):
 
 
 def test_field_forms_allocate_only_their_output_and_a_few_blocks():
-    # a 2D P1 mesh of 12.5 blocks; beyond its output rows (for a matrix,
-    # the upper triangle of each element matrix) and the bincount output
-    # (for a matrix, also its gather into full storage) a form holds at
-    # most a few blocks' temporaries at once, not one per cell
+    # a 2D P1 mesh of 12.5 blocks; beyond the kernel's sums (for a matrix,
+    # the upper slots, also gathered into full storage) a form holds at
+    # most a few blocks' temporaries at once, and nothing per cell
     block = assembly_mod.CELL_BLOCK
     n = int(np.ceil(np.sqrt(12.5 * block / 2)))
     space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (n, n)), 1)
     nl = Nonlinearity(zeta=1.0)
     u = np.random.default_rng(0).standard_normal(space.n_dofs)
-    nc, nb = space.mesh.n_cells, space.elem.n_basis
     nq = len(space.rule(space.weighted_degree).w)
     cases = [
         (lambda: assemble_field_load(space, u, lambda t: f_eval(nl, t**2) * t),
-         nc * nb + space.n_dofs),
+         space.n_dofs + space.interior_dofs.size),
         (lambda: assemble_field_weighted_mass(
             space, u, lambda t: f_eval(nl, t**2)),
-         nc * nb * (nb + 1) // 2 + 2 * space.pattern().nnz),
+         space.pattern().n_upper + 1 + space.pattern().nnz),
     ]
     for form, output in cases:
         form()  # the geometry, pattern and tables are cached before tracing
@@ -758,11 +778,12 @@ def test_field_forms_allocate_only_their_output_and_a_few_blocks():
 
 def test_a_level_retains_a_fixed_budget_per_element_entry():
     # what one 2D P1 level keeps resident, in bytes per element entry
-    # (cells x nb^2): `slot` (intp, one per upper entry) 5.3, the int32
+    # (cells x nb^2): `slot` (int32, one per upper entry) 2.7, the int32
     # interior pattern and `mirror` 3.2, the interior mass, linear and H1
-    # data 8.9, |det J| 0.9 and the dof lists 0.6, 18.9 in all (22.9 with
-    # the full-space maps and matrices beside the interior ones). Caching
-    # the vertex coordinates again would add 5.3, J^-1 3.6.
+    # data 8.9, |det J| 0.9 and the dof lists 0.5, 16.3 in all (18.9 with
+    # an intp `slot`, 22.9 with the full-space maps and matrices beside
+    # the interior ones). Caching the vertex coordinates again would add
+    # 5.3, J^-1 3.6.
     potential = parse("x1^2 + 2*x2^2", 2)
     nl = Nonlinearity(zeta=1.0)
     # a small level first, so that no first-use allocation is traced
@@ -775,11 +796,26 @@ def test_a_level_retains_a_fixed_budget_per_element_entry():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained <= 19.5 * mesh.n_cells * ops.space.elem.n_basis**2
+    assert retained <= 16.8 * mesh.n_cells * ops.space.elem.n_basis**2
     pattern = ops.space.pattern()
     assert pattern.mirror.dtype == np.int32
     assert pattern.indices.dtype == np.int32
-    assert pattern.slot.dtype == np.intp
+    assert pattern.slot.dtype == np.int32
+
+
+def test_p2_edge_keys_do_not_overflow_int32_cells():
+    # 217^2 = 47,089 vertices: a * n_vertices + b overflows int32 from
+    # 46,341 on, so a P2 space on int32 cells must number its edges by
+    # int64 keys; it matches the space on an int64 copy of the cells
+    mesh = build_initial_mesh(BoxDomain.unit(2), (216, 216))
+    assert mesh.cells.dtype == np.int32 and mesh.n_vertices > 46_341
+    space = FemSpace(mesh, 2)
+    wide = build_initial_mesh(BoxDomain.unit(2), (216, 216))
+    wide.cells = wide.cells.astype(np.int64)
+    want = FemSpace(wide, 2)
+    assert np.array_equal(space.dof_coords, want.dof_coords)
+    assert np.array_equal(space.interior_dofs, want.interior_dofs)
+    assert np.array_equal(space.cell_dofs, want.cell_dofs)
 
 
 def _buffer_bytes(a):

@@ -18,6 +18,7 @@ from gpmg.assembly import (
 from gpmg.eigsolve import scf_solve
 from gpmg.errors import CoercivityError, ConfigurationError, SolverError
 from gpmg.expr import parse
+import gpmg.linsolve as linsolve_mod
 from gpmg.linsolve import (
     MG_CG_CROSSOVER,
     BorderedSystem,
@@ -629,3 +630,18 @@ def test_factor_symmetric_matches_dense_solve(build):
     assert backward_error(a, dense, b) <= 1e-12
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
 
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 50, 64])
+def test_knorm_sums_rows_of_abs_k_chunk_by_chunk(monkeypatch, chunk):
+    # ||K||_inf is the largest row sum of |K|, taken KNORM_ROWS rows at a
+    # time: 50 rows, one of them empty, in chunks that do and do not
+    # divide it, and in one chunk larger than K
+    rng = np.random.default_rng(chunk)
+    k = sp.random(50, 50, density=0.2, format="csr", random_state=rng,
+                  data_rvs=lambda size: rng.standard_normal(size))
+    k = sp.csr_matrix(k.toarray() * (np.arange(50) != 17)[:, None])
+    monkeypatch.setattr(linsolve_mod, "KNORM_ROWS", chunk)
+    solver = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=object())
+    want = abs(k).sum(axis=1).max()
+    assert abs(solver.knorm - want) <= 1e-15 * want

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,37 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
         assert np.shares_memory(p.indptr, p64.indptr)
 
 
+def test_mg_cg_newton_step_peaks_within_a_budget_per_nonzero():
+    # one mg_cg Newton step on a 2D P1 level of 16,129 interior dofs, its
+    # Riesz solver and prolongations built beforehand, as `resi` builds
+    # them before every step of a run. Its tracemalloc peak above its
+    # start, per nonzero of K: 27.2 bytes, set in the PCG solve by K (8),
+    # its float32 copy (4), the coarser Galerkin products and the solve's
+    # vectors. A data-sized temporary adds 8: building |K| whole for
+    # ||K||_inf read 32.3, and each of the Newton matrix's
+    # `linear_part - lam0 * mass` temporaries and a Galerkin product
+    # P' (K P) came within 4 of that
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 6)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    cfg = SolverConfig(method="mg_cg")
+    x = scf_solve(ctxs[0])
+    for idx in range(1, len(ctxs) - 1):
+        x = newton_step(ctxs[:idx + 1], _prolong_iterate(
+            x, ctxs[idx - 1].space, ctxs[idx].space), cfg)
+    x = _prolong_iterate(x, ctxs[-2].space, ctxs[-1].space)
+    resi(ctxs[-1], x)
+    assert ctxs[-1].space.interior_dofs.size >= 16_000
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        newton_step(ctxs, x, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 29.0 * ctxs[-1].mass.nnz
+
+
 def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
     # every matrix a Newton step assembles is data on its space's cached
     # interior pattern: once the first step
@@ -218,9 +250,10 @@ def test_newton_vcycle_coarse_matrices_are_galerkin_products(monkeypatch,
                                                              dim, degree,
                                                              levels):
     # the top matrix is the step's own; each coarser one is P' K P of the
-    # next finer, formed in float64 bit for bit on the coarse space's
-    # interior pattern. The hierarchy is handed those float64 matrices and
-    # holds the smoothed ones rounded to float32 on the same index arrays
+    # next finer, formed in float64 as (P' K) P bit for bit, P' in CSR,
+    # on the coarse space's interior pattern, and P' (K P) to round-off.
+    # The hierarchy is handed those float64 matrices and holds the
+    # smoothed ones rounded to float32 on the same index arrays
     hier = build_hierarchy(BoxDomain.unit(dim), (2,) * dim, levels)
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", dim))
@@ -242,9 +275,12 @@ def test_newton_vcycle_coarse_matrices_are_galerkin_products(monkeypatch,
     for i, (coarse, fine) in enumerate(zip(ctxs, ctxs[1:])):
         p = prolongation_matrix(coarse.space, fine.space)[
             fine.space.interior_dofs][:, coarse.space.interior_dofs].tocsr()
-        got, want = given[i], p.T @ (given[i + 1] @ p)
+        got, want = given[i], (p.T.tocsr() @ given[i + 1]) @ p
         assert got.dtype == np.float64
         assert got.shape == want.shape and (got != want).nnz == 0
+        other = (p.T @ (given[i + 1] @ p)).toarray()
+        assert (np.abs(got.toarray() - other).max()
+                <= 1e-14 * np.abs(other).max())
         pattern = coarse.space.pattern()
         assert np.array_equal(got.indptr, pattern.indptr)
         assert np.array_equal(got.indices, pattern.indices)
