@@ -174,12 +174,12 @@ def test_mg_cg_newton_step_peaks_within_a_budget_per_nonzero():
     # one mg_cg Newton step on a 2D P1 level of 16,129 interior dofs, its
     # Riesz solver and prolongations built beforehand, as `resi` builds
     # them before every step of a run. Its tracemalloc peak above its
-    # start, per nonzero of K: 27.2 bytes, set in the PCG solve by K (8),
-    # its float32 copy (4), the coarser Galerkin products and the solve's
-    # vectors. A data-sized temporary adds 8: building |K| whole for
-    # ||K||_inf read 32.3, and each of the Newton matrix's
-    # `linear_part - lam0 * mass` temporaries and a Galerkin product
-    # P' (K P) came within 4 of that
+    # start, per nonzero of K, is 27.2 bytes, set in the second PCG solve
+    # by K (8), its float32 copy (4), the coarser Galerkin products and
+    # the solve's vectors. A data-sized temporary costs 8: with |K| built
+    # whole for ||K||_inf the step peaked at 32.3, there; with P' (K P)
+    # for the Galerkin products at 30.1, and with two temporaries for
+    # `linear_part - lam0 * mass` at 27.3 in the Newton matrix
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 6)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
