@@ -451,11 +451,13 @@ def _interior_prolongation32(coarse_space, fine_space):
 class Operators:
     """One mesh level of a problem: its space, the cached u-independent
     interior operators (`mass`, `linear_part` = stiffness + potential mass,
-    `h1` = stiffness + mass), and the lazily built H1 Riesz solver on
-    `h1`. The methods take fields and return interior entries. `coarser`
-    is the next coarser level's Operators, if any (`newton.build_contexts`
-    links them); the Riesz solver's V-cycle runs over this level and every
-    coarser one."""
+    `h1` = stiffness + mass), the `shift` s = max(0, -min V) over the
+    potential's quadrature values, with which the potential mass plus s
+    times the mass is positive semidefinite, and the lazily built H1 Riesz
+    solver on `h1`. The methods take fields and return interior entries.
+    `coarser` is the next coarser level's Operators, if any
+    (`newton.build_contexts` links them); the Riesz solver's V-cycle runs
+    over this level and every coarser one."""
 
     def __init__(self, space, nl, potential=None, coarser=None):
         self.space = space
@@ -467,6 +469,7 @@ class Operators:
         self.mass = assemble_mass(space)
         self.h1 = pattern.matrix(stiffness.data + self.mass.data)
         self.linear_part = stiffness
+        self.shift = 0.0
         if potential is not None:
             values_of = _spatial_values(space, potential)
 
@@ -476,6 +479,7 @@ class Operators:
                     raise ConfigurationError(
                         "problem.potential evaluates to inf or nan on the "
                         "domain")
+                self.shift = max(self.shift, -float(vals.min()))
                 return vals
 
             self.linear_part = pattern.matrix(

@@ -1,13 +1,16 @@
 """Linear solvers: SPD interior systems and the rank-1 bordered system.
 
-The Newton step's saddle-point system [[K, -m], [-m', 0]] is solved by a
-rank-1 Schur reduction to two solves with K. K itself is handled by a
-sparse direct factorization or by CG preconditioned with a geometric
-V-cycle whose smoother is a Chebyshev polynomial in D^-1 K (D the diagonal
-of K), so smoothing costs matvecs only.
+The Newton step's saddle-point system [[K, -m], [-m', 0]] is solved either
+directly, by a rank-1 Schur reduction to two sparse LU solves with K, or
+by one projected PCG solve on the tangent space {v : m'v = 0}, where K is
+coercive near the ground state even when K itself is indefinite. An SPD
+interior system (the H1 Riesz problem) is solved by the same PCG loop
+without the constraint, or by a sparse LU. PCG is preconditioned with a
+geometric V-cycle whose smoother is a Chebyshev polynomial in D^-1 A (A
+the V-cycle's matrix, D its diagonal), so smoothing costs matvecs only.
 
 PCG, its backward-error check and the bordered solve run in float64. The
-V-cycle only has to approximate K^-1, so its smoothed levels run in
+V-cycle only has to approximate A^-1, so its smoothed levels run in
 float32 (matrices, prolongations, D^-1 and vectors), which halves the
 bytes each memory-bound matvec moves per nonzero value; the coarsest
 level is a float64 LU.
@@ -35,20 +38,9 @@ __all__ = [
     "SpdSolver",
     "as_float32",
     "factor_symmetric",
+    "pcg",
     "solve_bordered",
 ]
-
-# `auto` crossover per (dimension, degree): the interior-dof count above
-# which one bordered Newton solve is faster by mg_cg, V-cycle set-up
-# included, than direct (2-vCPU box, zeta = 1; table in the ROADMAP
-# section "Reference: the `auto` crossover").
-# A pair not listed, as in 1D, always solves direct.
-MG_CG_CROSSOVER = {
-    (2, 1): 10_000,
-    (2, 2): 6_000,
-    (3, 1): 1_600,
-    (3, 2): 1_000,
-}
 
 
 def factor_symmetric(a):
@@ -71,10 +63,12 @@ KNORM_ROWS = 4096
 # polynomial has magnitude < 1 on (0, hi + lo), so the smoother contracts
 # in the K-norm (and the V-cycle stays SPD) while lambda_max(D^-1 K) <
 # hi + lo = 1.21 x the estimate.
-# Power steps: the Rayleigh quotient is below lambda_max, and after 12
-# steps it was within 8% of it on every smoothed level of the benchmark
-# hierarchies, well inside the 21% margin.
-CHEBYSHEV_POWER_STEPS = 12
+# Power steps: the Rayleigh quotient is below lambda_max, and after 16
+# steps it was within 9% of it on every smoothed level of the benchmark
+# hierarchies and of the tests', well inside the 21% margin. (12 steps
+# left the 27-dof level of a 3D P2 Newton V-cycle, built on G from n0 = 1,
+# 21.5% low.)
+CHEBYSHEV_POWER_STEPS = 16
 # hi = 1.1 x the estimate, the upper end of PETSc's default Chebyshev
 # smoothing interval, (0.1, 1.1) x the estimate.
 CHEBYSHEV_HI_FACTOR = 1.1
@@ -190,16 +184,6 @@ class SolverConfig:
                     f"solver.{key} must be at least 1, got {value}"
                 )
 
-    def resolved_method(self, n, dim, degree):
-        """The method for n interior dofs of a (dim, degree) problem that
-        has coarser levels for a V-cycle: the configured one, or for
-        `auto` mg_cg above that pair's crossover and direct otherwise."""
-        if self.method != "auto":
-            return self.method
-        if n > MG_CG_CROSSOVER.get((dim, degree), np.inf):
-            return "mg_cg"
-        return "direct"
-
 
 class VCycleHierarchy:
     """Nested interior operators K_1..K_L with prolongations between them.
@@ -275,13 +259,78 @@ class VCycleHierarchy:
         return smoother.smooth(k, b, self.post_smooth, x)
 
 
-class SpdSolver:
-    """Reusable solver for one interior matrix K under a SolverConfig.
+def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
+    """x with K x = b by CG preconditioned with precond (K applied by
+    matvec), from zero, until the residual norm is at most rel_tol times
+    the starting one. Returns x, its iteration count and the least
+    curvature p'Kp/p'p over the search directions; p'Kp <= 0 raises
+    CoercivityError. Each iteration applies precond once.
 
-    `auto` is decided by the caller, which knows the problem's dimension
-    and degree (`SolverConfig.resolved_method`) and passes a V-cycle
-    exactly when that says mg_cg: here it means mg_cg when given one and
-    direct otherwise."""
+    With border = (m, t), PCG runs projected on {m'x = t} (Gould, Hribar &
+    Nocedal, SIAM J. Sci. Comput. 23, 2001), solving K x = b + lambda m:
+    from x (zero if None) moved onto that set along w = precond(m), not
+    along m, whose P2 mass weights make it rough; with the residual
+    projected onto m's complement every iteration, which keeps the float32
+    V-cycle off its large m component; and with the preconditioned
+    residual projected along w, so every search direction has m'p = 0.
+    """
+    if border is None:
+        x = np.zeros_like(b)
+        res = b.copy()
+    else:
+        m, t = border
+        mm = float(m @ m)
+        w = precond(m)
+        mw = float(m @ w)
+        x = (t / mw) * w if x is None else x + ((t - m @ x) / mw) * w
+        res = matvec(x)
+        np.subtract(b, res, out=res)
+        res -= (float(m @ res) / mm) * m
+    start = float(np.linalg.norm(res))
+    curvature = np.inf
+    for iteration in range(max_iter + 1):
+        rnorm = float(np.linalg.norm(res))
+        if rnorm <= rel_tol * start:
+            return x, iteration, curvature
+        if iteration == max_iter:
+            break
+        z = precond(res)
+        if border is not None:
+            z -= (float(m @ z) / mw) * w
+        rho = float(res @ z)
+        if iteration == 0:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        del z
+        q = matvec(p)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            raise CoercivityError(
+                f"negative curvature p'Kp = {pq:.3e} at PCG iteration "
+                f"{iteration + 1}: the operator is not positive definite"
+                + ("" if border is None else " on the tangent space"))
+        curvature = min(curvature, pq / float(p @ p))
+        alpha = rho / pq
+        x += alpha * p
+        q *= alpha
+        res -= q
+        del q
+        if border is not None:
+            res -= (float(m @ res) / mm) * m
+        rho_prev = rho
+    raise SolverError(
+        f"PCG failed to converge in {max_iter} iterations (relative "
+        f"residual {rnorm / start:.3e})",
+        achieved=rnorm / start,
+    )
+
+
+class SpdSolver:
+    """Reusable solver for one SPD interior matrix K under a SolverConfig:
+    a sparse LU, or `pcg` preconditioned by the V-cycle given (mg_cg;
+    `auto` means mg_cg exactly when there is one)."""
 
     def __init__(self, k, cfg, vcycle=None):
         self.k = k.tocsr()
@@ -335,32 +384,9 @@ class SpdSolver:
                     break
                 x = x + self._lu.solve(b - self.k @ x)
         else:
-            # dtype given, so scipy does not probe it with a V-cycle
-            precond = spla.LinearOperator(
-                self.k.shape, matvec=self.vcycle.apply, dtype=float
-            )
-            count = [0]
-
-            def _cb(_):
-                count[0] += 1
-
-            x, info = spla.cg(
-                self.k,
-                b,
-                rtol=self.cfg.rel_tol * 0.1,
-                atol=0.0,
-                maxiter=self.cfg.max_iter,
-                M=precond,
-                callback=_cb,
-            )
-            self.iteration_counts.append(count[0])
-            if info != 0:
-                achieved = float(np.linalg.norm(self.k @ x - b)) / bnorm
-                raise SolverError(
-                    f"mg_cg failed to converge in {self.cfg.max_iter} "
-                    f"iterations (relative residual {achieved:.3e})",
-                    achieved=achieved,
-                )
+            x, iterations, _ = pcg(self.k.__matmul__, b, self.vcycle.apply,
+                                   self.cfg.rel_tol * 0.1, self.cfg.max_iter)
+            self.iteration_counts.append(iterations)
         achieved = self._backward_error(x, b)
         if achieved > self.cfg.rel_tol:
             raise SolverError(
@@ -373,19 +399,43 @@ class SpdSolver:
 
 @dataclass
 class BorderedSystem:
-    """[[K, -m], [-m', 0]] @ [u1, lambda1] = [r, c] on interior dofs."""
+    """[[K, -m], [-m', 0]] @ [u1, lambda1] = [r, c] on interior dofs, with
+    K = g - shift * mass (K = g without a mass): a Newton step keeps only
+    g, SPD, which its V-cycle is built on. start is a guess for u1."""
 
-    k: sp.spmatrix
+    g: sp.spmatrix
     m: np.ndarray
     r: np.ndarray
     c: float
+    mass: sp.spmatrix = None
+    shift: float = 0.0
+    start: np.ndarray = None
+
+    @property
+    def k(self):
+        """K, formed on g's CSR pattern, which mass shares."""
+        if self.mass is None:
+            return self.g
+        return sp.csr_matrix(
+            (self.g.data - self.shift * self.mass.data, self.g.indices,
+             self.g.indptr), shape=self.g.shape)
+
+    def k_matvec(self, p):
+        """K p, without forming K."""
+        q = self.g @ p
+        if self.mass is not None:
+            mp = self.mass @ p
+            mp *= self.shift
+            q -= mp
+        return q
 
 
 @dataclass
 class BorderedSolution:
     u: np.ndarray
     lam: float
-    # the Schur scalar m' K^{-1} m; positive when K is coercive
+    # the coercivity margin: the Schur scalar m'K^-1m on the direct path,
+    # the least p'Kp/p'p over the search directions on the projected path
     schur: float
 
     def __iter__(self):
@@ -393,67 +443,61 @@ class BorderedSolution:
 
 
 def solve_bordered(system, cfg=None, vcycle=None):
-    """Rank-1 Schur reduction: y = K^-1 m, z = K^-1 r, then
+    """The bordered system's (u1, lambda1): given a V-cycle on g and a
+    method but direct, one projected PCG solve (`pcg` with the border
+    (m, -c)), then lambda1 = m'(K u1 - r)/(m'm); negative curvature
+    certifies that K is not coercive on the tangent space. It stops at
+    rel_tol/100 of its starting residual, where SpdSolver's CG stops at
+    rel_tol/10 and then checks the backward error: the Euclidean residual
+    is dominated by high frequencies that resi, an H^-1 norm, hardly sees
+    (at rel_tol/10 the finest step of `p1_2d_mgcg` left resi at 2.9e-9,
+    against 9.1e-10 solved exactly; at rel_tol/100, 9.4e-10).
 
-        lambda1 = -(c + m'z) / (m'y),   u1 = z + lambda1 * y.
-
-    A nonpositive Schur scalar m'y means K lost positive definiteness at
-    the linearization point. Iterative SPD methods cannot certify their
-    solves there, so that is an error for them; the direct path accepts
-    any verified nonsingular solve.
+    Otherwise the rank-1 Schur reduction by one sparse LU: y = K^-1 m,
+    z = K^-1 r, lambda1 = -(c + m'z) / (m'y), u1 = z + lambda1 * y; a
+    failed or inconsistent one (K singular at an exact eigenpair) falls
+    back to `_solve_bordered_full`.
     """
     cfg = cfg or SolverConfig()
-    if np.linalg.norm(system.m) == 0.0:
+    m = system.m
+    if np.linalg.norm(m) == 0.0:
         raise ConfigurationError("bordered system needs a nonzero border m")
-    solver = SpdSolver(system.k, cfg, vcycle=vcycle)
+    if vcycle is not None and cfg.method != "direct":
+        u1, _, curvature = pcg(system.k_matvec, system.r, vcycle.apply,
+                               cfg.rel_tol * 0.01, cfg.max_iter,
+                               border=(m, -system.c), x=system.start)
+        lam1 = float(m @ (system.k_matvec(u1) - system.r)) / float(m @ m)
+        return BorderedSolution(u=u1, lam=lam1, schur=curvature)
+    k = system.k
+    solver = SpdSolver(k, cfg)
     try:
-        y = solver.solve(system.m)
+        y = solver.solve(m)
         z = solver.solve(system.r)
-    except SolverError as err:
-        if solver.method != "direct":
-            raise CoercivityError(
-                "iterative solve on the Newton matrix failed; the "
-                f"linearization may be indefinite ({err})"
-            ) from err
+    except SolverError:
         # K itself may be (numerically) singular at an exact eigenpair;
         # the bordered matrix is still regular, so factor it whole
         return _solve_bordered_full(system, cfg)
-    my = float(system.m @ y)
-    if my <= 0.0 and solver.method != "direct":
-        raise CoercivityError(
-            f"Schur scalar m'K^-1m = {my:.3e} <= 0: linearized operator is "
-            "not positive definite at this iterate"
-        )
-    lam1 = -(system.c + float(system.m @ z)) / my
+    my = float(m @ y)
+    lam1 = -(system.c + float(m @ z)) / my
     u1 = z + lam1 * y
     scale = (
         solver.knorm * float(np.linalg.norm(u1))
-        + abs(lam1) * float(np.linalg.norm(system.m))
+        + abs(lam1) * float(np.linalg.norm(m))
         + float(np.linalg.norm(system.r))
     )
-    res1 = float(np.linalg.norm(system.k @ u1 - lam1 * system.m - system.r))
-    res2 = abs(-float(system.m @ u1) - system.c)
+    res1 = float(np.linalg.norm(k @ u1 - lam1 * m - system.r))
+    res2 = abs(-float(m @ u1) - system.c)
     tol = cfg.rel_tol * 100.0
-    if res1 > tol * max(scale, 1e-30) or res2 > tol * (1.0 + abs(system.c)):
-        if solver.method == "direct":
-            return _solve_bordered_full(system, cfg, schur=my)
-        if my <= 0.0:
-            raise CoercivityError(
-                "bordered solve inconsistent and Schur scalar nonpositive "
-                f"(m'y = {my:.3e}); iterate left the coercive basin"
-            )
-        raise SolverError(
-            f"bordered solve residuals {res1:.3e}, {res2:.3e} above tolerance",
-            achieved=res1 / max(scale, 1e-30),
-        )
-    return BorderedSolution(u=u1, lam=lam1, schur=my)
+    if res1 <= tol * max(scale, 1e-30) and res2 <= tol * (1.0 + abs(system.c)):
+        return BorderedSolution(u=u1, lam=lam1, schur=my)
+    return _solve_bordered_full(system, cfg, schur=my)
 
 
 def _solve_bordered_full(system, cfg, schur=0.0):
     """Sparse LU of the whole saddle-point matrix. Fallback for Newton
     matrices that are singular (exact eigenpair) or too ill-conditioned
     for the rank-1 Schur reduction."""
-    n = system.k.shape[0]
+    n = system.m.size
     mcol = sp.csc_matrix((-system.m, (np.arange(n), np.zeros(n, dtype=int))),
                          shape=(n, 1))
     full = sp.bmat([[system.k, mcol], [mcol.T, None]], format="csc")

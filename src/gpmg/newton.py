@@ -104,31 +104,33 @@ def resi(ctx, x):
     return ctx.riesz_norm(ctx.residual(x.lam, x.u, mu)) + 0.5 * defect
 
 
-def _newton_matrix(ctx, lam0, u0_full):
-    """The interior Newton matrix at (lam0, u0_full): linear_part - lam0
-    mass, formed in one array after the field mass is assembled, plus the
-    field mass. At most one data-sized array is alive beside the result."""
-    field = None
+def _spd_matrix(ctx, u0_full):
+    """G = K + (lam0 + s) mass, s = `ctx.shift`: the stiffness, the
+    potential mass, s times the mass and the field masses M_{f(u0^2)} + 2
+    M_{f'(u0^2) u0^2}, SPD for zeta >= 0. At most one data-sized temporary
+    (s times the mass) is alive beside the result."""
     if ctx.nl.zeta != 0:
         def weight(t):
             t2 = t**2
             return f_eval(ctx.nl, t2) + 2.0 * fprime_eval(ctx.nl, t2) * t2
 
-        field = assemble_field_weighted_mass(ctx.space, u0_full, weight).data
-    data = lam0 * ctx.mass.data
-    np.subtract(ctx.linear_part.data, data, out=data)
-    if field is not None:
-        data += field
+        data = assemble_field_weighted_mass(ctx.space, u0_full, weight).data
+        data += ctx.linear_part.data
+    else:
+        data = ctx.linear_part.data.copy()
+    if ctx.shift > 0.0:
+        data += ctx.shift * ctx.mass.data
     return ctx.space.pattern().matrix(data)
 
 
 def assemble_newton_system(ctx, x0):
-    """Bordered system of the Newton step at x0 (already on ctx's space)."""
+    """Bordered system of the Newton step at x0 (already on ctx's space):
+    K = G - (lam0 + s) mass, kept as G (`_spd_matrix`) and the shift."""
     space = ctx.space
     u0 = x0.u
     if u0.shape != (space.n_dofs,):
         raise UsageError("x0 must live on the target space; prolongate first")
-    k = _newton_matrix(ctx, x0.lam, u0)
+    g = _spd_matrix(ctx, u0)
     u0i = u0[space.interior_dofs]
     m = ctx.mass @ u0i
     r = -x0.lam * m
@@ -137,19 +139,20 @@ def assemble_newton_system(ctx, x0):
             space, u0, lambda t: fprime_eval(ctx.nl, t**2) * t**3
         )
     c = -0.5 - 0.5 * float(u0i @ m)
-    return BorderedSystem(k=k, m=m, r=r, c=c)
+    return BorderedSystem(g=g, m=m, r=r, c=c, mass=ctx.mass,
+                          shift=x0.lam + ctx.shift, start=u0i)
 
 
-def _build_vcycle(levels, k, cfg):
-    """V-cycle for k, the step's interior Newton matrix on levels[-1]. Each
-    coarser level's matrix is the Galerkin product P' K P of the next finer
-    one, formed in float64 as (P' K) P from the cached interior
+def _build_vcycle(levels, g, cfg):
+    """V-cycle for g, the step's SPD matrix G on levels[-1]. Each
+    coarser level's matrix is the Galerkin product P' G P of the next finer
+    one, formed in float64 as (P' G) P from the cached interior
     prolongation P between the two, P' made CSR (on the finest 2D P1 pair
-    of `p1_2d_mgcg`, 21 MB above its start and 37 ms, where P' (K P) with
+    of `p1_2d_mgcg`, 21 MB above its start and 37 ms, where P' (G P) with
     P' left CSC took 37 MB and 48 ms). The hierarchy runs on that P's
     cached float32 copy."""
     pairs = list(zip(levels, levels[1:]))
-    mats = [k]
+    mats = [g]
     for coarse, fine in reversed(pairs):
         p = _interior_prolongation(coarse.space, fine.space)
         mats.insert(0, (p.T.tocsr() @ mats[0]) @ p)
@@ -176,12 +179,16 @@ def _prolong_iterate(x0, coarse_space, fine_space):
 
 
 def _runs_mg_cg(levels, cfg):
-    """Whether a Newton step on levels[-1] solves by mg_cg: cfg resolves to
-    it there, and there is a coarser level for the V-cycle."""
-    space = levels[-1].space
-    method = cfg.resolved_method(space.interior_dofs.size, space.mesh.dim,
-                                 space.degree)
-    return len(levels) > 1 and method == "mg_cg"
+    """Whether a Newton step on levels[-1] solves by projected mg_cg: there
+    is a coarser level for the V-cycle, and cfg says mg_cg, or `auto` in
+    2D or 3D. `auto` solves 1D directly: a 1D LU is a band solve, linear in
+    the dofs, and as G's condition number grows as h^-2 a 1D P2 hierarchy
+    meets PCG's round-off floor at a few thousand dofs (at 16,383, 13
+    levels from n0 = 4, it stalls at a relative residual of 8.8e-10), where
+    2D would need ~10^9."""
+    if len(levels) == 1 or cfg.method == "direct":
+        return False
+    return cfg.method == "mg_cg" or levels[-1].space.mesh.dim > 1
 
 
 def _step_config(levels, cfg, resi_old, lam0):
@@ -206,15 +213,14 @@ def newton_step(levels, x0, cfg=None):
     cfg = cfg or SolverConfig()
     ctx = levels[-1]
     system = assemble_newton_system(ctx, x0)
-    vcycle = None
-    if _runs_mg_cg(levels, cfg):
-        try:
-            vcycle = _build_vcycle(levels, system.k, cfg)
-        except CoercivityError as err:
-            raise CoercivityError(
-                f"{err}; Newton matrix at lambda0 = {x0.lam:.6e}, "
-                f"zeta = {ctx.nl.zeta:g}") from err
-    sol = solve_bordered(system, cfg, vcycle=vcycle)
+    try:
+        vcycle = (_build_vcycle(levels, system.g, cfg)
+                  if _runs_mg_cg(levels, cfg) else None)
+        sol = solve_bordered(system, cfg, vcycle=vcycle)
+    except CoercivityError as err:
+        raise CoercivityError(
+            f"{err}; Newton matrix at lambda0 = {x0.lam:.6e}, "
+            f"zeta = {ctx.nl.zeta:g}") from err
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u
     return IterateX(lam=sol.lam, u=u1)

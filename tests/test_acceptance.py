@@ -217,7 +217,7 @@ def test_acceptance_7_bordered_solver_equivalence():
         n = int(rng.integers(2, 51))
         a = rng.standard_normal((n, n))
         system = BorderedSystem(
-            k=sp.csr_matrix(a @ a.T + n * np.eye(n)),
+            g=sp.csr_matrix(a @ a.T + n * np.eye(n)),
             m=rng.standard_normal(n),
             r=rng.standard_normal(n),
             c=rng.standard_normal(),
@@ -265,7 +265,7 @@ def test_acceptance_8_linear_complexity():
         system = assemble_newton_system(ctx, x0p)
         from gpmg.newton import _build_vcycle
 
-        vc = _build_vcycle(ctxs[:idx + 1], system.k, SolverConfig())
+        vc = _build_vcycle(ctxs[:idx + 1], system.g, SolverConfig())
         t_mg, t_dir = best_per_call([
             lambda: solve_bordered(system, SolverConfig(method="mg_cg"),
                                    vcycle=vc),

@@ -21,7 +21,7 @@ from gpmg.errors import ConfigurationError, UsageError
 from gpmg.expr import evaluate, parse
 from gpmg.linsolve import ChebyshevSmoother
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
-from gpmg.newton import _newton_matrix, assemble_newton_system, build_contexts
+from gpmg.newton import _spd_matrix, assemble_newton_system, build_contexts
 from gpmg.nonlinearity import Nonlinearity, f_eval, fprime_eval
 from gpmg.state import IterateX
 from field_oracle import F_eval, energy, evaluate_field
@@ -455,15 +455,38 @@ def test_energy_matches_einsum_reference(kernel_case):
 
 
 def test_newton_matrix_sums_the_separate_masses(kernel_case):
+    _check_newton_matrices(*kernel_case)
+
+
+def test_negative_potential_shifts_g_by_its_minimum(kernel_case):
     space, potential, u = kernel_case
+    _check_newton_matrices(space, parse(f"{potential.source} - 5", space.dim),
+                           u)
+
+
+def _check_newton_matrices(space, potential, u):
+    # K = linear part - lam0 M + the field masses; G = K + (lam0 + s) M,
+    # SPD, with s = max(0, -min V) over the potential's quadrature values;
+    # the system applies K as G p - (lam0 + s) M p
     nl = Nonlinearity(zeta=2.5)
     ctx = Operators(space, nl, potential=potential)
+    assert ctx.shift == max(0.0, -_ref_potential_values(space,
+                                                        potential).min())
     lam0 = 3.7
-    want = (ctx.linear_part - lam0 * ctx.mass
-            + assemble_field_weighted_mass(space, u, lambda t: f_eval(nl, t**2))
-            + 2.0 * assemble_field_weighted_mass(
-                space, u, lambda t: fprime_eval(nl, t**2) * t**2))
-    _assert_close(_newton_matrix(ctx, lam0, u), want.toarray())
+    fields = (assemble_field_weighted_mass(space, u,
+                                           lambda t: f_eval(nl, t**2))
+              + 2.0 * assemble_field_weighted_mass(
+                  space, u, lambda t: fprime_eval(nl, t**2) * t**2))
+    want = ctx.linear_part - lam0 * ctx.mass + fields
+    system = assemble_newton_system(ctx, IterateX(lam=lam0, u=u))
+    _assert_close(system.k, want.toarray())
+    g = (ctx.linear_part + ctx.shift * ctx.mass + fields).toarray()
+    _assert_close(_spd_matrix(ctx, u), g)
+    _assert_close(system.g, g)
+    assert system.shift == lam0 + ctx.shift
+    p = np.random.default_rng(1).standard_normal(ctx.mass.shape[0])
+    _assert_close(system.k_matvec(p), want @ p)
+    assert np.linalg.eigvalsh(g)[0] > 0.0
 
 
 
@@ -526,7 +549,7 @@ def pattern_case(request):
     return ctx, potential, u
 
 
-def _newton_weight(t):  # the field weight of `_newton_matrix`
+def _newton_weight(t):  # the field weight of `_spd_matrix`
     t2 = t**2
     return f_eval(NEWTON_NL, t2) + 2.0 * fprime_eval(NEWTON_NL, t2) * t2
 
@@ -542,17 +565,22 @@ def _forms(ctx, potential, u):
 
 
 def _pattern_matrices(ctx, potential, u):
+    # the cases' potentials are positive, so the mass shift s is 0
+    assert ctx.shift == 0.0
+    system = assemble_newton_system(ctx, IterateX(lam=NEWTON_LAMBDA, u=u))
     return {**_forms(ctx, potential, u), "h1": ctx.h1,
-            "linear": ctx.linear_part,
-            "newton": _newton_matrix(ctx, NEWTON_LAMBDA, u)}
+            "linear": ctx.linear_part, "spd": _spd_matrix(ctx, u),
+            "newton": system.k}
 
 
 def _with_sums(forms):
-    """forms plus the sums Operators and `_newton_matrix` make of them."""
+    """forms plus the sums Operators, `_spd_matrix` and the Newton
+    system's `k` make of them."""
     out = dict(forms)
     out["h1"] = out["stiffness"] + out["mass"]
     out["linear"] = out["stiffness"] + out["potential"]
-    out["newton"] = out["linear"] - NEWTON_LAMBDA * out["mass"] + out["field"]
+    out["spd"] = out["linear"] + out["field"]
+    out["newton"] = out["spd"] - NEWTON_LAMBDA * out["mass"]
     return out
 
 
@@ -634,8 +662,8 @@ def test_interior_gather_equals_fancy_slicing(pattern_case):
         assert np.array_equal(mat.indptr, want.indptr), name
         assert np.array_equal(mat.indices, want.indices), name
     x0 = IterateX(lam=NEWTON_LAMBDA, u=u)
-    k = assemble_newton_system(ctx, x0).k
-    assert np.array_equal(k.data, _newton_matrix(ctx, NEWTON_LAMBDA, u).data)
+    g = assemble_newton_system(ctx, x0).g
+    assert np.array_equal(g.data, _spd_matrix(ctx, u).data)
     assert ctx._riesz_solver().k is ctx.h1
 
 

@@ -509,6 +509,37 @@ def test_sign_changing_coarse_state_is_nonconvergence(tmp_path, capsys,
     assert err.startswith("error: level 1: ")
 
 
+def _csv_lambdas(tmp_path, capsys, cfg):
+    """Every level's lambda of a `gpmg solve` run that must exit 0."""
+    code = run(["solve", "--config", write(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return [float(row.split(",")[2]) for row in out.strip().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("potential,zeta,n0,levels", [
+    ("x1^2 + 2*x2^2", 0.0, 16, 5),
+    ("x1^2 + 2*x2^2 - 30", 0.0, 8, 4),
+], ids=["linear", "negative_potential"])
+def test_linked_mg_cg_levels_match_the_direct_solve(tmp_path, capsys,
+                                                    potential, zeta, n0,
+                                                    levels):
+    # 2D P1 at zeta = 0 under `auto`: every level above the coarsest
+    # solves by projected mg_cg, though lambda0 = lambda_H lies above the
+    # level's ground state and K is indefinite, and every level's lambda
+    # matches a `direct` run to 1e-8. With V = x1^2 + 2 x2^2 - 30 the
+    # eigenvalue is negative, and so is A + V M: the V-cycle's G is SPD
+    # only through the shift s = -min V
+    cfg = (f"problem.dim = 2\nproblem.potential = {potential}\n"
+           f"problem.zeta = {zeta}\ndiscretization.degree = 1\n"
+           f"discretization.n0 = {n0}\ndiscretization.levels = {levels}\n")
+    auto = _csv_lambdas(tmp_path, capsys, cfg)
+    direct = _csv_lambdas(tmp_path, capsys, cfg + "solver.method = direct\n")
+    assert len(auto) == levels
+    assert auto == pytest.approx(direct, rel=1e-8, abs=0.0)
+    assert (auto[-1] < 0.0) == potential.endswith("- 30")
+
+
 def test_linear_solver_failure_names_the_level(tmp_path, capsys):
     # one PCG iteration cannot reach the tolerance of level 2's step
     # (1.5e-6, from its resi)
@@ -520,26 +551,16 @@ def test_linear_solver_failure_names_the_level(tmp_path, capsys):
 
 def example2_at_zeta_1000():
     """example2.cfg (n0 = 2, 3 levels, mixing) at zeta = 1e3 from theta = 1:
-    on level 3 (3,375 interior dofs, so mg_cg) the Galerkin coarse matrix
-    of the Newton V-cycle (343 interior dofs) has nonpositive diagonal
-    entries."""
+    level 2's step (343 interior dofs) starts from the prolongated level-1
+    ground state, where its Newton matrix is not coercive on the tangent
+    space, so projected PCG meets negative curvature."""
     text = (CONFIG_DIR / "example2.cfg").read_text()
     text = text.replace("problem.zeta = 100.0", "problem.zeta = 1000")
     return text.replace("mixing.theta_init = 0.5", "mixing.theta_init = 1.0")
 
 
-def test_nonpositive_vcycle_diagonal_names_both_levels(tmp_path, capsys):
-    code, err = _one_line_exit(tmp_path, capsys, example2_at_zeta_1000())
-    assert code == 3
-    assert err.startswith("error: level 3: V-cycle level 2 (1 is the "
-                          "coarsest), 343 interior dofs: ")
-    assert "nonpositive diagonal entry" in err
-
-
-def test_vcycle_coercivity_error_names_lambda0_and_zeta(tmp_path, capsys,
-                                                       monkeypatch):
-    # the one stderr line also names the linearization point lambda0 of
-    # the Newton matrix whose V-cycle failed, and zeta
+def _record_starts(monkeypatch):
+    """A list that fills with the lambda0 of every Newton system built."""
     starts = []
     assemble = newton_mod.assemble_newton_system
 
@@ -548,11 +569,59 @@ def test_vcycle_coercivity_error_names_lambda0_and_zeta(tmp_path, capsys,
         return assemble(ctx, x0)
 
     monkeypatch.setattr(newton_mod, "assemble_newton_system", recording)
+    return starts
+
+
+def test_negative_curvature_names_the_level_lambda0_zeta_and_iteration(
+        tmp_path, capsys, monkeypatch):
+    starts = _record_starts(monkeypatch)
     code, err = _one_line_exit(tmp_path, capsys, example2_at_zeta_1000())
     assert code == 3
-    assert err.startswith("error: level 3: V-cycle level 2 (1 is the "
+    match = re.fullmatch(
+        r"error: level 2: negative curvature p'Kp = -\S+ at PCG iteration "
+        r"(\d+): the operator is not positive definite on the tangent "
+        r"space; Newton matrix at lambda0 = (\S+), zeta = 1000", err.strip())
+    assert match is not None, err
+    assert int(match.group(1)) >= 1
+    assert float(match.group(2)) == pytest.approx(starts[-1], rel=1e-6)
+
+
+def with_negated_g_diagonal(monkeypatch):
+    """Hand every Newton V-cycle its G (SPD by construction) with the
+    diagonal negated, so that the smoother set-up rejects its top level."""
+    build = newton_mod._build_vcycle
+
+    def negated(levels, g, cfg):
+        g = g.copy()
+        g.setdiag(-g.diagonal())
+        return build(levels, g, cfg)
+
+    monkeypatch.setattr(newton_mod, "_build_vcycle", negated)
+
+
+def test_nonpositive_vcycle_diagonal_names_both_levels(tmp_path, capsys,
+                                                      monkeypatch):
+    with_negated_g_diagonal(monkeypatch)
+    code, err = _one_line_exit(tmp_path, capsys,
+                               (CONFIG_DIR / "example2.cfg").read_text())
+    assert code == 3
+    assert err.startswith("error: level 2: V-cycle level 2 (1 is the "
                           "coarsest), 343 interior dofs: ")
-    match = re.search(r"; Newton matrix at lambda0 = (\S+), zeta = 1000$",
+    assert "nonpositive diagonal entry" in err
+
+
+def test_vcycle_coercivity_error_names_lambda0_and_zeta(tmp_path, capsys,
+                                                       monkeypatch):
+    # the one stderr line also names the linearization point lambda0 of
+    # the Newton matrix whose V-cycle failed, and zeta
+    with_negated_g_diagonal(monkeypatch)
+    starts = _record_starts(monkeypatch)
+    code, err = _one_line_exit(tmp_path, capsys,
+                               (CONFIG_DIR / "example2.cfg").read_text())
+    assert code == 3
+    assert err.startswith("error: level 2: V-cycle level 2 (1 is the "
+                          "coarsest), 343 interior dofs: ")
+    match = re.search(r"; Newton matrix at lambda0 = (\S+), zeta = 100$",
                       err.strip())
     assert match is not None
     assert float(match.group(1)) == pytest.approx(starts[-1], rel=1e-6)

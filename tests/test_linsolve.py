@@ -20,7 +20,6 @@ from gpmg.errors import CoercivityError, ConfigurationError, SolverError
 from gpmg.expr import parse
 import gpmg.linsolve as linsolve_mod
 from gpmg.linsolve import (
-    MG_CG_CROSSOVER,
     BorderedSystem,
     SolverConfig,
     SpdSolver,
@@ -29,15 +28,17 @@ from gpmg.linsolve import (
     solve_bordered,
 )
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
+import gpmg.newton as newton_mod
 from gpmg.newton import (
     _build_vcycle,
-    _newton_matrix,
     _prolong_iterate,
     assemble_newton_system,
     build_contexts,
+    multigrid_newton,
     newton_step,
 )
 from gpmg.nonlinearity import Nonlinearity
+from gpmg.state import IterateX
 
 
 def poisson_hierarchy(n0=4, levels=3, dim=2):
@@ -92,46 +93,101 @@ def test_mg_cg_requires_hierarchy():
             np.ones(mats[-1].shape[0]))
 
 
-@pytest.mark.parametrize("dim,degree,crossover", [
-    (2, 1, 10_000),  # p1_2d_mgcg: direct on levels 2-3, mg_cg on 4-6
-    (2, 2, 6_000),
-    (3, 1, 1_600),
-    (3, 2, 1_000),
-])
-def test_auto_switches_to_mg_cg_at_its_crossover(dim, degree, crossover):
-    auto = SolverConfig()
-    assert auto.resolved_method(crossover, dim, degree) == "direct"
-    assert auto.resolved_method(crossover + 1, dim, degree) == "mg_cg"
-    for method in ("direct", "mg_cg"):
-        cfg = SolverConfig(method=method)
-        for n in (crossover, crossover + 1):
-            assert cfg.resolved_method(n, dim, degree) == method
+def _record_bordered_solves(monkeypatch):
+    """A list that fills, one entry per Newton step, with the interior dof
+    count of the step's level and whether it was given a V-cycle."""
+    seen = []
+    solve = newton_mod.solve_bordered
+
+    def recording(system, cfg, vcycle=None):
+        seen.append((system.m.size, vcycle is not None))
+        return solve(system, cfg, vcycle=vcycle)
+
+    monkeypatch.setattr(newton_mod, "solve_bordered", recording)
+    return seen
+
+
+@pytest.mark.parametrize("dim,degree,n0", [
+    (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+], ids=["2d_p1", "2d_p2", "3d_p1", "3d_p2"])
+def test_auto_runs_mg_cg_on_every_linked_level(monkeypatch, dim, degree, n0):
+    # `auto` in 2D and 3D: the coarse solve's steps run direct, and the
+    # step on every finer level runs projected mg_cg, however few its dofs
+    # (level 2 of 3D P2 has 27); `direct` runs every step direct
+    hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, 3)
+    potential = parse(" + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim)),
+                      dim)
+    seen = _record_bordered_solves(monkeypatch)
+    runs = {}
+    for method in ("auto", "direct"):
+        seen.clear()
+        ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
+                              potential=potential)
+        _, trace = multigrid_newton(ctxs,
+                                    solver_cfg=SolverConfig(method=method))
+        runs[method] = [r.lam for r in trace]
+        sizes = [ops.space.interior_dofs.size for ops in ctxs]
+        linked = [(n, method == "auto") for n in sizes[1:]]
+        assert seen[-2:] == linked
+        assert all(n == sizes[0] and not mg for n, mg in seen[:-2])
+    assert runs["auto"] == pytest.approx(runs["direct"], rel=1e-6)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_auto_never_picks_mg_cg_in_1d(degree):
-    for n in (1, 10**4, 10**6, 10**9):
-        assert SolverConfig().resolved_method(n, 1, degree) == "direct"
+def test_auto_never_picks_mg_cg_in_1d(monkeypatch, degree):
+    # 1D stays direct under `auto` on every level (`newton._runs_mg_cg`
+    # says why); `mg_cg` still runs the projected solve on linked levels,
+    # to the same eigenvalues up to the inexact steps' tolerance
+    hier = build_hierarchy(BoxDomain.unit(1), (4,), 4)
+    seen = _record_bordered_solves(monkeypatch)
+    runs = {}
+    for method in ("auto", "mg_cg"):
+        seen.clear()
+        ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
+                              potential=parse("x1^2", 1))
+        _, trace = multigrid_newton(ctxs,
+                                    solver_cfg=SolverConfig(method=method))
+        runs[method] = [r.lam for r in trace]
+        linked = [(ops.space.interior_dofs.size, method == "mg_cg")
+                  for ops in ctxs[1:]]
+        assert seen[-3:] == linked
+        assert not any(mg for _, mg in seen[:-3])
+    assert runs["mg_cg"] == pytest.approx(runs["auto"], rel=1e-6)
 
 
-@pytest.mark.parametrize("limit,method", [(49, "direct"), (48, "mg_cg")])
-def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, limit,
-                                                          method):
-    # level 2 of a 2D P1 hierarchy from 4x4 cells has 49 interior dofs
-    monkeypatch.setitem(MG_CG_CROSSOVER, (2, 1), limit)
+def test_newton_step_solves_with_the_method_its_levels_allow(monkeypatch):
+    # a step with a coarser level runs one projected PCG solve on the
+    # V-cycle of its G and factors nothing; a step on one level factors K
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 2)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
     x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    seen = []
-    init = SpdSolver.__init__
+    solvers, borders, vcycles = [], [], []
+    init, pcg, solve = (SpdSolver.__init__, linsolve_mod.pcg,
+                        newton_mod.solve_bordered)
 
     def recording_init(self, k, cfg, vcycle=None):
         init(self, k, cfg, vcycle)
-        seen.append(self.method)
+        solvers.append(self.method)
+
+    def recording_pcg(*args, border=None, **kwargs):
+        borders.append(border is not None)
+        return pcg(*args, border=border, **kwargs)
+
+    def recording_solve(system, cfg, vcycle=None):
+        vcycles.append((system, vcycle))
+        return solve(system, cfg, vcycle=vcycle)
 
     monkeypatch.setattr(SpdSolver, "__init__", recording_init)
+    monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
+    monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
     newton_step(ctxs, x0)
-    assert seen == [method]
+    assert (solvers, borders) == ([], [True])
+    (system, vc), = vcycles
+    assert np.array_equal(vc.mats[-1].data, system.g.data.astype(np.float32))
+    solvers.clear(), borders.clear(), vcycles.clear()
+    newton_step(ctxs[1:], x0)
+    assert (solvers, borders) == (["direct"], [])
+    assert vcycles[0][1] is None
 
 
 def test_cg_failure_reports_achieved_residual():
@@ -150,7 +206,7 @@ def random_bordered(rng, n):
     m = rng.standard_normal(n)
     r = rng.standard_normal(n)
     c = rng.standard_normal()
-    return BorderedSystem(k=k, m=m, r=r, c=c)
+    return BorderedSystem(g=k, m=m, r=r, c=c)
 
 
 def test_bordered_matches_dense_full_system():
@@ -182,26 +238,91 @@ def test_bordered_solution_unpacks():
 def test_bordered_rejects_zero_border():
     rng = np.random.default_rng(4)
     system = random_bordered(rng, 6)
-    system = BorderedSystem(k=system.k, m=np.zeros(6), r=system.r, c=system.c)
+    system = BorderedSystem(g=system.g, m=np.zeros(6), r=system.r, c=system.c)
     with pytest.raises(ConfigurationError):
         solve_bordered(system)
 
 
-def test_indefinite_matrix_coercivity_error_on_iterative_path():
-    # K with a negative eigenvalue and m its eigenvector: m' K^-1 m < 0
+def test_projected_pcg_solves_an_indefinite_k_coercive_on_the_tangent_space():
+    # K has a negative eigenvalue whose eigenvector is m: the Schur scalar
+    # m'K^-1m is negative, but on {v : m'v = 0} K is positive definite, so
+    # projected PCG (on the exact one-level V-cycle of G = K + 2 I) solves
+    # the bordered system, matching the direct path, which keeps its
+    # negative Schur scalar
     d = np.array([-1.0, 2.0, 3.0, 4.0])
-    k = sp.csr_matrix(np.diag(d))
     m = np.array([1.0, 0.0, 0.0, 0.0])
-    system = BorderedSystem(k=k, m=m, r=np.ones(4), c=0.0)
-    # a one-level V-cycle is K's LU, so PCG solves exactly, and the Schur
-    # scalar's sign is what mg_cg rejects
-    with pytest.raises(CoercivityError, match="Schur"):
+    g = sp.csr_matrix(np.diag(d + 2.0))
+    system = BorderedSystem(g=g, m=m, r=np.ones(4), c=0.5,
+                            mass=sp.identity(4, format="csr"), shift=2.0)
+    direct = solve_bordered(system, SolverConfig(method="direct"))
+    assert direct.schur < 0
+    sol = solve_bordered(system, SolverConfig(method="mg_cg"),
+                         vcycle=VCycleHierarchy([g], []))
+    # the least p'Kp/p'p, at least K's least eigenvalue on the tangent
+    assert 2.0 <= sol.schur <= 4.0
+    assert np.allclose(sol.u, direct.u, atol=1e-12)
+    assert sol.lam == pytest.approx(direct.lam, abs=1e-12)
+    assert np.allclose(np.diag(d) @ sol.u - sol.lam * m, np.ones(4),
+                       atol=1e-12)
+    assert m @ sol.u == pytest.approx(-0.5)
+
+
+def test_indefinite_matrix_coercivity_error_on_iterative_path():
+    # the same K with m the eigenvector of eigenvalue 2: the negative
+    # eigenvector e1 now lies in the tangent space, K is not coercive
+    # there, and the first search direction already has p'Kp < 0
+    d = np.array([-1.0, 2.0, 3.0, 4.0])
+    g = sp.csr_matrix(np.diag(d + 2.0))
+    system = BorderedSystem(g=g, m=np.array([0.0, 1.0, 0.0, 0.0]),
+                            r=np.ones(4), c=0.5,
+                            mass=sp.identity(4, format="csr"), shift=2.0)
+    with pytest.raises(CoercivityError, match=(
+            r"^negative curvature p'Kp = -\S+ at PCG iteration 1: the "
+            r"operator is not positive definite on the tangent space$")):
         solve_bordered(system, SolverConfig(method="mg_cg"),
-                       vcycle=VCycleHierarchy([k], []))
+                       vcycle=VCycleHierarchy([g], []))
     # the direct path still produces the verified saddle-point solution
     sol = solve_bordered(system, SolverConfig(method="direct"))
-    assert sol.schur < 0
-    assert np.allclose(k @ sol.u - sol.lam * m, np.ones(4), atol=1e-10)
+    assert np.allclose(np.diag(d) @ sol.u - sol.lam * system.m, np.ones(4),
+                       atol=1e-10)
+
+
+def dense_bordered(system):
+    """(u1, lambda1) of the system by a dense solve of the full matrix."""
+    k = system.k.toarray()
+    n = k.shape[0]
+    full = np.zeros((n + 1, n + 1))
+    full[:n, :n] = k
+    full[:n, n] = full[n, :n] = -system.m
+    x = np.linalg.solve(full, np.concatenate([system.r, [system.c]]))
+    return x[:n], x[n]
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1.0])
+@pytest.mark.parametrize("dim,degree,n0", [
+    (1, 1, 4), (1, 2, 4), (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+], ids=["1d_p1", "1d_p2", "2d_p1", "2d_p2", "3d_p1", "3d_p2"])
+def test_projected_pcg_matches_the_dense_bordered_solve(dim, degree, n0,
+                                                        zeta):
+    # the Newton system on level 3 at level 2's ground state, prolongated;
+    # its lambda0 lies above level 3's ground state (min-max on nested
+    # spaces), so at zeta = 0 K has a negative eigenvalue (two K-solves
+    # cannot be PCG there), yet projected PCG on the V-cycle of G matches
+    # the dense solve of the whole bordered matrix
+    hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, 3)
+    potential = " + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim))
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=zeta),
+                          potential=parse(potential, dim))
+    x = _prolong_iterate(scf_solve(ctxs[1]), ctxs[1].space, ctxs[2].space)
+    system = assemble_newton_system(ctxs[2], x)
+    if zeta == 0.0:
+        assert np.linalg.eigvalsh(system.k.toarray())[0] < 0.0
+    sol = solve_bordered(system, SolverConfig(method="mg_cg"),
+                         vcycle=_build_vcycle(ctxs, system.g, SolverConfig()))
+    u, lam = dense_bordered(system)
+    assert np.linalg.norm(sol.u - u) <= 1e-9 * np.linalg.norm(u)
+    assert abs(sol.lam - lam) <= 1e-10 * abs(lam)
+    assert sol.schur > 0.0
 
 
 def test_backward_error_contract_near_singular():
@@ -235,11 +356,11 @@ VCYCLE_ROUNDING = 2**7 * U32
 
 
 def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
-    """Interior Newton matrices of a 2D P1 problem (zeta = 1; other
-    dimensions and degrees on request) at an iterate one Newton step into
-    level 2, prolongated to the finest level, with the float64 interior
-    prolongations: the finest matrix and the float64 Galerkin products
-    P' K P below it, the operators `_build_vcycle` hands its hierarchy."""
+    """The SPD matrices G of a Newton step's V-cycle, 2D P1 (zeta = 1;
+    other dimensions and degrees on request), at an iterate one Newton
+    step into level 2, prolongated to the finest level, with the float64
+    interior prolongations: the finest G and the float64 Galerkin products
+    P' G P below it, the operators `_build_vcycle` hands its hierarchy."""
     hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
     potential = " + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim))
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
@@ -250,7 +371,7 @@ def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
         x = _prolong_iterate(x, coarse.space, fine.space)
     prolongs = [_interior_prolongation(coarse.space, fine.space)
                 for coarse, fine in zip(ctxs, ctxs[1:])]
-    mats = [assemble_newton_system(ctxs[-1], x).k]
+    mats = [assemble_newton_system(ctxs[-1], x).g]
     for p in reversed(prolongs):
         mats.insert(0, (p.T @ (mats[0] @ p)).tocsr())
     return mats, prolongs
@@ -426,9 +547,8 @@ def test_one_level_hierarchy_is_the_float64_lu():
 
 
 def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
-    # PCG applies the V-cycle once per iteration and never to a zero vector
-    # (as scipy does to learn the dtype of a LinearOperator without one):
-    # in a linked-level Riesz norm and in an mg_cg bordered solve
+    # PCG applies the V-cycle once per iteration and never to a zero
+    # vector: in a linked-level Riesz norm and in an mg_cg bordered solve
     applied, solvers = [], []
     apply, init = VCycleHierarchy.apply, SpdSolver.__init__
 
@@ -455,12 +575,23 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
     x = _prolong_iterate(newton_step(ctxs[:2], x), ctxs[1].space,
                          ctxs[2].space)
     system = assemble_newton_system(ops, x)
-    vc = _build_vcycle(ctxs, system.k, SolverConfig())
+    vc = _build_vcycle(ctxs, system.g, SolverConfig())
     applied.clear()
     solvers.clear()
+    iterations = []
+    pcg = linsolve_mod.pcg
+
+    def recording_pcg(*args, **kwargs):
+        out = pcg(*args, **kwargs)
+        iterations.append(out[1])
+        return out
+
+    monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
     solve_bordered(system, SolverConfig(method="mg_cg"), vcycle=vc)
-    assert [s.method for s in solvers] == ["mg_cg"]
-    assert len(applied) == sum(solvers[0].iteration_counts) > 2
+    # the projected solve makes no SpdSolver: one apply to the border m,
+    # then one per iteration
+    assert solvers == [] and len(iterations) == 1
+    assert len(applied) == iterations[0] + 1 > 3
     assert all(applied)
 
 
@@ -600,9 +731,13 @@ def indefinite_newton_matrix():
                     potential=parse("x1^2 + 2*x2^2", 2))
     u0 = np.zeros(ops.space.n_dofs)
     u0[ops.space.interior_dofs] = 1.0
-    k0 = _newton_matrix(ops, 0.0, u0)
-    mu = sla.eigh(k0.toarray(), ops.mass.toarray(), eigvals_only=True)
-    a = _newton_matrix(ops, 0.5 * (mu[1] + mu[2]), u0)
+
+    def newton_matrix(lam0):
+        return assemble_newton_system(ops, IterateX(lam=lam0, u=u0)).k
+
+    mu = sla.eigh(newton_matrix(0.0).toarray(), ops.mass.toarray(),
+                  eigvals_only=True)
+    a = newton_matrix(0.5 * (mu[1] + mu[2]))
     assert np.sum(np.linalg.eigvalsh(a.toarray()) < 0) == 2
     return a
 

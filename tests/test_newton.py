@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import gpmg.linsolve as linsolve_mod
 import gpmg.newton as newton_mod
 
 from gpmg.assembly import (
@@ -129,12 +130,12 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     assert [id(s) for s in assembled] == [id(ctxs[-1].space)]
     (system, vcycle), = solved
     assert len(vcycle.mats) == len(ctxs)
-    # the V-cycle holds the step's matrix rounded to float32, on its
+    # the V-cycle holds the step's SPD matrix G rounded to float32, on its
     # index arrays
     top = vcycle.mats[-1]
-    assert np.array_equal(top.data, system.k.data.astype(np.float32))
-    assert np.shares_memory(top.indices, system.k.indices)
-    assert np.shares_memory(top.indptr, system.k.indptr)
+    assert np.array_equal(top.data, system.g.data.astype(np.float32))
+    assert np.shares_memory(top.indices, system.g.indices)
+    assert np.shares_memory(top.indptr, system.g.indptr)
 
 
 def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
@@ -174,12 +175,13 @@ def test_mg_cg_newton_step_peaks_within_a_budget_per_nonzero():
     # one mg_cg Newton step on a 2D P1 level of 16,129 interior dofs, its
     # Riesz solver and prolongations built beforehand, as `resi` builds
     # them before every step of a run. Its tracemalloc peak above its
-    # start, per nonzero of K, is 27.2 bytes, set in the second PCG solve
-    # by K (8), its float32 copy (4), the coarser Galerkin products and
-    # the solve's vectors. A data-sized temporary costs 8: with |K| built
-    # whole for ||K||_inf the step peaked at 32.3, there; with P' (K P)
-    # for the Galerkin products at 30.1, and with two temporaries for
-    # `linear_part - lam0 * mass` at 27.3 in the Newton matrix
+    # start, per nonzero of K, is 26.0 bytes, set in the projected PCG
+    # solve by G (8), its float32 copy (4), the coarser Galerkin products
+    # and the solve's vectors (1.1 each). The step keeps G only and applies
+    # K as G p - (lam0 + s) M p; the Schur path, which kept K and solved
+    # twice, peaked at 27.2. A data-sized temporary costs 8: with |K| built
+    # whole for ||K||_inf the step peaked at 32.3, and with P' (K P) for
+    # the Galerkin products at 30.1
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 6)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
@@ -198,7 +200,7 @@ def test_mg_cg_newton_step_peaks_within_a_budget_per_nonzero():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start <= 29.0 * ctxs[-1].mass.nnz
+    assert peak - start <= 27.0 * ctxs[-1].mass.nnz
 
 
 def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
@@ -544,16 +546,23 @@ def test_finest_riesz_solves_stop_at_the_norms_accuracy():
 
 def _record_newton_solves(monkeypatch):
     """Lists that fill, one entry per Newton step, with the step's
-    (resi_old, lambda0) and its SpdSolver; the Riesz solvers, built under
-    their own mg_cg config, are left out."""
-    steps, solvers = [], []
-    init = SpdSolver.__init__
+    (resi_old, lambda0) and its bordered solve: the config it ran under,
+    whether it was projected mg_cg, and its PCG iterations (None when
+    direct)."""
+    steps, solves = [], []
+    solve, pcg = newton_mod.solve_bordered, linsolve_mod.pcg
     mixing = newton_mod.mixing_iteration
 
-    def recording_init(self, k, cfg, vcycle=None):
-        init(self, k, cfg, vcycle)
-        if cfg.method != "mg_cg" or cfg.rel_tol != RIESZ_TOL:
-            solvers.append(self)
+    def recording_solve(system, cfg, vcycle=None):
+        solves.append({"system": system, "vcycle": vcycle, "cfg": cfg,
+                       "mg_cg": vcycle is not None, "iterations": None})
+        return solve(system, cfg, vcycle=vcycle)
+
+    def recording_pcg(*args, border=None, **kwargs):
+        out = pcg(*args, border=border, **kwargs)
+        if border is not None:
+            solves[-1]["iterations"] = out[1]
+        return out
 
     def recording_mixing(levels, x0, params=None, cfg=None, resi_old=None):
         if resi_old is None:
@@ -561,49 +570,60 @@ def _record_newton_solves(monkeypatch):
         steps.append((resi_old, x0.lam))
         return mixing(levels, x0, params, cfg, resi_old)
 
-    monkeypatch.setattr(SpdSolver, "__init__", recording_init)
+    monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
+    monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
     monkeypatch.setattr(newton_mod, "mixing_iteration", recording_mixing)
-    return steps, solvers
+    return steps, solves
 
 
 @pytest.fixture(scope="module")
 def p1_2d_run():
     """2D P1 from n0 = 16 over 4 levels at zeta = 10 (two coarse rungs):
-    levels 2-3 solve direct, level 4 (16,129 interior dofs) by mg_cg."""
+    levels 2-4 solve by projected mg_cg, level 4 with 16,129 interior
+    dofs."""
     hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 4)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=10.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
     with pytest.MonkeyPatch.context() as mp:
-        steps, solvers = _record_newton_solves(mp)
+        steps, solves = _record_newton_solves(mp)
         multigrid_newton(ctxs)
-    return ctxs, steps, solvers
+    return ctxs, steps, solves
 
 
 def test_finest_mg_cg_newton_solves_stop_at_the_steps_tolerance(p1_2d_run):
     # the finest step solves to (resi_old/|lambda0|)^2 = 6.5e-6, not to
-    # solver.rel_tol: 7 PCG iterations per solve (11 at 1e-10)
-    ctxs, _, solvers = p1_2d_run
-    finest = solvers[-1]
-    assert finest.k.shape[0] == ctxs[-1].space.interior_dofs.size == 16_129
-    assert finest.method == "mg_cg"
-    assert len(finest.iteration_counts) == 2
-    assert max(finest.iteration_counts) <= 7
+    # solver.rel_tol: one projected PCG solve of 8 iterations, where the
+    # same solve to rel_tol takes 13 (the Schur path took two solves of 7,
+    # or of 11 at rel_tol)
+    ctxs, _, solves = p1_2d_run
+    finest = solves[-1]
+    system = finest["system"]
+    assert system.m.size == ctxs[-1].space.interior_dofs.size == 16_129
+    assert finest["mg_cg"]
+    assert finest["cfg"].rel_tol == pytest.approx(6.5e-6, rel=0.01)
+    assert finest["iterations"] <= 8
+    with pytest.MonkeyPatch.context() as mp:
+        _, again = _record_newton_solves(mp)
+        again.append({})
+        linsolve_mod.solve_bordered(system, SolverConfig(),
+                                    vcycle=finest["vcycle"])
+    assert again[-1]["iterations"] >= finest["iterations"] + 4
 
 
 def test_only_mg_cg_newton_steps_loosen_the_linear_tolerance(p1_2d_run):
     # an mg_cg step solves to max(rel_tol, (resi_old/|lambda0|)^2); every
     # direct step, the coarse rungs' included, to rel_tol exactly
-    _, steps, solvers = p1_2d_run
+    _, steps, solves = p1_2d_run
     rel_tol = SolverConfig().rel_tol
-    assert len(steps) == len(solvers)
-    methods = [s.method for s in solvers]
-    assert methods.count("mg_cg") == 1 and methods.count("direct") >= 7
-    for (resi_old, lam0), solver in zip(steps, solvers):
+    assert len(steps) == len(solves)
+    methods = [s["mg_cg"] for s in solves]
+    assert methods[-3:] == [True] * 3 and methods.count(False) >= 7
+    for (resi_old, lam0), solve in zip(steps, solves):
         want = rel_tol
-        if solver.method == "mg_cg":
+        if solve["mg_cg"]:
             want = max(rel_tol, (resi_old / abs(lam0)) ** 2)
             assert want > rel_tol
-        assert solver.cfg.rel_tol == want
+        assert solve["cfg"].rel_tol == want
 
 
 def test_converging_mg_cg_steps_return_to_the_rel_tol_floor(monkeypatch):
@@ -615,12 +635,13 @@ def test_converging_mg_cg_steps_return_to_the_rel_tol_floor(monkeypatch):
                           potential=parse("x1^2 + 2*x2^2", 2))
     x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
     cfg = SolverConfig(method="mg_cg")
-    steps, solvers = _record_newton_solves(monkeypatch)
+    steps, solves = _record_newton_solves(monkeypatch)
     _, history, _ = damped_newton(ctxs, x0, resi(ctxs[1], x0), 1e-11, 8,
                                   FULL_STEP, cfg)
     assert history[-1] <= 1e-11
+    assert all(s["mg_cg"] for s in solves)
     terms = [(r / abs(lam0)) ** 2 for r, lam0 in steps]
-    tols = [s.cfg.rel_tol for s in solvers]
+    tols = [s["cfg"].rel_tol for s in solves]
     assert terms[0] > cfg.rel_tol and tols[0] == terms[0]
     assert terms[-1] < cfg.rel_tol
     for term, tol in zip(terms, tols):
