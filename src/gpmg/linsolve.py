@@ -432,10 +432,12 @@ class BorderedSystem:
 
 @dataclass
 class BorderedSolution:
+    """(u1, lambda1) and the coercivity margin `schur`: the Schur scalar
+    m'K^-1m on the direct path, the least p'Kp/p'p over the search
+    directions on the projected path."""
+
     u: np.ndarray
     lam: float
-    # the coercivity margin: the Schur scalar m'K^-1m on the direct path,
-    # the least p'Kp/p'p over the search directions on the projected path
     schur: float
 
     def __iter__(self):

@@ -593,8 +593,7 @@ def p1_2d_run():
 def test_finest_mg_cg_newton_solves_stop_at_the_steps_tolerance(p1_2d_run):
     # the finest step solves to (resi_old/|lambda0|)^2 = 6.5e-6, not to
     # solver.rel_tol: one projected PCG solve of 8 iterations, where the
-    # same solve to rel_tol takes 13 (the Schur path took two solves of 7,
-    # or of 11 at rel_tol)
+    # same solve to rel_tol takes 13
     ctxs, _, solves = p1_2d_run
     finest = solves[-1]
     system = finest["system"]
