@@ -155,9 +155,17 @@ def test_auto_never_picks_mg_cg_in_1d(monkeypatch, degree):
     assert runs["mg_cg"] == pytest.approx(runs["auto"], rel=1e-6)
 
 
-def test_newton_step_solves_with_the_method_its_levels_allow(monkeypatch):
-    # a step with a coarser level runs one projected PCG solve on the
-    # V-cycle of its G and factors nothing; a step on one level factors K
+# the ids are the level-2 dof crossovers these cases patched when `auto`
+# switched to mg_cg by dof count; level 2 of 2D P1 from 4x4 cells has 49
+@pytest.mark.parametrize("linked,method", [
+    pytest.param(True, "mg_cg", id="48-mg_cg"),
+    pytest.param(False, "direct", id="49-direct"),
+])
+def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
+                                                          method):
+    # under `auto`, a step with a coarser level runs one projected PCG
+    # solve on the V-cycle of its G and factors nothing; a step on one
+    # level factors K
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 2)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
     x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
@@ -180,14 +188,15 @@ def test_newton_step_solves_with_the_method_its_levels_allow(monkeypatch):
     monkeypatch.setattr(SpdSolver, "__init__", recording_init)
     monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
-    newton_step(ctxs, x0)
-    assert (solvers, borders) == ([], [True])
+    newton_step(ctxs if linked else ctxs[1:], x0)
     (system, vc), = vcycles
-    assert np.array_equal(vc.mats[-1].data, system.g.data.astype(np.float32))
-    solvers.clear(), borders.clear(), vcycles.clear()
-    newton_step(ctxs[1:], x0)
-    assert (solvers, borders) == (["direct"], [])
-    assert vcycles[0][1] is None
+    if method == "mg_cg":
+        assert (solvers, borders) == ([], [True])
+        assert np.array_equal(vc.mats[-1].data,
+                              system.g.data.astype(np.float32))
+    else:
+        assert (solvers, borders) == (["direct"], [])
+        assert vc is None
 
 
 def test_cg_failure_reports_achieved_residual():
