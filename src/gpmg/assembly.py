@@ -76,13 +76,17 @@ class FemSpace:
         else:
             # edge (a, b), a < b, is the key a * nv + b: key order is the
             # lexicographic order of the pairs. Keys are int64, since
-            # a * nv overflows int32 beyond 46,341 vertices
+            # a * nv overflows int32 beyond 46,341 vertices; the edge dofs
+            # are int32 like the cells (np.unique's inverse is intp) unless
+            # the space has 2^31 dofs
             nv = mesh.n_vertices
             ends = mesh.cells[:, self.elem.edges]  # (nc, nloc_edges, 2)
             keys = (np.minimum(ends[..., 0], ends[..., 1]).astype(np.int64)
                     * nv + np.maximum(ends[..., 0], ends[..., 1]))
             edges, inverse = np.unique(keys.ravel(), return_inverse=True)
-            edge_ids = inverse.reshape(keys.shape) + nv
+            edge_ids = inverse.reshape(keys.shape).astype(
+                np.int32 if nv + edges.size < 2**31 else np.int64)
+            edge_ids += nv
             self.cell_dofs = np.hstack([mesh.cells, edge_ids])
             a, b = np.divmod(edges, nv)
             mids = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
@@ -522,10 +526,8 @@ class Operators:
                     self.h1, _interior_prolongation32(self.coarser.space,
                                                       self.space)
                 )
-            self._riesz = SpdSolver(
-                self.h1, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL),
-                vcycle
-            )
+            self._riesz = SpdSolver(self.h1, SolverConfig(rel_tol=RIESZ_TOL),
+                                    vcycle)
         return self._riesz
 
     def riesz_norm(self, functional):

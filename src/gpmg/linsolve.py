@@ -1,13 +1,13 @@
 """Linear solvers: SPD interior systems and the rank-1 bordered system.
 
 The Newton step's saddle-point system [[K, -m], [-m', 0]] is solved either
-directly, by a rank-1 Schur reduction to two sparse LU solves with K, or
+directly, by a refined rank-1 Schur reduction on one sparse LU of K, or
 by one projected PCG solve on the tangent space {v : m'v = 0}, where K is
 coercive near the ground state even when K itself is indefinite. An SPD
 interior system (the H1 Riesz problem) is solved by the same PCG loop
-without the constraint, or by a sparse LU. PCG is preconditioned with a
-geometric V-cycle whose smoother is a Chebyshev polynomial in D^-1 A (A
-the V-cycle's matrix, D its diagonal), so smoothing costs matvecs only.
+without the constraint. PCG is preconditioned with a geometric V-cycle
+whose smoother is a Chebyshev polynomial in D^-1 A (A the V-cycle's
+matrix, D its diagonal), so smoothing costs matvecs only.
 
 PCG, its backward-error check and the bordered solve run in float64. The
 V-cycle only has to approximate A^-1, so its smoothed levels run in
@@ -38,6 +38,7 @@ __all__ = [
     "SpdSolver",
     "as_float32",
     "factor_symmetric",
+    "inf_norm",
     "pcg",
     "solve_bordered",
 ]
@@ -53,10 +54,25 @@ def factor_symmetric(a):
                      options=dict(SymmetricMode=True))
 
 
-# Rows of |K| per block of `SpdSolver.knorm`: a block's one temporary
+# Rows of |K| per block of `inf_norm`: a block's one temporary
 # of note is its |data|, 4,096 rows of 7 entries in 2D P1 (0.2 MB) and
 # of at most 125 in 3D P2 (4 MB).
 KNORM_ROWS = 4096
+
+
+def inf_norm(a):
+    """||A||_inf, the largest row sum of |A|, KNORM_ROWS rows at a time."""
+    a = a.tocsr()
+    ptr, norm = a.indptr, 0.0
+    for start in range(0, a.shape[0], KNORM_ROWS):
+        stop = min(start + KNORM_ROWS, a.shape[0])
+        rows = slice(ptr[start], ptr[stop])
+        absa = sp.csr_matrix(
+            (np.abs(a.data[rows]), a.indices[rows],
+             ptr[start:stop + 1] - ptr[start]),
+            shape=(stop - start, a.shape[1]))
+        norm = max(norm, float(absa.sum(axis=1).max()))
+    return norm
 
 
 # Chebyshev smoothing interval [lo, hi] of a V-cycle level. The error
@@ -329,65 +345,32 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
 
 class SpdSolver:
     """Reusable solver for one SPD interior matrix K under a SolverConfig:
-    a sparse LU, or `pcg` preconditioned by the V-cycle given (mg_cg;
-    `auto` means mg_cg exactly when there is one)."""
+    `pcg` preconditioned by the given V-cycle, to a relative residual of
+    rel_tol/10, then a backward-error check at rel_tol."""
 
-    def __init__(self, k, cfg, vcycle=None):
+    # the one method; kept because perfbench's tracer reads it per solver
+    method = "mg_cg"
+
+    def __init__(self, k, cfg, vcycle):
         self.k = k.tocsr()
         self.cfg = cfg
         self.vcycle = vcycle
-        self.method = cfg.method
-        if cfg.method == "auto":
-            self.method = "direct" if vcycle is None else "mg_cg"
         self.iteration_counts = []
-        self._lu = None
-        self._knorm = None
-        if self.method == "direct":
-            self._lu = factor_symmetric(k)
-        elif vcycle is None:
-            raise ConfigurationError("mg_cg requires a V-cycle hierarchy")
-
-    @property
-    def knorm(self):
-        """||K||_inf, computed once, KNORM_ROWS rows of |K| at a time."""
-        if self._knorm is None:
-            k, ptr = self.k, self.k.indptr
-            self._knorm = 0.0
-            for start in range(0, k.shape[0], KNORM_ROWS):
-                stop = min(start + KNORM_ROWS, k.shape[0])
-                rows = slice(ptr[start], ptr[stop])
-                absk = sp.csr_matrix(
-                    (np.abs(k.data[rows]), k.indices[rows],
-                     ptr[start:stop + 1] - ptr[start]),
-                    shape=(stop - start, k.shape[1]))
-                self._knorm = max(self._knorm,
-                                  float(absk.sum(axis=1).max()))
-        return self._knorm
-
-    def _backward_error(self, x, b):
-        # ||Kx - b|| / (||K|| ||x|| + ||b||): unlike the plain relative
-        # residual this stays near eps for a stable solve even when the
-        # Newton matrix is nearly singular and ||x|| >> ||b||
-        num = float(np.linalg.norm(self.k @ x - b))
-        den = self.knorm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
-        return num / den
+        self.knorm = inf_norm(self.k)
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
             return np.zeros_like(b)
-        if self.method == "direct":
-            x = self._lu.solve(b)
-            for _ in range(3):
-                if self._backward_error(x, b) <= self.cfg.rel_tol:
-                    break
-                x = x + self._lu.solve(b - self.k @ x)
-        else:
-            x, iterations, _ = pcg(self.k.__matmul__, b, self.vcycle.apply,
-                                   self.cfg.rel_tol * 0.1, self.cfg.max_iter)
-            self.iteration_counts.append(iterations)
-        achieved = self._backward_error(x, b)
+        x, iterations, _ = pcg(self.k.__matmul__, b, self.vcycle.apply,
+                               self.cfg.rel_tol * 0.1, self.cfg.max_iter)
+        self.iteration_counts.append(iterations)
+        # ||Kx - b|| / (||K|| ||x|| + ||b||): unlike the plain relative
+        # residual this stays near eps for a stable solve even when ||x||
+        # >> ||b||
+        achieved = float(np.linalg.norm(self.k @ x - b)) / (
+            self.knorm * float(np.linalg.norm(x)) + bnorm)
         if achieved > self.cfg.rel_tol:
             raise SolverError(
                 f"linear solve backward error {achieved:.3e} above "
@@ -445,60 +428,69 @@ class BorderedSolution:
 
 
 def solve_bordered(system, cfg=None, vcycle=None):
-    """The bordered system's (u1, lambda1): given a V-cycle on g and a
-    method but direct, one projected PCG solve (`pcg` with the border
-    (m, -c)), then lambda1 = m'(K u1 - r)/(m'm); negative curvature
-    certifies that K is not coercive on the tangent space. It stops at
-    rel_tol/100 of its starting residual, where SpdSolver's CG stops at
-    rel_tol/10 and then checks the backward error: the Euclidean residual
-    is dominated by high frequencies that resi, an H^-1 norm, hardly sees
-    (at rel_tol/10 the finest step of `p1_2d_mgcg` left resi at 2.9e-9,
-    against 9.1e-10 solved exactly; at rel_tol/100, 9.4e-10).
+    """The bordered system's (u1, lambda1): given a V-cycle on g, one
+    projected PCG solve (`pcg` with the border (m, -c)), then lambda1 =
+    m'(K u1 - r)/(m'm); negative curvature certifies that K is not coercive
+    on the tangent space. It stops at rel_tol/100 of its starting residual,
+    where SpdSolver's CG stops at rel_tol/10 and then checks the backward
+    error: the Euclidean residual is dominated by high frequencies that
+    resi, an H^-1 norm, hardly sees (at rel_tol/10 the finest step of
+    `p1_2d_mgcg` left resi at 2.9e-9, against 9.1e-10 solved exactly; at
+    rel_tol/100, 9.4e-10).
 
-    Otherwise the rank-1 Schur reduction by one sparse LU: y = K^-1 m,
-    z = K^-1 r, lambda1 = -(c + m'z) / (m'y), u1 = z + lambda1 * y; a
-    failed or inconsistent one (K singular at an exact eigenpair) falls
-    back to `_solve_bordered_full`.
+    Otherwise the rank-1 Schur reduction on one LU of K, y = K^-1 m, from
+    zero and refined on the bordered residual (r_u, r_c), which recovers
+    what the cancellation in z + d y loses when K is nearly singular
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12): each
+    step adds (z + d y, d) to (u1, lambda1), z = K^-1 r_u, d = -(r_c +
+    m'z)/(m'y), until the bordered backward error ||(r_u, r_c)|| /
+    (||K||_inf ||u1|| + |lambda1| ||m|| + ||r|| + |c|) is at most rel_tol.
+    A K that does not factor, or four steps short of that, fall back to
+    `_solve_bordered_full`.
     """
     cfg = cfg or SolverConfig()
     m = system.m
     if np.linalg.norm(m) == 0.0:
         raise ConfigurationError("bordered system needs a nonzero border m")
-    if vcycle is not None and cfg.method != "direct":
+    if vcycle is not None:
         u1, _, curvature = pcg(system.k_matvec, system.r, vcycle.apply,
                                cfg.rel_tol * 0.01, cfg.max_iter,
                                border=(m, -system.c), x=system.start)
         lam1 = float(m @ (system.k_matvec(u1) - system.r)) / float(m @ m)
         return BorderedSolution(u=u1, lam=lam1, schur=curvature)
     k = system.k
-    solver = SpdSolver(k, cfg)
     try:
-        y = solver.solve(m)
-        z = solver.solve(system.r)
-    except SolverError:
-        # K itself may be (numerically) singular at an exact eigenpair;
-        # the bordered matrix is still regular, so factor it whole
+        lu = factor_symmetric(k)
+    except RuntimeError:
+        # K singular (at an exact eigenpair); the bordered matrix is still
+        # regular, so factor it whole
         return _solve_bordered_full(system, cfg)
+    y = lu.solve(m)
     my = float(m @ y)
-    lam1 = -(system.c + float(m @ z)) / my
-    u1 = z + lam1 * y
-    scale = (
-        solver.knorm * float(np.linalg.norm(u1))
-        + abs(lam1) * float(np.linalg.norm(m))
-        + float(np.linalg.norm(system.r))
-    )
-    res1 = float(np.linalg.norm(k @ u1 - lam1 * m - system.r))
-    res2 = abs(-float(m @ u1) - system.c)
-    tol = cfg.rel_tol * 100.0
-    if res1 <= tol * max(scale, 1e-30) and res2 <= tol * (1.0 + abs(system.c)):
-        return BorderedSolution(u=u1, lam=lam1, schur=my)
+    knorm, mnorm = inf_norm(k), float(np.linalg.norm(m))
+    data_norm = float(np.linalg.norm(system.r)) + abs(system.c)
+    u1, lam1 = np.zeros_like(m), 0.0
+    res_u, res_c = system.r, system.c
+    for _ in range(4):
+        z = lu.solve(res_u)
+        step = -(res_c + float(m @ z)) / my
+        z += step * y
+        u1 += z
+        lam1 += step
+        res_u = system.r - (k @ u1 - lam1 * m)
+        res_c = system.c + float(m @ u1)
+        if float(np.hypot(np.linalg.norm(res_u), res_c)) <= cfg.rel_tol * (
+                knorm * float(np.linalg.norm(u1)) + abs(lam1) * mnorm
+                + data_norm):
+            return BorderedSolution(u=u1, lam=lam1, schur=my)
     return _solve_bordered_full(system, cfg, schur=my)
 
 
 def _solve_bordered_full(system, cfg, schur=0.0):
-    """Sparse LU of the whole saddle-point matrix. Fallback for Newton
-    matrices that are singular (exact eigenpair) or too ill-conditioned
-    for the rank-1 Schur reduction."""
+    """Sparse LU of the whole saddle-point matrix. Fallback for a K that
+    is singular (exact eigenpair) or too ill-conditioned for the refined
+    Schur reduction. Only a fallback: with the dense border, its ordering
+    and LU cost several times those of K alone."""
     n = system.m.size
     mcol = sp.csc_matrix((-system.m, (np.arange(n), np.zeros(n, dtype=int))),
                          shape=(n, 1))
@@ -509,8 +501,7 @@ def _solve_bordered_full(system, cfg, schur=0.0):
     except RuntimeError as err:
         raise SolverError(f"bordered matrix is singular: {err}") from err
     res = np.linalg.norm(full @ x - rhs)
-    fnorm = float(abs(full).sum(axis=1).max())
-    if res > cfg.rel_tol * 100.0 * (fnorm * np.linalg.norm(x)
+    if res > cfg.rel_tol * 100.0 * (inf_norm(full) * np.linalg.norm(x)
                                     + np.linalg.norm(rhs)):
         raise SolverError(
             f"full bordered solve residual {res:.3e} above tolerance"

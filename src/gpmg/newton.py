@@ -186,6 +186,8 @@ def _runs_mg_cg(levels, cfg):
     meets PCG's round-off floor at a few thousand dofs (at 16,383, 13
     levels from n0 = 4, it stalls at a relative residual of 8.8e-10), where
     2D would need ~10^9."""
+    if len(levels) == 1 and cfg.method == "mg_cg":
+        raise ConfigurationError("mg_cg requires a V-cycle hierarchy")
     if len(levels) == 1 or cfg.method == "direct":
         return False
     return cfg.method == "mg_cg" or levels[-1].space.mesh.dim > 1

@@ -844,6 +844,8 @@ def test_p2_edge_keys_do_not_overflow_int32_cells():
     assert np.array_equal(space.dof_coords, want.dof_coords)
     assert np.array_equal(space.interior_dofs, want.interior_dofs)
     assert np.array_equal(space.cell_dofs, want.cell_dofs)
+    # the edge dofs take the cells' int32, not np.unique's intp
+    assert space.cell_dofs.dtype == np.int32
 
 
 def _buffer_bytes(a):

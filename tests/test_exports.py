@@ -1,5 +1,8 @@
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +26,27 @@ def test_benchmark_hooks_resolve(monkeypatch):
     tracer = importlib.import_module("tracer")
     for dotted in [*tracer.HOOKS, *tracer.OBSERVERS]:
         tracer._resolve(dotted)
+
+
+def test_traced_benchmark_run_reports_every_hook_and_layer(monkeypatch,
+                                                           tmp_path):
+    # one traced benchmark child on a 2-level example 2: a renamed hook
+    # (SpdSolver.method, BorderedSolution.schur, _solve_bordered_full, ...)
+    # shows up as an absent hook or a layer metric left None
+    root = Path(__file__).parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    config = tmp_path / "ex2.cfg"
+    config.write_text(workloads.WORKLOADS["ex2_mixing"].config_text(
+        1, levels=2))
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(root),
+         "traced", str(config), str(tmp_path / "out.csv"), str(result)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text())
+    assert (out["exit_code"], out["error"]) == (0, None)
+    assert out["absent_hooks"] == []
+    assert [name for name, value in out["layers"].items()
+            if value is None] == []

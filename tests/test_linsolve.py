@@ -61,12 +61,13 @@ def test_direct_and_mg_cg_agree():
     k = mats[-1]
     rng = np.random.default_rng(0)
     b = rng.standard_normal(k.shape[0])
-    x_dir = SpdSolver(k, SolverConfig(method="direct")).solve(b)
+    x_dir = factor_symmetric(k).solve(b)
     vc = VCycleHierarchy(mats, prolongs)
     mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc)
     x_mg = mg.solve(b)
     assert np.allclose(x_dir, x_mg, atol=1e-8)
     # the one ||K||_inf that solve_bordered also scales its check by
+    assert mg.knorm == linsolve_mod.inf_norm(k)
     assert mg.knorm == float(abs(k).sum(axis=1).max())
 
 
@@ -87,10 +88,12 @@ def test_vcycle_contracts_error():
 
 
 def test_mg_cg_requires_hierarchy():
-    mats, _ = poisson_hierarchy()
-    with pytest.raises(ConfigurationError):
-        SpdSolver(mats[-1], SolverConfig(method="mg_cg")).solve(
-            np.ones(mats[-1].shape[0]))
+    # a Newton step on a single level has no coarser one for the V-cycle
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 1)
+    ctx, = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
+    with pytest.raises(ConfigurationError,
+                       match="mg_cg requires a V-cycle hierarchy"):
+        newton_step([ctx], scf_solve(ctx), SolverConfig(method="mg_cg"))
 
 
 def _record_bordered_solves(monkeypatch):
@@ -164,14 +167,15 @@ def test_auto_never_picks_mg_cg_in_1d(monkeypatch, degree):
 def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
                                                           method):
     # under `auto`, a step with a coarser level runs one projected PCG
-    # solve on the V-cycle of its G and factors nothing; a step on one
-    # level factors K
+    # solve on the V-cycle of its G and factors only the V-cycle's coarsest
+    # level; a step on one level factors K once and runs no PCG
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 2)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
     x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    solvers, borders, vcycles = [], [], []
-    init, pcg, solve = (SpdSolver.__init__, linsolve_mod.pcg,
-                        newton_mod.solve_bordered)
+    solvers, borders, vcycles, factors = [], [], [], []
+    init, pcg, solve, factor = (SpdSolver.__init__, linsolve_mod.pcg,
+                                newton_mod.solve_bordered,
+                                linsolve_mod.factor_symmetric)
 
     def recording_init(self, k, cfg, vcycle=None):
         init(self, k, cfg, vcycle)
@@ -185,17 +189,24 @@ def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
         vcycles.append((system, vcycle))
         return solve(system, cfg, vcycle=vcycle)
 
+    def recording_factor(a):
+        factors.append(a.shape)
+        return factor(a)
+
     monkeypatch.setattr(SpdSolver, "__init__", recording_init)
     monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
+    monkeypatch.setattr(linsolve_mod, "factor_symmetric", recording_factor)
     newton_step(ctxs if linked else ctxs[1:], x0)
     (system, vc), = vcycles
+    assert solvers == []
     if method == "mg_cg":
-        assert (solvers, borders) == ([], [True])
+        assert borders == [True]
+        assert factors == [vc.mats[0].shape] != [system.k.shape]
         assert np.array_equal(vc.mats[-1].data,
                               system.g.data.astype(np.float32))
     else:
-        assert (solvers, borders) == (["direct"], [])
+        assert (borders, factors) == ([], [system.k.shape])
         assert vc is None
 
 
@@ -334,23 +345,35 @@ def test_projected_pcg_matches_the_dense_bordered_solve(dim, degree, n0,
     assert sol.schur > 0.0
 
 
-def test_backward_error_contract_near_singular():
-    # K - lam M with lam near a generalized eigenvalue: direct solve must
-    # still satisfy the backward-error contract via refinement
-    from gpmg.mesh import build_initial_mesh
-
+def test_near_singular_bordered_solve_meets_rel_tol_without_the_full_lu(
+        monkeypatch):
+    # K = A - lam M with lam 1e-7 above the least eigenvalue of (A, M) and
+    # the border m = M v1 along its eigenvector: the Schur reduction's
+    # u1 = z + lambda1 y cancels, and the refinement on the bordered
+    # residual brings its backward error to rel_tol on K's own LU
     space = FemSpace(build_initial_mesh(BoxDomain.unit(1), (32,)), 1)
-    k = assemble_stiffness(space)
-    m = assemble_mass(space)
-    import scipy.linalg as sla
+    a, mass = assemble_stiffness(space), assemble_mass(space)
+    vals, vecs = sla.eigh(a.toarray(), mass.toarray())
+    k = (a - (vals[0] * (1 + 1e-7)) * mass).tocsr()
+    system = BorderedSystem(g=k, m=mass @ vecs[:, 0],
+                            r=np.ones(k.shape[0]), c=0.3)
+    full = linsolve_mod._solve_bordered_full
+    fallbacks = []
 
-    vals = sla.eigh(k.toarray(), m.toarray(), eigvals_only=True)
-    shifted = (k - (vals[0] * (1 + 1e-7)) * m).tocsr()
-    b = np.ones(shifted.shape[0])
-    x = SpdSolver(shifted, SolverConfig(method="direct")).solve(b)
-    knorm = np.max(np.abs(shifted).sum(axis=1))
-    res = np.linalg.norm(shifted @ x - b)
-    assert res <= 1e-10 * (knorm * np.linalg.norm(x) + np.linalg.norm(b))
+    def recording_full(*args, **kwargs):
+        fallbacks.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve_mod, "_solve_bordered_full", recording_full)
+    cfg = SolverConfig(method="direct")
+    u, lam = solve_bordered(system, cfg)
+    res = np.hypot(np.linalg.norm(k @ u - lam * system.m - system.r),
+                   system.m @ u + system.c)
+    scale = (float(abs(k).sum(axis=1).max()) * np.linalg.norm(u)
+             + abs(lam) * np.linalg.norm(system.m)
+             + np.linalg.norm(system.r) + abs(system.c))
+    assert res <= cfg.rel_tol * scale
+    assert fallbacks == []
 
 
 # float32 unit roundoff, the precision of a V-cycle's smoothed levels
@@ -786,6 +809,5 @@ def test_knorm_sums_rows_of_abs_k_chunk_by_chunk(monkeypatch, chunk):
                   data_rvs=lambda size: rng.standard_normal(size))
     k = sp.csr_matrix(k.toarray() * (np.arange(50) != 17)[:, None])
     monkeypatch.setattr(linsolve_mod, "KNORM_ROWS", chunk)
-    solver = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=object())
     want = abs(k).sum(axis=1).max()
-    assert abs(solver.knorm - want) <= 1e-15 * want
+    assert abs(linsolve_mod.inf_norm(k) - want) <= 1e-15 * want
