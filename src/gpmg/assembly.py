@@ -49,13 +49,14 @@ RIESZ_TOL = 1e-3
 
 # Cells per block of the quadrature kernel (`_integrate`). A block's
 # largest temporaries are its values at the quadrature points, at most
-# 4,096 x 64 doubles = 2 MB (3D P2's weighted rule; 0.3 MB for 2D P1's 9
+# 4,096 x 24 doubles = 0.8 MB (3D P2's weighted rule; 0.2 MB for 2D P1's 6
 # points), the potential's points, three times that, and its element
-# rows, 4,096 x 55 doubles in 3D P2. Timed per form
-# on a 2-vCPU Xeon VM (2D P1 at 524,288 cells, 3D P2 at 24,576): blocks
-# of 1,024 to 8,192 cells are within noise of each other and up to 2.5x
-# faster than one block; from 8,192 on, 3D P2's potential points are
-# fresh mappings again and page-fault on every call.
+# rows, 4,096 x 55 doubles in 3D P2. Timed per form with the earlier
+# 64- and 9-point rules on a 2-vCPU Xeon VM (2D P1 at 524,288 cells, 3D
+# P2 at 24,576): blocks of 1,024 to 8,192 cells are within noise of each
+# other and up to 2.5x faster than one block; from 8,192 on, 3D P2's
+# potential points were fresh mappings again and page-faulted on every
+# call.
 CELL_BLOCK = 4096
 
 

@@ -2,8 +2,8 @@
 
 Everything is expressed in barycentric coordinates (lambda_0..lambda_d);
 reference coordinates are x_i = lambda_i for i >= 1. Quadrature rules are
-conical-product (Duffy) rules built from Gauss-Jacobi nodes, which are
-exact for the advertised total degree with positive weights.
+Gauss-Legendre in 1D and fully symmetric rules in 2D and 3D, exact for the
+advertised total degree with positive weights and interior points.
 """
 
 import itertools
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConfigurationError
 
@@ -24,7 +23,7 @@ __all__ = [
     "quadrature",
 ]
 
-MAX_EXACT_DEGREE = 8
+MAX_EXACT_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -100,37 +99,62 @@ class QuadratureRule:
     weights: np.ndarray  # sum to 1/dim!
 
 
-def _jacobi01(n, alpha):
-    """Nodes/weights on [0,1] for the weight (1-t)^alpha."""
-    if alpha == 0:
-        x, w = np.polynomial.legendre.leggauss(n)
-    else:
-        x, w = roots_jacobi(n, alpha, 0.0)
-    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+# Fully symmetric simplex rules: Dunavant (IJNME 21, 1985) on the
+# triangle, Keast (CMAME 55, 1986) on the tetrahedron, each refined to
+# double precision on its monomial moments (its 3D degree-4 entry is the
+# positive 14-point rule of degree 5). (dim, degree) -> orbits (weight,
+# pattern, free coordinates). A pattern spells one point of the orbit in
+# barycentric coordinates: its k-th distinct letter stands for the k-th
+# free coordinate, and its last letter for the value that makes the point
+# sum to 1. The orbit is every distinct permutation of the pattern. The
+# weights of a rule sum to 1 over its points.
+_SYMMETRIC_RULES = {
+    (2, 2): ((1 / 3, "aab", (1 / 6,)),),
+    (2, 4): ((0.22338158967801147, "aab", (0.44594849091596489,)),
+             (0.10995174365532187, "aab", (0.091576213509770743,))),
+    (2, 6): ((0.11678627572637937, "aab", (0.24928674517091042,)),
+             (0.050844906370206817, "aab", (0.063089014491502228,)),
+             (0.082851075618373575, "abc",
+              (0.31035245103378441, 0.053145049844816947))),
+    (3, 2): ((0.25, "aaab", (0.13819660112501052,)),),
+    (3, 4): ((0.07349304311636195, "aaab", (0.092735250310891226,)),
+             (0.11268792571801585, "aaab", (0.31088591926330061,)),
+             (0.042546020777081466, "aabb", (0.045503704125649649,))),
+    (3, 6): ((0.039922750258167492, "aaab", (0.21460287125915203,)),
+             (0.010077211055320643, "aaab", (0.040673958534611353,)),
+             (0.055357181543654722, "aaab", (0.32233789014227551,)),
+             (0.048214285714285714, "aabc",
+              (0.063661001875017525, 0.26967233145831581))),
+}
+
+
+def _orbit(pattern, free):
+    """The barycentric points of one orbit, (n, len(pattern))."""
+    letters = sorted(set(pattern))
+    counts = [pattern.count(c) for c in letters]
+    last = (1.0 - sum(v * n for v, n in zip(free, counts))) / counts[-1]
+    value = dict(zip(letters, (*free, last)))
+    return np.array([[value[c] for c in p]
+                     for p in sorted(set(itertools.permutations(pattern)))])
 
 
 def quadrature(dim, exact_degree):
-    """Conical-product rule exact for total degree <= exact_degree."""
+    """Rule exact for total degree <= exact_degree: Gauss-Legendre in 1D,
+    and in 2D and 3D the symmetric rule of the least tabulated degree >=
+    exact_degree."""
     if dim not in (1, 2, 3):
         raise ConfigurationError(f"unsupported quadrature dim {dim}")
     if not 1 <= exact_degree <= MAX_EXACT_DEGREE:
         raise ConfigurationError(
             f"exact_degree must be in [1, {MAX_EXACT_DEGREE}], got {exact_degree}"
         )
-    n = (exact_degree + 2) // 2  # 2n-1 >= exact_degree
-    axes = [_jacobi01(n, alpha) for alpha in range(dim - 1, -1, -1)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    coords = [g.ravel() for g in grids]
-    weights = np.ones_like(coords[0])
-    for wg in wgrids:
-        weights = weights * wg.ravel()
-    # Collapse the cube onto the simplex: x_k = t_k * prod_{j<k} (1 - t_j).
-    ref = np.empty((weights.size, dim))
-    scale = np.ones_like(coords[0])
-    for k in range(dim):
-        ref[:, k] = coords[k] * scale
-        scale = scale * (1.0 - coords[k])
-    bary = np.column_stack([1.0 - ref.sum(axis=1), ref])
-    assert abs(weights.sum() - 1.0 / math.factorial(dim)) < 1e-12
-    return QuadratureRule(dim, exact_degree, bary, weights)
+    if dim == 1:
+        x, w = np.polynomial.legendre.leggauss((exact_degree + 2) // 2)
+        t = (x + 1.0) / 2.0
+        return QuadratureRule(1, exact_degree, np.column_stack([1.0 - t, t]),
+                              w / 2.0)
+    orbits = _SYMMETRIC_RULES[dim, exact_degree + exact_degree % 2]
+    points = [_orbit(pattern, free) for _, pattern, free in orbits]
+    weights = np.concatenate([np.full(len(p), w / math.factorial(dim))
+                              for p, (w, _, _) in zip(points, orbits)])
+    return QuadratureRule(dim, exact_degree, np.vstack(points), weights)

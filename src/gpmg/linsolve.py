@@ -275,12 +275,27 @@ class VCycleHierarchy:
         return smoother.smooth(k, b, self.post_smooth, x)
 
 
+# Iterations without a new least residual norm after which `pcg` stops.
+# PCG's residual norm need not fall every iteration. Under a V-cycle, in
+# every converging solve of the tier-1 tests, the three benchmark
+# workloads and the coupling sweep, it set a new least within 1 iteration;
+# in a 1D P2 Newton step converging near its round-off floor (16,383
+# interior dofs, 1e-12 relative) within 15. 50 is over three times that.
+# The next level's step (32,767 dofs) stalls: it took 1,000 iterations to
+# reach 8.3e-10 against 1e-12, and now stops at iteration 259 at 9.8e-10.
+# Unpreconditioned CG on an ill-conditioned matrix can go longer than 50
+# iterations without a new least and still converge; gpmg runs none.
+PCG_STALL_ITERATIONS = 50
+
+
 def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
     """x with K x = b by CG preconditioned with precond (K applied by
     matvec), from zero, until the residual norm is at most rel_tol times
     the starting one. Returns x, its iteration count and the least
     curvature p'Kp/p'p over the search directions; p'Kp <= 0 raises
-    CoercivityError. Each iteration applies precond once.
+    CoercivityError. Each iteration applies precond once. A residual
+    that reaches no new least norm in PCG_STALL_ITERATIONS iterations
+    raises SolverError: the solve has met its round-off floor.
 
     With border = (m, t), PCG runs projected on {m'x = t} (Gould, Hribar &
     Nocedal, SIAM J. Sci. Comput. 23, 2001), solving K x = b + lambda m:
@@ -304,12 +319,22 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
         res -= (float(m @ res) / mm) * m
     start = float(np.linalg.norm(res))
     curvature = np.inf
+    least, least_at = np.inf, 0
     for iteration in range(max_iter + 1):
         rnorm = float(np.linalg.norm(res))
         if rnorm <= rel_tol * start:
             return x, iteration, curvature
         if iteration == max_iter:
             break
+        if rnorm < least:
+            least, least_at = rnorm, iteration
+        elif iteration - least_at >= PCG_STALL_ITERATIONS:
+            raise SolverError(
+                f"PCG stagnated at relative residual {least / start:.3e}: "
+                f"no new least residual in {PCG_STALL_ITERATIONS} "
+                f"iterations (iteration {iteration})",
+                achieved=least / start,
+            )
         z = precond(res)
         if border is not None:
             z -= (float(m @ z) / mw) * w

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -36,6 +36,33 @@ def test_quadrature_exact_on_monomials(dim, degree):
         vals = np.prod(x ** np.asarray(powers), axis=1)
         approx = float(rule.weights @ vals)
         assert np.isclose(approx, monomial_integral(powers), rtol=5e-14, atol=1e-16)
+
+
+# Points of the symmetric rule of each tabulated degree; the conical
+# products they replace had 4, 9, 16 (2D) and 8, 27, 64 (3D).
+SYMMETRIC_POINTS = {2: {2: 3, 4: 6, 6: 12}, 3: {2: 4, 4: 14, 6: 24}}
+
+
+def sorted_weighted_points(points, weights):
+    """Rows (point, weight) in lexicographic order."""
+    rows = np.column_stack([points, weights])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", range(1, MAX_EXACT_DEGREE + 1))
+def test_symmetric_rule_properties(dim, degree):
+    rule = quadrature(dim, degree)
+    assert len(rule.weights) == SYMMETRIC_POINTS[dim][degree + degree % 2]
+    assert np.all(rule.weights > 0)
+    assert np.all(rule.points > 0)  # strictly interior
+    assert np.allclose(rule.points.sum(axis=1), 1.0, rtol=0, atol=4e-16)
+    # the same weighted points under every permutation of the barycentric
+    # coordinates
+    reference = sorted_weighted_points(rule.points, rule.weights)
+    for perm in permutations(range(dim + 1)):
+        permuted = sorted_weighted_points(rule.points[:, perm], rule.weights)
+        assert np.allclose(permuted, reference, rtol=0, atol=1e-15)
 
 
 def test_quadrature_rejects_unsupported_degree():

@@ -220,6 +220,36 @@ def test_cg_failure_reports_achieved_residual():
     assert exc.value.achieved is not None
 
 
+def test_pcg_stops_when_its_residual_stagnates():
+    # a preconditioner with an absolute error of 1e-10, whatever its
+    # input: PCG's residual stalls near 1e-10 of its start, far above the
+    # 1e-30 asked, and the solve stops PCG_STALL_ITERATIONS after its last
+    # new least residual instead of spending max_iter
+    n = 100
+    k = sp.diags([-np.ones(n - 1), 2.0001 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1]).tocsr()
+    b = np.random.default_rng(1).standard_normal(n)
+    lu = factor_symmetric(k)
+    noise = np.random.default_rng(2)
+    matvecs = []
+
+    def matvec(v):
+        matvecs.append(1)
+        return k @ v
+
+    def precond(r):
+        return lu.solve(r) + 1e-10 * noise.standard_normal(n)
+
+    with pytest.raises(SolverError, match="stagnated at relative residual "
+                       r"\d\.\d{3}e-1\d") as exc:
+        linsolve_mod.pcg(matvec, b, precond, 1e-30, 5000)
+    assert 1e-12 < exc.value.achieved < 1e-8
+    assert len(matvecs) < 4 * linsolve_mod.PCG_STALL_ITERATIONS
+    # above the floor the same solve converges
+    x, _, _ = linsolve_mod.pcg(k.__matmul__, b, precond, 1e-8, 5000)
+    assert np.linalg.norm(b - k @ x) <= 1e-8 * np.linalg.norm(b)
+
+
 def random_bordered(rng, n):
     a = rng.standard_normal((n, n))
     k = sp.csr_matrix(a @ a.T + n * np.eye(n))
