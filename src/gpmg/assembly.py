@@ -13,10 +13,10 @@ times a reference table that the space caches per quadrature rule
 (`RuleTables`), taken a block of `CELL_BLOCK` cells at a time, each
 block's element rows added straight into the output, so no array has one
 row per cell. Every matrix on a space is a data array on the space's one
-interior CSR pattern (`CsrPattern`, built on first use): a form sums the
-upper triangles of its element matrices into the upper slots, gathered
-into full storage; sums of forms are sums of data arrays. Of the cell
-geometry only |det J| is kept.
+interior CSR pattern (`CsrPattern`, built on first use in linear passes):
+a form sums the upper triangles of its element matrices into the upper
+slots, gathered into full storage; sums of forms are sums of data arrays.
+Of the cell geometry only |det J| is kept.
 """
 
 import copy
@@ -132,7 +132,7 @@ class FemSpace:
         (cells, d, d) the cell's edge vectors as rows. Computed afresh on
         each call, a CELL_BLOCK of cells at a time by the stiffness metric,
         the one reader of J^-1; only |det J| is kept (`cell_det`)."""
-        verts = self.mesh.vertices[self.mesh.cells[s]]
+        verts = np.take(self.mesh.vertices, self.mesh.cells[s], axis=0)
         det, inv = _det_inv(verts[:, 1:, :] - verts[:, :1, :])
         return np.abs(det), inv
 
@@ -190,69 +190,79 @@ class CsrPattern:
     a boundary dof goes to slot `n_upper`, one extra bin that no matrix
     reads. `mirror[k]` is the upper slot of data entry k: a form's data
     are its slot sums gathered through `mirror`, so (i, j) and (j, i) read
-    one sum and every matrix is symmetric bit for bit. The maps are int32
-    below 2^31 entries. The index arrays are read-only: every matrix on
-    the space holds them, so an in-place edit of one would corrupt them
-    all."""
+    one sum and every matrix is symmetric bit for bit. Slots are numbered
+    in (row, col) order, found by stable counting sorts (scipy's sparse
+    transposition), so the build is linear in the element entries and
+    sorts nothing. The maps are int32 below 2^30 element entries. The
+    index arrays are read-only: every matrix on the space holds them, so
+    an in-place edit of one would corrupt them all."""
 
     def __init__(self, cell_dofs, boundary_mask):
         interior = ~boundary_mask
         n = int(np.count_nonzero(interior))
-        # each element dof's interior number, -1 on the boundary
-        number = np.where(interior, np.cumsum(interior) - 1, -1)[cell_dofs]
         a, b = np.triu_indices(cell_dofs.shape[1])
+        size = cell_dofs.shape[0] * a.size
+        # nnz < 2 n_upper <= 2 size bounds every index below
+        idx = np.int32 if 2 * size < 2**31 else np.int64
+        # each element dof's interior number, n on the boundary
+        number = np.where(interior, np.cumsum(interior, dtype=idx) - 1,
+                          idx(n))[cell_dofs]
         # np.take, unlike [:, a], returns C order, so ravel copies nothing
         lo = np.take(number, a, axis=1).ravel()
-        hi = np.take(number, b, axis=1).ravel()
+        cols = np.take(number, b, axis=1).ravel()
         del number
-        keys = np.minimum(lo, hi)
-        np.maximum(lo, hi, out=hi)
+        rows = np.minimum(lo, cols)
+        np.maximum(lo, cols, out=cols)
         del lo
-        keys *= n
-        keys += hi
-        del hi
-        # an entry with a boundary dof has min -1, so a negative key; the
-        # boundary bin's key sorts after every interior pair's
-        keys[keys < 0] = n * n
-        # one sort of the upper element entries' (row, col) keys; each run
-        # of equal keys is one slot. The buffers of one entry per element
-        # entry are reused, since fresh ones cost page faults comparable
-        # to the sort.
-        order = np.argsort(keys, kind="stable")
-        ids = keys[order]
-        first = np.empty(keys.size, dtype=bool)
+        # an entry with a boundary dof goes to (n, n), after every interior
+        # pair
+        np.copyto(rows, idx(n), where=cols == n)
+        # the entries in (row, col) order by two stable counting sorts,
+        # scipy's CSR -> CSC transposition: by col, each entry a row of
+        # its own, then by row
+        by_col = sp.csr_matrix((rows, cols, np.arange(size + 1, dtype=idx)),
+                               shape=(size, n + 1)).tocsc()
+        del rows, cols
+        by_row = sp.csc_matrix((by_col.indices, by_col.data, by_col.indptr),
+                               shape=(n + 1, n + 1)).tocsr()
+        del by_col
+        # each run of one (row, col) is one upper slot, numbered in order,
+        # the boundary bin last; a run also ends where a row does
+        cols, starts = by_row.indices, by_row.indptr
+        first = np.empty(size, dtype=bool)
         first[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        unique = ids[first]
-        first[0] = False  # so the running count is the run's 0-based slot
-        np.cumsum(first, out=ids)
-        keys[order] = ids
-        del order, ids, first
-        unique = unique[unique < n * n]
-        self.n_upper = unique.size
-        # n <= n_upper and nnz < 2 n_upper bound every index below
-        idx = np.int32 if 2 * self.n_upper < 2**31 else np.int64
-        self.slot = keys.astype(idx)
-        del keys
-        rows = unique // n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        # full storage is the upper pattern plus its strict part's
-        # transpose; its data are the upper slots, 1-based so that no
-        # entry is a zero the sum would drop
-        upper = sp.csr_matrix(
-            (np.arange(1, self.n_upper + 1), unique - rows * n, indptr),
-            shape=(n, n))
-        del unique, rows, indptr
-        full = upper + sp.triu(upper, k=1).T
-        full.sort_indices()
+        np.not_equal(cols[1:], cols[:-1], out=first[1:])
+        first[starts[1:n]] = True
+        ids = np.cumsum(first, dtype=idx)
+        ids -= 1
+        self.slot = np.empty(size, dtype=idx)
+        self.slot[by_row.data] = ids
+        self.n_upper = int(np.count_nonzero(first[:starts[n]]))
+        # the upper pattern: row i's slots run from upper_ptr[i]
+        upper_ptr = np.append(ids[starts[:n]], self.n_upper).astype(idx)
+        upper_cols = cols[first][:self.n_upper]
+        del by_row, cols, first, ids
+        # full row i is the upper pattern's column i (rows j <= i, the
+        # diagonal last), then its row i after the diagonal; the diagonal
+        # is written by both, with the same values
+        slots = np.arange(self.n_upper, dtype=idx)
+        lower = sp.csr_matrix((slots, upper_cols, upper_ptr),
+                              shape=(n, n)).tocsc()
+        row_len = np.diff(upper_ptr)
+        col_len = np.diff(lower.indptr)
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(col_len + row_len - 1, out=indptr[1:])
         self.shape = (n, n)
-        self.nnz = full.nnz
-        self.indices = full.indices.astype(idx)
-        self.indptr = full.indptr.astype(idx)
-        self.mirror = full.data.astype(idx)
-        self.mirror -= 1
-        del upper, full
+        self.nnz = int(indptr[-1])
+        self.indptr = indptr
+        self.indices = np.empty(self.nnz, dtype=idx)
+        self.mirror = np.empty(self.nnz, dtype=idx)
+        dest = slots + np.repeat(indptr[:-1] - lower.indptr[:-1], col_len)
+        self.indices[dest] = lower.indices
+        self.mirror[dest] = lower.data
+        dest = slots + np.repeat(indptr[1:] - upper_ptr[1:], row_len)
+        self.indices[dest] = upper_cols
+        self.mirror[dest] = slots
         for name in ("indices", "indptr"):
             getattr(self, name).flags.writeable = False
 
@@ -362,7 +372,8 @@ def _spatial_values(space, weight):
     points = space.rule(space.weighted_degree).points
 
     def values_of(s):
-        pts = points @ mesh.vertices[mesh.cells[s]]  # (cells of s, nq, dim)
+        # (cells of s, nq, dim)
+        pts = points @ np.take(mesh.vertices, mesh.cells[s], axis=0)
         flat = pts.reshape(-1, space.dim)
         if isinstance(weight, expr_mod.Expr):
             vals = expr_mod.evaluate(weight, flat)

@@ -64,10 +64,6 @@ class BoxDomain:
     def unit(dim):
         return BoxDomain(dim, (0.0,) * dim, (1.0,) * dim)
 
-    @property
-    def volume(self):
-        return float(np.prod(np.subtract(self.upper, self.lower)))
-
 
 class MeshLevel:
     """One level of a structured Kuhn-triangulated mesh.
@@ -124,20 +120,18 @@ class MeshLevel:
         return tuple(n + 1 for n in self.cells_per_axis)
 
     def _build_cells(self):
-        d = self.dim
-        n = self.cells_per_axis
-        vshape = self._vertex_shape()
-        corners = np.stack(
-            np.meshgrid(*[np.arange(ni) for ni in n], indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        offs = _kuhn_offsets(d)  # (d!, d+1, d)
-        # (ncubes, d!, d+1, d) multi-indices -> flat vertex ids
-        multi = corners[:, None, None, :] + offs[None, :, :, :]
-        flat = np.ravel_multi_index(
-            tuple(multi[..., i] for i in range(d)), vshape
-        )
+        # a vertex's flat id is its multi-index dotted with the C-order
+        # strides of the vertex grid, so each cell's ids are its cube's
+        # lower-corner id plus the (d!, d+1) Kuhn offsets' ids
         idx = np.int32 if self.n_vertices < 2**31 else np.int64
-        return flat.reshape(-1, d + 1).astype(idx)
+        vshape = self._vertex_shape()
+        strides = np.cumprod((1,) + vshape[:0:-1])[::-1].astype(idx)
+        corner = np.zeros(1, dtype=idx)
+        for ni, stride in zip(self.cells_per_axis, strides):
+            corner = (corner[:, None] + np.arange(ni, dtype=idx) * stride
+                      ).ravel()
+        offsets = (_kuhn_offsets(self.dim) @ strides).astype(idx).ravel()
+        return (corner[:, None] + offsets).reshape(-1, self.dim + 1)
 
     def _boundary_flags(self):
         flags = np.zeros(self.n_vertices, dtype=bool)

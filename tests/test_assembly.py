@@ -41,7 +41,8 @@ def test_mass_matrix_integrates_one(dim, degree):
     space = FemSpace(build_initial_mesh(dom, (3,) * dim), degree)
     m = _ref_weighted_mass(space, np.ones((space.mesh.n_cells, 1)))
     ones = np.ones(space.n_dofs)
-    assert np.isclose(ones @ (m @ ones), dom.volume, rtol=1e-12)
+    volume = np.prod(np.subtract(dom.upper, dom.lower))
+    assert np.isclose(ones @ (m @ ones), volume, rtol=1e-12)
     _assert_close(assemble_mass(space), _interior_block(space, m))
 
 
@@ -696,6 +697,81 @@ def test_no_operator_or_pattern_map_is_full_space_sized(pattern_case):
         assert mat.shape == (n, n), name
     ctx.riesz_norm(np.ones(n))
     assert ctx._riesz_solver().k is ctx.h1
+
+
+def _argsort_pattern(cell_dofs, boundary_mask):
+    """The interior pattern by one stable argsort of the upper element
+    entries' keys row * n + col, the boundary bin's key n * n last; full
+    storage as the upper pattern plus its strict part's transpose, its
+    data the 1-based upper slots."""
+    interior = ~boundary_mask
+    n = int(np.count_nonzero(interior))
+    number = np.where(interior, np.cumsum(interior) - 1, -1)[cell_dofs]
+    a, b = np.triu_indices(cell_dofs.shape[1])
+    lo, hi = number[:, a].ravel(), number[:, b].ravel()
+    keys = np.minimum(lo, hi) * n + np.maximum(lo, hi)
+    keys[np.minimum(lo, hi) < 0] = n * n
+    order = np.argsort(keys, kind="stable")
+    ids = keys[order]
+    first = np.r_[True, ids[1:] != ids[:-1]]
+    slot = np.empty(keys.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    unique = ids[first]
+    unique = unique[unique < n * n]
+    rows = unique // n
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    upper = sp.csr_matrix((np.arange(1, unique.size + 1), unique - rows * n,
+                           indptr), shape=(n, n))
+    full = upper + sp.triu(upper, k=1).T
+    full.sort_indices()
+    idx = np.int32 if 2 * unique.size < 2**31 else np.int64
+    return {"slot": slot.astype(idx), "mirror": (full.data - 1).astype(idx),
+            "indices": full.indices.astype(idx),
+            "indptr": full.indptr.astype(idx), "n_upper": unique.size,
+            "nnz": full.nnz, "shape": (n, n)}
+
+
+def _assert_pattern_is(pattern, want):
+    for name, value in want.items():
+        got = getattr(pattern, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert np.array_equal(got, value), name
+        else:
+            assert got == value, name
+
+
+def test_pattern_matches_the_argsort_construction(pattern_case):
+    space = pattern_case[0].space
+    _assert_pattern_is(space.pattern(), _argsort_pattern(
+        space.cell_dofs, space.boundary_mask))
+
+
+def test_pattern_matches_the_argsort_construction_on_2d_p1_levels():
+    # the six levels of the 2D P1 benchmark, 16^2 to 512^2 cubes
+    for mesh in build_hierarchy(BoxDomain.unit(2), (16, 16), 6).levels:
+        space = FemSpace(mesh, 1)
+        pattern = assembly_mod.CsrPattern(space.cell_dofs, space.boundary_mask)
+        _assert_pattern_is(pattern, _argsort_pattern(space.cell_dofs,
+                                                     space.boundary_mask))
+
+
+@pytest.mark.parametrize("case", ["2d-p1", "3d-p2"])
+def test_pattern_build_sorts_nothing(case, monkeypatch):
+    # the slots are found by counting sorts, not by a comparison sort
+    dim, degree, cells, _ = PATTERN_CASES[case]
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(dim), cells), degree)
+    want = _argsort_pattern(space.cell_dofs, space.boundary_mask)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CsrPattern sorted")
+
+    with monkeypatch.context() as patch:
+        for name in ("argsort", "sort", "lexsort", "unique"):
+            patch.setattr(np, name, refuse)
+        pattern = assembly_mod.CsrPattern(space.cell_dofs,
+                                          space.boundary_mask)
+    _assert_pattern_is(pattern, want)
 
 
 # The quadrature kernel walks the cells CELL_BLOCK at a time.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gpmg.errors import ConfigurationError, ResourceLimitError
 from gpmg.mesh import (
     BoxDomain,
+    _kuhn_offsets,
     build_hierarchy,
     build_initial_mesh,
     refine_uniform,
@@ -31,13 +32,43 @@ def test_cell_count_is_factorial_per_cube(dim):
     assert mesh.n_vertices == 4**dim
 
 
+def _ravel_multi_index_cells(cells_per_axis):
+    """The cells by multi-index: every cube's corner plus the Kuhn
+    offsets, (ncubes, d!, d+1, d), raveled in the vertex grid's C order."""
+    d = len(cells_per_axis)
+    corners = np.stack(
+        np.meshgrid(*[np.arange(n) for n in cells_per_axis], indexing="ij"),
+        axis=-1).reshape(-1, d)
+    multi = corners[:, None, None, :] + _kuhn_offsets(d)[None]
+    flat = np.ravel_multi_index(tuple(multi[..., i] for i in range(d)),
+                                tuple(n + 1 for n in cells_per_axis))
+    return flat.reshape(-1, d + 1).astype(np.int32)
+
+
+@pytest.mark.parametrize("cells_per_axis", [
+    (1,), (7,), (1, 1), (4, 4), (3, 5), (1, 1, 1), (2, 2, 2), (3, 5, 2),
+    (1, 4, 3)])
+def test_cells_match_the_multi_index_construction(cells_per_axis):
+    # same cells in the same order, and int32
+    mesh = build_initial_mesh(BoxDomain.unit(len(cells_per_axis)),
+                              cells_per_axis)
+    want = _ravel_multi_index_cells(cells_per_axis)
+    assert mesh.cells.dtype == want.dtype == np.int32
+    assert np.array_equal(mesh.cells, want)
+    fine = refine_uniform(mesh)
+    assert fine.cells.dtype == np.int32
+    assert np.array_equal(fine.cells, _ravel_multi_index_cells(
+        fine.cells_per_axis))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cell_volumes_tile_the_box(dim):
     dom = BoxDomain(dim, (0.0,) * dim, tuple(1.0 + 0.5 * i for i in range(dim)))
     mesh = build_initial_mesh(dom, (2,) * dim)
     vols = cell_volumes(mesh)
     assert np.all(vols > 0)
-    assert np.isclose(vols.sum(), dom.volume, rtol=1e-13)
+    volume = np.prod(np.subtract(dom.upper, dom.lower))
+    assert np.isclose(vols.sum(), volume, rtol=1e-13)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

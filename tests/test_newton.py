@@ -363,6 +363,32 @@ def test_newton_fixed_space_quadratic_history():
     assert all(history[i + 1] < history[i] for i in range(len(history) - 1))
 
 
+@pytest.mark.parametrize("sigma", [1.5, 3.0])
+def test_newton_fixed_space_decays_quadratically(sigma):
+    # acceptance 6's 2D P1 space, from its ground state with each interior
+    # value scaled by 1 + 0.2 N(0, 1): every step from a resi above 1e-10
+    # ends at most C resi^2 with C = 1 (the largest ratio seen is 0.25).
+    # A wrong f' (one without its sigma factor) converges linearly. The
+    # bound leaves no room for the round-off floor, ~5e-15 here: a step
+    # from a resi between 1e-10 and ~7e-8 would land on the floor, above
+    # C resi^2; this start takes none
+    space = FemSpace(build_initial_mesh(BoxDomain.unit(2), (8, 8)), 1)
+    ctx = Operators(space, Nonlinearity(zeta=1.0, sigma=sigma),
+                    potential=parse("x1^2 + 2*x2^2", 2))
+    u = scf_solve(ctx, ScfConfig(tol=1e-12)).u.copy()
+    ix = space.interior_dofs
+    u[ix] *= 1.0 + 0.2 * np.random.default_rng(0).standard_normal(ix.size)
+    u /= ctx.l2_norm(u)
+    _, history = newton_fixed_space(
+        IterateX(lam=ctx.rayleigh_lambda(u), u=u), ctx)
+    assert history[-1] <= 1e-10
+    steps = [(old, new) for old, new in zip(history, history[1:])
+             if old > 1e-10]
+    assert len(steps) >= 4
+    for old, new in steps:
+        assert new <= 1.0 * old**2, history
+
+
 def test_newton_fixed_space_stagnates_at_the_first_growth(monkeypatch):
     # the full step is accepted only if resi does not rise: the first
     # growth ends the solve, with the two resi values it compared
