@@ -242,9 +242,9 @@ class CsrPattern:
         upper_ptr = np.append(ids[starts[:n]], self.n_upper).astype(idx)
         upper_cols = cols[first][:self.n_upper]
         del by_row, cols, first, ids
-        # full row i is the upper pattern's column i (rows j <= i, the
-        # diagonal last), then its row i after the diagonal; the diagonal
-        # is written by both, with the same values
+        # full row i is the upper pattern's column i (`lower`, its CSC:
+        # rows j <= i, the diagonal last), then its row i after the
+        # diagonal; the diagonal is written by both, with the same values
         slots = np.arange(self.n_upper, dtype=idx)
         lower = sp.csr_matrix((slots, upper_cols, upper_ptr),
                               shape=(n, n)).tocsc()
