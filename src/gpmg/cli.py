@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 configuration error, 3 solver non-convergence,
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -175,12 +176,14 @@ def _parser():
                        help="use the adaptively damped (mixing) driver; "
                             "a config with mixing.enabled = true uses it "
                             "without this flag, which cannot switch it off")
-        s.add_argument("--direct", action="store_true",
-                       help="bench only: also time a from-scratch solve "
-                            "on every level")
-        s.add_argument("--renormalize", action="store_true",
-                       help="L2-normalize the final iterate and recompute "
-                            "lambda from the Rayleigh identity")
+        if name == "bench":
+            s.add_argument("--direct", action="store_true",
+                           help="also time a from-scratch solve on every "
+                                "level")
+        else:
+            s.add_argument("--renormalize", action="store_true",
+                           help="L2-normalize the final iterate and "
+                                "recompute lambda from the Rayleigh identity")
         s.add_argument("--levels", type=int, default=None,
                        help="override discretization.levels")
         s.add_argument("--out", default=None, help="write CSV here "
@@ -193,18 +196,13 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.levels is not None:
-            if args.levels < 1:
-                raise ConfigurationError("--levels must be positive")
-            cfg.levels = args.levels
+            cfg = dataclasses.replace(cfg, levels=args.levels)
         if args.mixing:
             cfg.mixing_enabled = True
-        if args.command == "solve":
-            return cmd_solve(cfg, out_path=args.out,
-                             renormalize=args.renormalize)
-        if args.command == "study":
-            return cmd_study(cfg, out_path=args.out,
-                             renormalize=args.renormalize)
-        return cmd_bench(cfg, out_path=args.out, direct=args.direct)
+        if args.command == "bench":
+            return cmd_bench(cfg, out_path=args.out, direct=args.direct)
+        command = cmd_solve if args.command == "solve" else cmd_study
+        return command(cfg, out_path=args.out, renormalize=args.renormalize)
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

@@ -26,8 +26,7 @@ class RunConfig:
     potential_source: str
     zeta: float
     sigma: float = 1.0
-    box_lower: tuple = ()
-    box_upper: tuple = ()
+    box: str = ""
     degree: int = 1
     n0: int = 4
     levels: int = 3
@@ -37,11 +36,31 @@ class RunConfig:
     mixing: MixingParams = field(default_factory=MixingParams)
     reference_lambda: Optional[float] = None
 
+    def __post_init__(self):
+        if not 1 <= self.dim <= 3:
+            raise ConfigurationError("problem.dim must be 1, 2, or 3")
+        if self.degree not in (1, 2):
+            raise ConfigurationError("discretization.degree must be 1 or 2")
+        if self.n0 * self.degree < 2:
+            raise ConfigurationError(
+                "discretization.n0 must be positive, and at least 2 at "
+                "degree 1: the coarsest mesh needs an interior dof")
+        if self.levels < 1:
+            raise ConfigurationError("discretization.levels must be positive")
+        # fail early on a malformed box, potential or nonlinearity rather
+        # than mid-run
+        self.domain
+        try:
+            self.potential
+        except ParseError as err:
+            raise ConfigurationError(f"problem.potential: {err}") from err
+        self.nonlinearity
+
     @property
     def domain(self):
-        if not self.box_lower:
+        if not self.box:
             return BoxDomain.unit(self.dim)
-        return BoxDomain(self.dim, self.box_lower, self.box_upper)
+        return BoxDomain(self.dim, *_parse_box(self.box, self.dim))
 
     @property
     def potential(self):
@@ -84,28 +103,32 @@ def _to_str(key, raw):
     return raw.strip()
 
 
+# Each key's converter and the field its value fills: a RunConfig field,
+# or "section.name", field `name` of the section dataclass RunConfig holds
+# as `section`. A key the file leaves out takes that field's default.
 _SCHEMA = {
-    "problem.dim": _to_int,
-    "problem.potential": _to_str,
-    "problem.zeta": _to_float,
-    "problem.sigma": _to_float,
-    "problem.box": _to_str,
-    "discretization.degree": _to_int,
-    "discretization.n0": _to_int,
-    "discretization.levels": _to_int,
-    "solver.method": _to_str,
-    "solver.rel_tol": _to_float,
-    "solver.max_iter": _to_int,
-    "solver.pre_smooth": _to_int,
-    "solver.post_smooth": _to_int,
-    "coarse.tol": _to_float,
-    "coarse.max_outer": _to_int,
-    "coarse.dof_cap": _to_int,
-    "mixing.enabled": _to_bool,
-    "mixing.theta_init": _to_float,
-    "mixing.theta_min": _to_float,
-    "reference_lambda": _to_float,
+    "problem.dim": (_to_int, "dim"),
+    "problem.potential": (_to_str, "potential_source"),
+    "problem.zeta": (_to_float, "zeta"),
+    "problem.sigma": (_to_float, "sigma"),
+    "problem.box": (_to_str, "box"),
+    "discretization.degree": (_to_int, "degree"),
+    "discretization.n0": (_to_int, "n0"),
+    "discretization.levels": (_to_int, "levels"),
+    "solver.method": (_to_str, "solver.method"),
+    "solver.rel_tol": (_to_float, "solver.rel_tol"),
+    "solver.max_iter": (_to_int, "solver.max_iter"),
+    "coarse.tol": (_to_float, "coarse.tol"),
+    "coarse.max_outer": (_to_int, "coarse.max_outer"),
+    "coarse.dof_cap": (_to_int, "coarse.dof_cap"),
+    "mixing.enabled": (_to_bool, "mixing_enabled"),
+    "mixing.theta_init": (_to_float, "mixing.theta_init"),
+    "mixing.theta_min": (_to_float, "mixing.theta_min"),
+    "reference_lambda": (_to_float, "reference_lambda"),
 }
+
+_SECTIONS = {"solver": SolverConfig, "coarse": ScfConfig,
+             "mixing": MixingParams}
 
 _REQUIRED = ("problem.dim", "problem.potential", "problem.zeta")
 
@@ -135,7 +158,8 @@ def _parse_box(raw, dim):
 
 
 def parse_config_text(text, origin="<config>"):
-    values = {}
+    fields = {}
+    sections = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -148,64 +172,18 @@ def parse_config_text(text, origin="<config>"):
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigurationError(f"{origin}:{lineno}: unknown key {key!r}")
-        if key in values:
+        convert, target = _SCHEMA[key]
+        section, _, name = target.rpartition(".")
+        values = sections[section] if section else fields
+        if name in values:
             raise ConfigurationError(f"{origin}:{lineno}: duplicate key {key!r}")
-        values[key] = _SCHEMA[key](key, raw)
+        values[name] = convert(key, raw)
     for key in _REQUIRED:
-        if key not in values:
+        if _SCHEMA[key][1] not in fields:
             raise ConfigurationError(f"{origin}: missing required key {key!r}")
-
-    dim = values["problem.dim"]
-    if not 1 <= dim <= 3:
-        raise ConfigurationError("problem.dim must be 1, 2, or 3")
-    zeta = values["problem.zeta"]
-    if zeta < 0:
-        raise ConfigurationError("problem.zeta must be nonnegative")
-
-    cfg = RunConfig(
-        dim=dim,
-        potential_source=values["problem.potential"],
-        zeta=zeta,
-        sigma=values.get("problem.sigma", 1.0),
-        degree=values.get("discretization.degree", 1),
-        n0=values.get("discretization.n0", 4),
-        levels=values.get("discretization.levels", 3),
-        reference_lambda=values.get("reference_lambda"),
-    )
-    if "problem.box" in values:
-        cfg.box_lower, cfg.box_upper = _parse_box(values["problem.box"], dim)
-    if cfg.degree not in (1, 2):
-        raise ConfigurationError("discretization.degree must be 1 or 2")
-    if cfg.n0 < 1:
-        raise ConfigurationError("discretization.n0 must be positive")
-    if cfg.levels < 1:
-        raise ConfigurationError("discretization.levels must be positive")
-
-    cfg.solver = SolverConfig(
-        method=values.get("solver.method", "auto"),
-        rel_tol=values.get("solver.rel_tol", 1e-10),
-        max_iter=values.get("solver.max_iter", 1000),
-        pre_smooth=values.get("solver.pre_smooth", 2),
-        post_smooth=values.get("solver.post_smooth", 2),
-    )
-    cfg.coarse = ScfConfig(
-        tol=values.get("coarse.tol", 1e-10),
-        max_outer=values.get("coarse.max_outer", 500),
-        dof_cap=values.get("coarse.dof_cap", 50_000),
-    )
-    cfg.mixing_enabled = values.get("mixing.enabled", False)
-    cfg.mixing = MixingParams(**{
-        name: values[f"mixing.{name}"]
-        for name in ("theta_init", "theta_min") if f"mixing.{name}" in values
-    })
-
-    # fail early on a malformed potential rather than mid-run
-    try:
-        cfg.potential
-    except ParseError as err:
-        raise ConfigurationError(f"problem.potential: {err}") from err
-    cfg.nonlinearity
-    return cfg
+    for section, cls in _SECTIONS.items():
+        fields[section] = cls(**sections[section])
+    return RunConfig(**fields)
 
 
 def load_config(path):

@@ -40,9 +40,9 @@ class ScfConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ConfigurationError("scf tol must be positive")
+            raise ConfigurationError("coarse.tol must be positive")
         if self.max_outer < 1:
-            raise ConfigurationError("scf max_outer must be at least 1")
+            raise ConfigurationError("coarse.max_outer must be at least 1")
 
 
 def smallest_eigpair(kfull, m):

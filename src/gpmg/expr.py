@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GpmgError
 
-__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "pretty"]
+__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -222,21 +222,3 @@ def evaluate(e, points):
     vals = np.broadcast_to(vals, (pts.shape[0],))
     return float(vals[0]) if single else vals.copy()
 
-
-def _pretty_node(node):
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind == "var":
-        return f"x{node[1] + 1}"
-    if kind == "neg":
-        return f"(-{_pretty_node(node[1])})"
-    if kind == "call":
-        return f"{node[1]}({_pretty_node(node[2])})"
-    rest = "".join(op + _pretty_node(rhs) for op, rhs, _ in node[2])
-    return f"({_pretty_node(node[1])}{rest})"
-
-
-def pretty(e):
-    """Fully parenthesized form; reparses to an equivalent expression."""
-    return _pretty_node(e.root)

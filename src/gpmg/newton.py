@@ -143,7 +143,7 @@ def assemble_newton_system(ctx, x0):
                           shift=x0.lam + ctx.shift, start=u0i)
 
 
-def _build_vcycle(levels, g, cfg):
+def _build_vcycle(levels, g):
     """V-cycle for g, the step's SPD matrix G on levels[-1]. Each
     coarser level's matrix is the Galerkin product P' G P of the next finer
     one, formed in float64 as (P' G) P from the cached interior
@@ -158,9 +158,7 @@ def _build_vcycle(levels, g, cfg):
         mats.insert(0, (p.T.tocsr() @ mats[0]) @ p)
         mats[0].sort_indices()
     return VCycleHierarchy(
-        mats, [_interior_prolongation32(c.space, f.space) for c, f in pairs],
-        pre_smooth=cfg.pre_smooth, post_smooth=cfg.post_smooth
-    )
+        mats, [_interior_prolongation32(c.space, f.space) for c, f in pairs])
 
 
 def _prolong_field(u, coarse_space, fine_space):
@@ -216,7 +214,7 @@ def newton_step(levels, x0, cfg=None):
     ctx = levels[-1]
     system = assemble_newton_system(ctx, x0)
     try:
-        vcycle = (_build_vcycle(levels, system.g, cfg)
+        vcycle = (_build_vcycle(levels, system.g)
                   if _runs_mg_cg(levels, cfg) else None)
         sol = solve_bordered(system, cfg, vcycle=vcycle)
     except CoercivityError as err:
@@ -372,7 +370,7 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
             err_lambda=(abs(x.lam - reference_lambda)
                         if reference_lambda is not None else None),
-            scf_iterations=getattr(x, "scf_iterations", None),
+            scf_iterations=x.scf_iterations,
             step_ms=step_ms,
             x=x,
         ))

@@ -20,9 +20,11 @@ class Nonlinearity:
 
     def __post_init__(self):
         if self.zeta < 0:
-            raise ConfigurationError(f"zeta must be >= 0, got {self.zeta}")
+            raise ConfigurationError(
+                f"problem.zeta must be >= 0, got {self.zeta}")
         if self.sigma < 1:
-            raise ConfigurationError(f"sigma must be >= 1, got {self.sigma}")
+            raise ConfigurationError(
+                f"problem.sigma must be >= 1, got {self.sigma}")
 
 
 def _check_nonneg(t):

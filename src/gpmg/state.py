@@ -15,6 +15,8 @@ class IterateX:
 
     lam: float
     u: np.ndarray
+    # Newton steps of the coarse solve that made it (scf_solve only)
+    scf_iterations: Optional[int] = None
 
 
 @dataclass

@@ -12,7 +12,8 @@ import gpmg.eigsolve as eigsolve_mod
 import gpmg.newton as newton_mod
 from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main, run
-from gpmg.config import load_config, parse_config_text
+from gpmg.config import RunConfig, load_config, parse_config_text
+from gpmg.eigsolve import ScfConfig
 from gpmg.errors import ConfigurationError, StagnationError
 from gpmg.linsolve import SolverConfig
 from gpmg.mesh import build_hierarchy
@@ -107,6 +108,16 @@ def test_malformed_potential_fails_at_load():
         )
 
 
+def test_defaults_come_from_the_dataclasses():
+    cfg = parse_config_text(
+        "problem.dim = 1\nproblem.potential = 0\nproblem.zeta = 0\n")
+    assert cfg == RunConfig(dim=1, potential_source="0", zeta=0.0)
+    assert cfg.solver == SolverConfig()
+    assert cfg.coarse == ScfConfig()
+    assert cfg.mixing == MixingParams()
+    assert not cfg.mixing_enabled and cfg.reference_lambda is None
+
+
 def test_box_parsing():
     cfg = parse_config_text(
         "problem.dim = 2\nproblem.potential = 0\nproblem.zeta = 0\n"
@@ -149,6 +160,39 @@ def test_levels_override(tmp_path, capsys):
                            write(tmp_path, LIN_1D), "--levels", "2")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("n0", ["0", "-1", "1"])
+def test_coarsest_mesh_without_interior_dof_is_config_error(tmp_path, capsys,
+                                                            n0):
+    # a 1-cell P1 coarsest mesh has no interior dof for the coarse solve's
+    # eigenpair (it exited 5, an IndexError); the same mesh in P2 has one
+    cfg = GPE_1D.replace("discretization.degree = 2",
+                         "discretization.degree = 1")
+    cfg = cfg.replace("discretization.n0 = 8", f"discretization.n0 = {n0}")
+    code, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert code == 2 and "discretization.n0" in err
+    p2 = GPE_1D.replace("discretization.n0 = 8", "discretization.n0 = 1")
+    code, out, _ = run_cli(capsys, "solve", "--config", write(tmp_path, p2))
+    assert code == 0 and len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_levels_override_is_checked_as_the_config_key(tmp_path, capsys,
+                                                     levels):
+    code, err = _one_line_exit(tmp_path, capsys, LIN_1D, "--levels", levels)
+    assert code == 2 and "discretization.levels must be positive" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--direct"), ("study", "--direct"), ("bench", "--renormalize"),
+])
+def test_flags_are_registered_only_where_they_act(tmp_path, capsys, command,
+                                                  flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", write(tmp_path, LIN_1D), flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_mixing_flag_populates_theta(tmp_path, capsys):
@@ -367,28 +411,17 @@ def test_zero_scf_iterations_is_config_error(tmp_path, capsys):
     assert code == 2 and "max_outer" in err
 
 
-def _assert_mg_cg_count_rejected(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_iter_below_one_is_config_error(tmp_path, capsys, value):
     # not an indefinite-linearization failure (exit 3) at the first mg_cg
     # solve: the count is rejected at load
     cfg = ("problem.dim = 2\nproblem.potential = x1^2\nproblem.zeta = 1.0\n"
            "discretization.n0 = 8\ndiscretization.levels = 4\n"
-           f"solver.method = mg_cg\n{key} = {value}\n")
+           f"solver.method = mg_cg\nsolver.max_iter = {value}\n")
     code, err = _one_line_exit(tmp_path, capsys, cfg)
-    assert code == 2 and key in err
-    with pytest.raises(ConfigurationError, match=key.split(".")[1]):
-        SolverConfig(**{key.split(".")[1]: int(value)})
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("key", ["solver.pre_smooth", "solver.post_smooth"])
-def test_smoothing_count_below_one_is_config_error(tmp_path, capsys, key,
-                                                   value):
-    _assert_mg_cg_count_rejected(tmp_path, capsys, key, value)
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_max_iter_below_one_is_config_error(tmp_path, capsys, value):
-    _assert_mg_cg_count_rejected(tmp_path, capsys, "solver.max_iter", value)
+    assert code == 2 and "solver.max_iter" in err
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        SolverConfig(max_iter=int(value))
 
 
 def test_plain_cg_method_is_config_error(tmp_path, capsys):
@@ -591,10 +624,10 @@ def with_negated_g_diagonal(monkeypatch):
     diagonal negated, so that the smoother set-up rejects its top level."""
     build = newton_mod._build_vcycle
 
-    def negated(levels, g, cfg):
+    def negated(levels, g):
         g = g.copy()
         g.setdiag(-g.diagonal())
-        return build(levels, g, cfg)
+        return build(levels, g)
 
     monkeypatch.setattr(newton_mod, "_build_vcycle", negated)
 
@@ -665,6 +698,14 @@ def test_level_step_that_raises_resi_is_stagnation(tmp_path, capsys,
 def test_removed_coarse_keys_are_unknown(tmp_path, capsys, key):
     code, err = _one_line_exit(tmp_path, capsys, GPE_1D + key + "\n")
     assert code == 2 and "unknown key" in err
+
+
+@pytest.mark.parametrize("key", ["solver.pre_smooth", "solver.post_smooth"])
+def test_removed_smoothing_keys_are_unknown(tmp_path, capsys, key):
+    # both V-cycles smooth with linsolve.CHEBYSHEV_DEGREE before and after
+    # coarse correction; the degree is no run setting
+    code, err = _one_line_exit(tmp_path, capsys, GPE_1D + f"{key} = 2\n")
+    assert code == 2 and f"unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("potential, reason", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmg.expr import EvalError, ParseError, evaluate, parse, pretty
+from gpmg.expr import EvalError, ParseError, evaluate, parse
 
 
 def ev(src, dim, pts):
@@ -71,16 +71,6 @@ def test_long_chains_evaluate_without_recursion():
     assert np.array_equal(evaluate(total, pts), 5000 * pts[:, 0])
     product = parse("*".join(["x1"] * 5000), 1)
     assert evaluate(product, np.array([[1.0]]))[0] == 1.0
-    again = parse(pretty(total), 1)
-    assert np.array_equal(evaluate(again, pts), 5000 * pts[:, 0])
-
-
-def test_pretty_round_trip():
-    for src in ("x1 + 2*x2^2", "-sin(x1) * (x2 - 3)", "exp(-x1^2) / 2"):
-        e = parse(src, 2)
-        again = parse(pretty(e), 2)
-        pts = np.random.default_rng(0).random((13, 2))
-        assert np.allclose(evaluate(e, pts), evaluate(again, pts), atol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)

@@ -280,9 +280,9 @@ def test_bordered_matches_dense_full_system():
 def test_bordered_solution_unpacks():
     rng = np.random.default_rng(3)
     system = random_bordered(rng, 10)
-    u, lam = solve_bordered(system)
-    assert u.shape == (10,)
-    assert np.isscalar(lam) or np.ndim(lam) == 0
+    sol = solve_bordered(system)
+    assert sol.u.shape == (10,)
+    assert np.isscalar(sol.lam) or np.ndim(sol.lam) == 0
 
 
 def test_bordered_rejects_zero_border():
@@ -368,7 +368,7 @@ def test_projected_pcg_matches_the_dense_bordered_solve(dim, degree, n0,
     if zeta == 0.0:
         assert np.linalg.eigvalsh(system.k.toarray())[0] < 0.0
     sol = solve_bordered(system, SolverConfig(method="mg_cg"),
-                         vcycle=_build_vcycle(ctxs, system.g, SolverConfig()))
+                         vcycle=_build_vcycle(ctxs, system.g))
     u, lam = dense_bordered(system)
     assert np.linalg.norm(sol.u - u) <= 1e-9 * np.linalg.norm(u)
     assert abs(sol.lam - lam) <= 1e-10 * abs(lam)
@@ -396,7 +396,8 @@ def test_near_singular_bordered_solve_meets_rel_tol_without_the_full_lu(
 
     monkeypatch.setattr(linsolve_mod, "_solve_bordered_full", recording_full)
     cfg = SolverConfig(method="direct")
-    u, lam = solve_bordered(system, cfg)
+    sol = solve_bordered(system, cfg)
+    u, lam = sol.u, sol.lam
     res = np.hypot(np.linalg.norm(k @ u - lam * system.m - system.r),
                    system.m @ u + system.c)
     scale = (float(abs(k).sum(axis=1).max()) * np.linalg.norm(u)
@@ -466,10 +467,12 @@ def chebyshev_step_polynomial(lo, hi, degree):
     return q
 
 
-def reference_vcycle(mats, prolongs, intervals, b, pre=2, post=2):
-    """The V-cycle with each level's Chebyshev polynomial evaluated by
-    Horner's rule on the dense D^-1 K and a dense coarse solve; intervals
-    holds (lo, hi) per smoothed level."""
+def reference_vcycle(mats, prolongs, intervals, b,
+                     degree=linsolve_mod.CHEBYSHEV_DEGREE):
+    """The V-cycle with each level's Chebyshev polynomial of `degree`,
+    before and after coarse correction, evaluated by Horner's rule on the
+    dense D^-1 K, and a dense coarse solve; intervals holds (lo, hi) per
+    smoothed level."""
     def smooth(k, interval, degree, b, x):
         a = k / np.diag(k)[:, None]
         v = (b - k @ x) / np.diag(k)
@@ -483,10 +486,10 @@ def reference_vcycle(mats, prolongs, intervals, b, pre=2, post=2):
         k = mats[lvl].toarray()
         if lvl == 0:
             return np.linalg.solve(k, b)
-        x = smooth(k, intervals[lvl - 1], pre, b, np.zeros_like(b))
+        x = smooth(k, intervals[lvl - 1], degree, b, np.zeros_like(b))
         p = prolongs[lvl - 1]
         x += p @ cycle(lvl - 1, p.T @ (b - k @ x))
-        return smooth(k, intervals[lvl - 1], post, b, x)
+        return smooth(k, intervals[lvl - 1], degree, b, x)
 
     return cycle(len(mats) - 1, b)
 
@@ -502,15 +505,16 @@ def vcycle_asymmetry(vc, rng):
     lambda: poisson_hierarchy(levels=4),
     newton_hierarchy,
 ], ids=["poisson", "newton"])
-def test_vcycle_matches_dense_chebyshev_reference(build, degree):
+def test_vcycle_matches_dense_chebyshev_reference(monkeypatch, build,
+                                                  degree):
     # pre-smoothing skips the matvec with the zero start: an off-by-one in
     # the number of steps shows at every degree. The reference runs in
     # float64 on the operators the float32 cycle holds: the smoothed
     # levels' matrices and the prolongations rounded to float32, the
     # coarsest matrix as given
+    monkeypatch.setattr(linsolve_mod, "CHEBYSHEV_DEGREE", degree)
     mats, prolongs = build()
-    vc = VCycleHierarchy(mats, prolongs, pre_smooth=degree,
-                         post_smooth=degree)
+    vc = VCycleHierarchy(mats, prolongs)
     intervals = [(s.lo, s.hi) for s in vc.smoothers]
     assert len(intervals) == len(mats) - 1
     held = [mats[0], *map(rounded, mats[1:])]
@@ -518,7 +522,7 @@ def test_vcycle_matches_dense_chebyshev_reference(build, degree):
     for _ in range(3):
         b = rng.standard_normal(mats[-1].shape[0])
         ref = reference_vcycle(held, list(map(rounded, prolongs)),
-                               intervals, b, pre=degree, post=degree)
+                               intervals, b, degree)
         got = vc.apply(b)
         assert got.dtype == np.float64
         assert np.linalg.norm(got - ref) <= VCYCLE_ROUNDING * np.linalg.norm(
@@ -637,7 +641,7 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
     x = _prolong_iterate(newton_step(ctxs[:2], x), ctxs[1].space,
                          ctxs[2].space)
     system = assemble_newton_system(ops, x)
-    vc = _build_vcycle(ctxs, system.g, SolverConfig())
+    vc = _build_vcycle(ctxs, system.g)
     applied.clear()
     solvers.clear()
     iterations = []
@@ -762,10 +766,10 @@ def test_refined_hierarchies_share_the_restrictions():
         if lvl == 0:
             return fine.coarse_lu.solve(b.astype(float)).astype(np.float32)
         k, smoother = fine.mats[lvl], fine.smoothers[lvl - 1]
-        x = smoother.smooth(k, b, fine.pre_smooth)
+        x = smoother.smooth(k, b, linsolve_mod.CHEBYSHEV_DEGREE)
         p = fine.prolongs[lvl - 1]
         x += p @ uncached(lvl - 1, p.T @ (b - k @ x))
-        return smoother.smooth(k, b, fine.post_smooth, x)
+        return smoother.smooth(k, b, linsolve_mod.CHEBYSHEV_DEGREE, x)
 
     b = np.random.default_rng(7).standard_normal(mats[-1].shape[0])
     want = uncached(len(mats) - 1, b.astype(np.float32))

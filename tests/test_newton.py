@@ -271,7 +271,7 @@ def test_newton_vcycle_coarse_matrices_are_galerkin_products(monkeypatch,
         return VCycleHierarchy(mats, prolongs, **kwargs)
 
     monkeypatch.setattr(newton_mod, "VCycleHierarchy", recording)
-    vc = _build_vcycle(ctxs, k, SolverConfig())
+    vc = _build_vcycle(ctxs, k)
     assert len(given) == len(vc.mats) == levels
     assert given[-1] is k
     for i, (coarse, fine) in enumerate(zip(ctxs, ctxs[1:])):
