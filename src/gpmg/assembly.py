@@ -441,8 +441,8 @@ def prolongation_matrix(coarse, fine):
 
 def _interior_prolongation(coarse_space, fine_space):
     """The prolongation between the interior dofs, cached on the fine
-    space: the P of every Galerkin product P' K P, and of every field,
-    which is zero on the boundary (`newton._prolong_field`)."""
+    space: the P of every field, which is zero on the boundary
+    (`newton._prolong_field`), and in float32 of every V-cycle."""
     key = id(coarse_space)
     cache = fine_space._interior_prolongation_from
     if key not in cache:
@@ -455,7 +455,7 @@ def _interior_prolongation(coarse_space, fine_space):
 def _interior_prolongation32(coarse_space, fine_space):
     """The interior prolongation as float32 data on its index arrays,
     cached beside it, so every V-cycle over the pair (the Riesz one and
-    each Newton step's) shares one matrix."""
+    the Newton one) shares one matrix."""
     key = id(coarse_space)
     cache = fine_space._interior_prolongation32_from
     if key not in cache:
@@ -500,6 +500,13 @@ class Operators:
 
             self.linear_part = pattern.matrix(
                 stiffness.data + _weighted_mass(space, finite_values).data)
+        # finite coefficients times cell volumes can overflow (x1^2 on
+        # problem.box = 1,1e100)
+        if not (np.isfinite(self.h1.data).all()
+                and np.isfinite(self.linear_part.data).all()):
+            raise ConfigurationError(
+                "problem.box and problem.potential: the assembled operators "
+                "overflow the float range")
 
     def residual(self, lam, u, mu=None):
         """<F(lam,u), phi_i> for the interior dofs i. mu is M u, if the
@@ -524,6 +531,15 @@ class Operators:
         other.nl = dataclasses.replace(self.nl, zeta=zeta)
         return other
 
+    def vcycle(self, mat, coarser=None):
+        """The V-cycle on this level for mat, Riesz and Newton alike:
+        coarser, the next coarser level's, refined with mat, or else the
+        one-level hierarchy that factors mat."""
+        if coarser is None:
+            return VCycleHierarchy(mat)
+        return coarser.refined(mat, _interior_prolongation32(
+            self.coarser.space, self.space))
+
     def _riesz_solver(self):
         """CG on `h1`, preconditioned by one V-cycle over
         this level and every coarser one. The V-cycle refines the coarser
@@ -531,15 +547,9 @@ class Operators:
         up once; without a coarser level it is the exact LU and CG takes
         one iteration."""
         if self._riesz is None:
-            if self.coarser is None:
-                vcycle = VCycleHierarchy([self.h1], [])
-            else:
-                vcycle = self.coarser._riesz_solver().vcycle.refined(
-                    self.h1, _interior_prolongation32(self.coarser.space,
-                                                      self.space)
-                )
+            coarser = self.coarser and self.coarser._riesz_solver().vcycle
             self._riesz = SpdSolver(self.h1, SolverConfig(rel_tol=RIESZ_TOL),
-                                    vcycle)
+                                    self.vcycle(self.h1, coarser))
         return self._riesz
 
     def riesz_norm(self, functional):

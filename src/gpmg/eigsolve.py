@@ -110,7 +110,7 @@ def scf_solve(ops, cfg=None):
             # past zeta ~ 1e150 the squares in resi overflow
             with np.errstate(over="raise"):
                 x, history, thetas = damped_newton(
-                    [rung], x, resi(rung, x), cfg.tol, cfg.max_outer - steps,
+                    rung, x, resi(rung, x), cfg.tol, cfg.max_outer - steps,
                     MixingParams()
                 )
         except FloatingPointError as err:

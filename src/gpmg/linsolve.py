@@ -202,7 +202,8 @@ class SolverConfig:
 
 
 class VCycleHierarchy:
-    """Nested interior operators K_1..K_L with prolongations between them.
+    """Nested interior operators K_1..K_L with prolongations between them:
+    `VCycleHierarchy(K_1)`, then `refined` once per finer level.
 
     Each finer level is smoothed by a `ChebyshevSmoother`, set up once
     when the level joins: a polynomial of degree CHEBYSHEV_DEGREE before
@@ -220,37 +221,28 @@ class VCycleHierarchy:
     hierarchy is the exact float64 LU solve.
     """
 
-    def __init__(self, mats, prolongs):
-        if len(prolongs) != len(mats) - 1:
-            raise ConfigurationError("need one prolongation per level pair")
+    def __init__(self, coarsest):
         # level 0 is solved exactly; only the finer levels are smoothed
-        self.mats = [mats[0].tocsr()]
+        self.mats = [coarsest.tocsr()]
         self.prolongs, self.restricts, self.smoothers = [], [], []
         self.coarse_lu = factor_symmetric(self.mats[0])
-        for m, p in zip(mats[1:], prolongs):
-            self._push(m, p)
 
-    def _push(self, mat, prolong):
+    def refined(self, mat, prolong):
+        """This hierarchy with one finer level K on top, prolong mapping
+        the current finest level into it. The coarsest LU and every
+        existing smoother are shared, not redone."""
         try:
             smoother = ChebyshevSmoother.for_matrix(mat)
         except CoercivityError as err:
             raise CoercivityError(
                 f"V-cycle level {len(self.mats) + 1} (1 is the coarsest), "
                 f"{mat.shape[0]} interior dofs: {err}") from err
-        self.smoothers.append(smoother)
-        self.mats.append(as_float32(mat))
-        prolong = as_float32(prolong)
-        self.prolongs.append(prolong)
-        self.restricts.append(prolong.T)  # a view: no copy of the data
-
-    def refined(self, mat, prolong):
-        """This hierarchy with one finer level K on top, prolong mapping
-        the current finest level into it. The coarsest LU and every
-        existing smoother are shared, not redone."""
         other = copy.copy(self)
-        for name in ("mats", "prolongs", "restricts", "smoothers"):
-            setattr(other, name, list(getattr(self, name)))
-        other._push(mat, prolong)
+        prolong = as_float32(prolong)
+        for name, top in (("mats", as_float32(mat)), ("prolongs", prolong),
+                          ("restricts", prolong.T),  # a view: no copy
+                          ("smoothers", smoother)):
+            setattr(other, name, [*getattr(self, name), top])
         return other
 
     def apply(self, b):
@@ -290,9 +282,10 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
     matvec), from zero, until the residual norm is at most rel_tol times
     the starting one. Returns x, its iteration count and the least
     curvature p'Kp/p'p over the search directions; p'Kp <= 0 raises
-    CoercivityError. Each iteration applies precond once. A residual
-    that reaches no new least norm in PCG_STALL_ITERATIONS iterations
-    raises SolverError: the solve has met its round-off floor.
+    CoercivityError, and a p'Kp that is not finite SolverError. Each
+    iteration applies precond once. A residual that reaches no new least
+    norm in PCG_STALL_ITERATIONS iterations raises SolverError: the solve
+    has met its round-off floor.
 
     That exit assumes a precond under which the residual sets a new least
     at least every PCG_STALL_ITERATIONS iterations, as gpmg's V-cycles
@@ -352,6 +345,9 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
         del z
         q = matvec(p)
         pq = float(p @ q)
+        if not np.isfinite(pq):  # e.g. past the float32 V-cycle's range
+            raise SolverError(f"PCG overflowed: p'Kp = {pq:.3e} at PCG "
+                              f"iteration {iteration + 1}")
         if not pq > 0.0:
             raise CoercivityError(
                 f"negative curvature p'Kp = {pq:.3e} at PCG iteration "

@@ -11,7 +11,8 @@ with K = stiffness + potential mass + M_{f(u0^2)} + 2 M_{f'(u0^2) u0^2}
 step's resi_new <= resi_old; plain Newton is the mixing step at theta = 1.
 The multigrid drivers solve the coarsest space nonlinearly once and take
 one (possibly damped) Newton step per level. A step solved by mg_cg is
-inexact: its linear tolerance follows the step's own resi.
+inexact, its linear tolerance following the step's own resi, and grows the
+run's one Newton V-cycle by its level.
 """
 
 import time
@@ -23,7 +24,6 @@ from .assembly import (
     FemSpace,
     Operators,
     _interior_prolongation,
-    _interior_prolongation32,
     assemble_field_load,
     assemble_field_weighted_mass,
 )
@@ -35,7 +35,7 @@ from .errors import (
     StagnationError,
     UsageError,
 )
-from .linsolve import BorderedSystem, SolverConfig, VCycleHierarchy, solve_bordered
+from .linsolve import BorderedSystem, SolverConfig, solve_bordered
 from .nonlinearity import f_eval, fprime_eval
 from .state import IterateX, TraceRow
 
@@ -143,22 +143,12 @@ def assemble_newton_system(ctx, x0):
                           shift=x0.lam + ctx.shift, start=u0i)
 
 
-def _build_vcycle(levels, g):
-    """V-cycle for g, the step's SPD matrix G on levels[-1]. Each
-    coarser level's matrix is the Galerkin product P' G P of the next finer
-    one, formed in float64 as (P' G) P from the cached interior
-    prolongation P between the two, P' made CSR (on the finest 2D P1 pair
-    of `p1_2d_mgcg`, 21 MB above its start and 37 ms, where P' (G P) with
-    P' left CSC took 37 MB and 48 ms). The hierarchy runs on that P's
-    cached float32 copy."""
-    pairs = list(zip(levels, levels[1:]))
-    mats = [g]
-    for coarse, fine in reversed(pairs):
-        p = _interior_prolongation(coarse.space, fine.space)
-        mats.insert(0, (p.T.tocsr() @ mats[0]) @ p)
-        mats[0].sort_indices()
-    return VCycleHierarchy(
-        mats, [_interior_prolongation32(c.space, f.space) for c, f in pairs])
+def _build_vcycle(ctx, u0, coarser=None, g=None):
+    """The Newton V-cycle on ctx's level (`Operators.vcycle`) for g, G at
+    the field u0 (`_spd_matrix`, assembled unless given), on coarser. So a
+    run sets up each level's smoother once, on G at that level's own
+    start, and the coarsest LU once."""
+    return ctx.vcycle(_spd_matrix(ctx, u0) if g is None else g, coarser)
 
 
 def _prolong_field(u, coarse_space, fine_space):
@@ -176,24 +166,23 @@ def _prolong_iterate(x0, coarse_space, fine_space):
                                                  fine_space))
 
 
-def _runs_mg_cg(levels, cfg):
-    """Whether a Newton step on levels[-1] solves by projected mg_cg: there
-    is a coarser level for the V-cycle, and cfg says mg_cg, or `auto` in
-    2D or 3D. `auto` solves 1D directly: a 1D LU is a band solve, linear in
-    the dofs, and as G's condition number grows as h^-2 a 1D P2 hierarchy
-    meets PCG's round-off floor at a few thousand dofs (at 16,383, 13
-    levels from n0 = 4, it stalls at a relative residual of 8.8e-10), where
-    2D would need ~10^9."""
-    if len(levels) == 1 and cfg.method == "mg_cg":
+def _runs_mg_cg(cfg, dim, linked):
+    """Whether a Newton step on a level of dimension dim, linked or not to
+    a coarser level's V-cycle, solves by projected mg_cg: if linked and cfg
+    says mg_cg, or `auto` in 2D or 3D. `auto` solves 1D directly: a 1D LU
+    is a band solve, linear in the dofs, and as G's condition number grows
+    as h^-2 a 1D P2 hierarchy meets PCG's round-off floor at a few thousand
+    dofs (8.8e-10 relative at 16,383), where 2D would need ~10^9."""
+    if not linked and cfg.method == "mg_cg":
         raise ConfigurationError("mg_cg requires a V-cycle hierarchy")
-    if len(levels) == 1 or cfg.method == "direct":
+    if not linked or cfg.method == "direct":
         return False
-    return cfg.method == "mg_cg" or levels[-1].space.mesh.dim > 1
+    return cfg.method == "mg_cg" or dim > 1
 
 
-def _step_config(levels, cfg, resi_old, lam0):
-    """cfg for a Newton step from an iterate with resi resi_old and
-    eigenvalue lam0. An mg_cg step solves to max(cfg.rel_tol,
+def _step_config(ctx, cfg, resi_old, lam0, linked):
+    """cfg for a Newton step on ctx's level from an iterate with resi
+    resi_old and eigenvalue lam0. An mg_cg step solves to max(cfg.rel_tol,
     (resi_old/|lam0|)^2): an inexact Newton step keeps the quadratic rate
     when its linear residual is O(||F||) relative to ||F|| (Dembo,
     Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and the step
@@ -202,20 +191,23 @@ def _step_config(levels, cfg, resi_old, lam0):
     whose cost does not depend on the tolerance, keeps cfg.rel_tol, and so
     does a step whose quadratic term is not below 1 (lam0 = 0 included)."""
     ratio = resi_old / abs(lam0) if lam0 != 0.0 else np.inf
-    if ratio < 1.0 and ratio**2 > cfg.rel_tol and _runs_mg_cg(levels, cfg):
+    if (ratio < 1.0 and ratio**2 > cfg.rel_tol
+            and _runs_mg_cg(cfg, ctx.space.dim, linked)):
         return replace(cfg, rel_tol=ratio**2)
     return cfg
 
 
-def newton_step(levels, x0, cfg=None):
-    """One Newton step on levels[-1] from x0, an iterate already on its
-    space. levels runs coarsest first; mg_cg needs more than one."""
+def newton_step(ctx, x0, cfg=None, coarser=None):
+    """One Newton step on ctx's level from x0, an iterate already on its
+    space. coarser is the next coarser level's Newton V-cycle, which an
+    mg_cg step refines with its own G; without it the step solves
+    directly, or raises under mg_cg. Returns the new iterate and the
+    step's V-cycle (None on a direct step)."""
     cfg = cfg or SolverConfig()
-    ctx = levels[-1]
     system = assemble_newton_system(ctx, x0)
     try:
-        vcycle = (_build_vcycle(levels, system.g)
-                  if _runs_mg_cg(levels, cfg) else None)
+        mg_cg = _runs_mg_cg(cfg, ctx.space.dim, coarser is not None)
+        vcycle = _build_vcycle(ctx, x0.u, coarser, system.g) if mg_cg else None
         sol = solve_bordered(system, cfg, vcycle=vcycle)
     except CoercivityError as err:
         raise CoercivityError(
@@ -223,23 +215,24 @@ def newton_step(levels, x0, cfg=None):
             f"zeta = {ctx.nl.zeta:g}") from err
     u1 = np.zeros(ctx.space.n_dofs)
     u1[ctx.space.interior_dofs] = sol.u
-    return IterateX(lam=sol.lam, u=u1)
+    return IterateX(lam=sol.lam, u=u1), vcycle
 
 
-def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
-    """Damped Newton step on levels[-1] from x0, an iterate already on its
-    space: solve once, then halve theta from params.theta_init until resi
-    does not rise, or raise StagnationError before theta drops below
-    params.theta_min. Never re-solves during the line search. resi_old is
-    x0's resi, computed here unless given; it sets the linear tolerance of
-    an mg_cg step (`_step_config`). Returns the accepted iterate, its theta
-    and its resi."""
+def mixing_iteration(ctx, x0, params=None, cfg=None, resi_old=None,
+                     coarser=None):
+    """Damped Newton step on ctx's level from x0, an iterate on its space:
+    solve once (`newton_step` on coarser), then halve theta from
+    params.theta_init until resi does not rise, or raise StagnationError
+    before theta drops below params.theta_min. resi_old is x0's resi,
+    computed here unless given; it sets the linear tolerance of an mg_cg
+    step (`_step_config`). Returns the accepted iterate, its theta, its
+    resi and the step's V-cycle."""
     params = params or MixingParams()
-    ctx = levels[-1]
     if resi_old is None:
         resi_old = resi(ctx, x0)
-    step_cfg = _step_config(levels, cfg or SolverConfig(), resi_old, x0.lam)
-    xhat = newton_step(levels, x0, step_cfg)
+    cfg = _step_config(ctx, cfg or SolverConfig(), resi_old, x0.lam,
+                       coarser is not None)
+    xhat, vcycle = newton_step(ctx, x0, cfg, coarser)
     theta = params.theta_init
     while True:
         lam = (1.0 - theta) * x0.lam + theta * xhat.lam
@@ -247,7 +240,7 @@ def mixing_iteration(levels, x0, params=None, cfg=None, resi_old=None):
         x_new = IterateX(lam=lam, u=u)
         resi_new = resi(ctx, x_new)
         if resi_new <= resi_old:
-            return x_new, theta, resi_new
+            return x_new, theta, resi_new, vcycle
         if 0.5 * theta < params.theta_min:
             raise StagnationError(
                 f"Newton step stagnated: resi would rise above "
@@ -264,14 +257,14 @@ def _stop_at(tol, x):
     return max(tol, RESI_ROUNDOFF * abs(x.lam))
 
 
-def damped_newton(levels, x, resi_x, tol, max_steps, params, cfg=None):
-    """Mixing steps on levels[-1] from x, whose resi is resi_x, until resi
+def damped_newton(ctx, x, resi_x, tol, max_steps, params, cfg=None):
+    """Mixing steps on ctx's level from x, whose resi is resi_x, until resi
     <= max(tol, RESI_ROUNDOFF * |lambda|) or max_steps steps are taken.
     Returns the last iterate, the resi history (the start included) and
     each step's theta."""
     history, thetas = [resi_x], []
     while history[-1] > _stop_at(tol, x) and len(thetas) < max_steps:
-        x, theta, r = mixing_iteration(levels, x, params, cfg, history[-1])
+        x, theta, r, _ = mixing_iteration(ctx, x, params, cfg, history[-1])
         history.append(r)
         thetas.append(theta)
     return x, history, thetas
@@ -283,7 +276,7 @@ def newton_fixed_space(x0, ctx, tol=1e-10, max_steps=12, cfg=None):
     Returns the final iterate and the resi history (including the start),
     for empirical quadratic-convergence analysis.
     """
-    x, history, _ = damped_newton([ctx], x0, resi(ctx, x0), tol, max_steps,
+    x, history, _ = damped_newton(ctx, x0, resi(ctx, x0), tol, max_steps,
                                   FULL_STEP, cfg)
     return x, history
 
@@ -335,22 +328,25 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
     from .eigsolve import scf_solve
 
     solver_cfg = solver_cfg or SolverConfig()
-    rows = []
+    rows, vcycle = [], None
     for idx, ctx in enumerate(contexts):
         t0 = time.perf_counter()
         theta = resi_new = None
         try:
             if idx == 0:
                 x = scf_solve(ctx, scf_cfg)
+                # each linked mg_cg step refines this V-cycle by its level
+                if len(contexts) > 1 and _runs_mg_cg(solver_cfg,
+                                                     ctx.space.dim, True):
+                    vcycle = _build_vcycle(ctx, x.u)
             else:
                 x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
                 # on the finest level x0p is the previous row's iterate
                 # prolongated once, so that row's traced resi is x0p's resi
                 resi_old = rows[-1].resi if idx == len(contexts) - 1 else None
-                x, theta, resi_new = mixing_iteration(
-                    contexts[:idx + 1], x0p, params or FULL_STEP, solver_cfg,
-                    resi_old
-                )
+                x, theta, resi_new, vcycle = mixing_iteration(
+                    ctx, x0p, params or FULL_STEP, solver_cfg, resi_old,
+                    vcycle)
             step_ms = (time.perf_counter() - t0) * 1e3
             traced = _traced_resi(contexts, x, idx, resi_new)
         except (SolverError, CoercivityError, NonConvergenceError,
@@ -370,7 +366,6 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
             err_lambda=(abs(x.lam - reference_lambda)
                         if reference_lambda is not None else None),
-            scf_iterations=x.scf_iterations,
             step_ms=step_ms,
             x=x,
         ))

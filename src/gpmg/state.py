@@ -29,7 +29,6 @@ class TraceRow:
     wall_time_ms: float = 0.0
     err_lambda: Optional[float] = None
     err_h1: Optional[float] = None
-    scf_iterations: Optional[int] = None
     # time of the level's step alone, without the finest-space resi
     # diagnostic that wall_time_ms includes
     step_ms: float = 0.0

@@ -620,14 +620,16 @@ def test_negative_curvature_names_the_level_lambda0_zeta_and_iteration(
 
 
 def with_negated_g_diagonal(monkeypatch):
-    """Hand every Newton V-cycle its G (SPD by construction) with the
-    diagonal negated, so that the smoother set-up rejects its top level."""
+    """Hand every linked step's Newton V-cycle its G (SPD by
+    construction) with the diagonal negated, so that the smoother set-up
+    rejects its top level."""
     build = newton_mod._build_vcycle
 
-    def negated(levels, g):
-        g = g.copy()
-        g.setdiag(-g.diagonal())
-        return build(levels, g)
+    def negated(ctx, u0, coarser=None, g=None):
+        if g is not None:
+            g = g.copy()
+            g.setdiag(-g.diagonal())
+        return build(ctx, u0, coarser, g)
 
     monkeypatch.setattr(newton_mod, "_build_vcycle", negated)
 
@@ -668,11 +670,12 @@ def test_level_step_that_raises_resi_is_stagnation(tmp_path, capsys,
     # theta down to theta_min, and either ends the run naming the level
     newton_step = newton_mod.newton_step
 
-    def reflected(levels, x0, cfg=None):
-        x1 = newton_step(levels, x0, cfg)
-        if len(levels) != 2:
-            return x1
-        return IterateX(lam=2.0 * x0.lam - x1.lam, u=2.0 * x0.u - x1.u)
+    def reflected(ctx, x0, cfg=None, coarser=None):
+        x1, vcycle = newton_step(ctx, x0, cfg, coarser)
+        if ctx.coarser is None or ctx.coarser.coarser is not None:
+            return x1, vcycle
+        return IterateX(lam=2.0 * x0.lam - x1.lam,
+                        u=2.0 * x0.u - x1.u), vcycle
 
     compared = []
     mixing_iteration = newton_mod.mixing_iteration
@@ -722,6 +725,33 @@ def test_deeply_nested_potential_is_config_error(tmp_path, capsys, potential,
     assert len(err.strip().splitlines()) == 1
     assert reason in err and "Traceback" not in err
     assert "problem.potential" in err
+
+
+P1_2D = """
+problem.dim = 2
+problem.potential = x1^2
+problem.zeta = 1.0
+discretization.degree = 1
+discretization.n0 = 4
+discretization.levels = 2
+"""
+
+
+@pytest.mark.parametrize("key,value,code,named", [
+    ("problem.zeta", "1e108\nsolver.method = mg_cg", 3,
+     "PCG overflowed: p'Kp = nan at PCG iteration 1"),
+    ("problem.box", "1.0,1e100", 2,
+     "problem.box and problem.potential: the assembled operators overflow"),
+], ids=["zeta-mg_cg", "box"])
+def test_float_overflow_is_named(tmp_path, capsys, key, value, code, named):
+    # a residual past the float32 V-cycle's range makes p'Kp nan, which is
+    # no curvature; x1^2 times the cell volumes of a 1 x 1e100 box
+    # overflows the potential mass, which the coarse eigensolver would
+    # reject as an internal error (exit 5)
+    cfg = (P1_2D.replace("problem.zeta = 1.0\n", "") + f"{key} = {value}\n"
+           + ("" if key == "problem.zeta" else "problem.zeta = 1.0\n"))
+    got, err = _one_line_exit(tmp_path, capsys, cfg)
+    assert got == code and named in err and "curvature" not in err
 
 
 def test_overflowing_potential_is_config_error(tmp_path, capsys):

@@ -32,6 +32,7 @@ import gpmg.newton as newton_mod
 from gpmg.newton import (
     _build_vcycle,
     _prolong_iterate,
+    _spd_matrix,
     assemble_newton_system,
     build_contexts,
     multigrid_newton,
@@ -56,13 +57,21 @@ def poisson_hierarchy(n0=4, levels=3, dim=2):
     return mats, prolongs
 
 
+def grown(mats, prolongs):
+    """The V-cycle on mats, grown from the coarsest one level at a time."""
+    vc = VCycleHierarchy(mats[0])
+    for mat, p in zip(mats[1:], prolongs):
+        vc = vc.refined(mat, p)
+    return vc
+
+
 def test_direct_and_mg_cg_agree():
     mats, prolongs = poisson_hierarchy()
     k = mats[-1]
     rng = np.random.default_rng(0)
     b = rng.standard_normal(k.shape[0])
     x_dir = factor_symmetric(k).solve(b)
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = grown(mats, prolongs)
     mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc)
     x_mg = mg.solve(b)
     assert np.allclose(x_dir, x_mg, atol=1e-8)
@@ -73,7 +82,7 @@ def test_direct_and_mg_cg_agree():
 
 def test_vcycle_contracts_error():
     mats, prolongs = poisson_hierarchy(levels=4)
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = grown(mats, prolongs)
     k = mats[-1]
     rng = np.random.default_rng(1)
     x_star = rng.standard_normal(k.shape[0])
@@ -93,7 +102,7 @@ def test_mg_cg_requires_hierarchy():
     ctx, = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
     with pytest.raises(ConfigurationError,
                        match="mg_cg requires a V-cycle hierarchy"):
-        newton_step([ctx], scf_solve(ctx), SolverConfig(method="mg_cg"))
+        newton_step(ctx, scf_solve(ctx), SolverConfig(method="mg_cg"))
 
 
 def _record_bordered_solves(monkeypatch):
@@ -166,12 +175,15 @@ def test_auto_never_picks_mg_cg_in_1d(monkeypatch, degree):
 ])
 def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
                                                           method):
-    # under `auto`, a step with a coarser level runs one projected PCG
-    # solve on the V-cycle of its G and factors only the V-cycle's coarsest
-    # level; a step on one level factors K once and runs no PCG
+    # under `auto`, a step given the coarser level's V-cycle runs one
+    # projected PCG solve on that V-cycle refined with its G and factors
+    # nothing, the coarsest LU being the given V-cycle's; a step given no
+    # V-cycle factors K once and runs no PCG
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 2)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
-    x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x = scf_solve(ctxs[0])
+    coarser = _build_vcycle(ctxs[0], x.u) if linked else None
+    x0 = _prolong_iterate(x, ctxs[0].space, ctxs[1].space)
     solvers, borders, vcycles, factors = [], [], [], []
     init, pcg, solve, factor = (SpdSolver.__init__, linsolve_mod.pcg,
                                 newton_mod.solve_bordered,
@@ -197,12 +209,13 @@ def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
     monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
     monkeypatch.setattr(linsolve_mod, "factor_symmetric", recording_factor)
-    newton_step(ctxs if linked else ctxs[1:], x0)
+    _, returned = newton_step(ctxs[1], x0, None, coarser)
     (system, vc), = vcycles
-    assert solvers == []
+    assert solvers == [] and returned is vc
     if method == "mg_cg":
         assert borders == [True]
-        assert factors == [vc.mats[0].shape] != [system.k.shape]
+        assert factors == [] and vc.coarse_lu is coarser.coarse_lu
+        assert vc.mats[0].shape != system.k.shape
         assert np.array_equal(vc.mats[-1].data,
                               system.g.data.astype(np.float32))
     else:
@@ -214,7 +227,7 @@ def test_cg_failure_reports_achieved_residual():
     mats, prolongs = poisson_hierarchy(levels=3)
     k = mats[-1]
     b = np.ones(k.shape[0])
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = grown(mats, prolongs)
     with pytest.raises(SolverError) as exc:
         SpdSolver(k, SolverConfig(method="mg_cg", max_iter=1), vc).solve(b)
     assert exc.value.achieved is not None
@@ -307,7 +320,7 @@ def test_projected_pcg_solves_an_indefinite_k_coercive_on_the_tangent_space():
     direct = solve_bordered(system, SolverConfig(method="direct"))
     assert direct.schur < 0
     sol = solve_bordered(system, SolverConfig(method="mg_cg"),
-                         vcycle=VCycleHierarchy([g], []))
+                         vcycle=VCycleHierarchy(g))
     # the least p'Kp/p'p, at least K's least eigenvalue on the tangent
     assert 2.0 <= sol.schur <= 4.0
     assert np.allclose(sol.u, direct.u, atol=1e-12)
@@ -330,7 +343,7 @@ def test_indefinite_matrix_coercivity_error_on_iterative_path():
             r"^negative curvature p'Kp = -\S+ at PCG iteration 1: the "
             r"operator is not positive definite on the tangent space$")):
         solve_bordered(system, SolverConfig(method="mg_cg"),
-                       vcycle=VCycleHierarchy([g], []))
+                       vcycle=VCycleHierarchy(g))
     # the direct path still produces the verified saddle-point solution
     sol = solve_bordered(system, SolverConfig(method="direct"))
     assert np.allclose(np.diag(d) @ sol.u - sol.lam * system.m, np.ones(4),
@@ -363,12 +376,16 @@ def test_projected_pcg_matches_the_dense_bordered_solve(dim, degree, n0,
     potential = " + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim))
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=zeta),
                           potential=parse(potential, dim))
-    x = _prolong_iterate(scf_solve(ctxs[1]), ctxs[1].space, ctxs[2].space)
+    x1 = scf_solve(ctxs[1])
+    x = _prolong_iterate(x1, ctxs[1].space, ctxs[2].space)
     system = assemble_newton_system(ctxs[2], x)
     if zeta == 0.0:
         assert np.linalg.eigvalsh(system.k.toarray())[0] < 0.0
+    coarser = _build_vcycle(ctxs[1], x1.u,
+                            _build_vcycle(ctxs[0], scf_solve(ctxs[0]).u))
     sol = solve_bordered(system, SolverConfig(method="mg_cg"),
-                         vcycle=_build_vcycle(ctxs, system.g))
+                         vcycle=_build_vcycle(ctxs[2], x.u, coarser,
+                                              system.g))
     u, lam = dense_bordered(system)
     assert np.linalg.norm(sol.u - u) <= 1e-9 * np.linalg.norm(u)
     assert abs(sol.lam - lam) <= 1e-10 * abs(lam)
@@ -419,24 +436,24 @@ VCYCLE_ROUNDING = 2**7 * U32
 
 
 def newton_hierarchy(dim=2, degree=1, n0=4, levels=3):
-    """The SPD matrices G of a Newton step's V-cycle, 2D P1 (zeta = 1;
-    other dimensions and degrees on request), at an iterate one Newton
-    step into level 2, prolongated to the finest level, with the float64
-    interior prolongations: the finest G and the float64 Galerkin products
-    P' G P below it, the operators `_build_vcycle` hands its hierarchy."""
+    """The SPD matrices G of the Newton V-cycle a driver run grows, 2D P1
+    (zeta = 1; other dimensions and degrees on request), with the float64
+    interior prolongations: G at the coarse solution, then each finer
+    level's G at its prolongated start, which is one Newton step per level
+    up from the coarse solution."""
     hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, levels)
     potential = " + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim))
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
                           potential=parse(potential, dim))
-    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    x = newton_step(ctxs[:2], x)
-    for coarse, fine in zip(ctxs[1:], ctxs[2:]):
+    x = scf_solve(ctxs[0])
+    mats = [_spd_matrix(ctxs[0], x.u)]
+    vc = VCycleHierarchy(mats[0])
+    for coarse, fine in zip(ctxs, ctxs[1:]):
         x = _prolong_iterate(x, coarse.space, fine.space)
+        mats.append(assemble_newton_system(fine, x).g)
+        x, vc = newton_step(fine, x, None, vc)
     prolongs = [_interior_prolongation(coarse.space, fine.space)
                 for coarse, fine in zip(ctxs, ctxs[1:])]
-    mats = [assemble_newton_system(ctxs[-1], x).g]
-    for p in reversed(prolongs):
-        mats.insert(0, (p.T @ (mats[0] @ p)).tocsr())
     return mats, prolongs
 
 
@@ -514,7 +531,7 @@ def test_vcycle_matches_dense_chebyshev_reference(monkeypatch, build,
     # coarsest matrix as given
     monkeypatch.setattr(linsolve_mod, "CHEBYSHEV_DEGREE", degree)
     mats, prolongs = build()
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = grown(mats, prolongs)
     intervals = [(s.lo, s.hi) for s in vc.smoothers]
     assert len(intervals) == len(mats) - 1
     held = [mats[0], *map(rounded, mats[1:])]
@@ -542,7 +559,7 @@ def test_chebyshev_interval_covers_the_spectrum(dim, degree, n0, levels,
     # its float32 rounding (pre = 2, post = 3 makes it ~1e-2 asymmetric)
     build = newton_hierarchy if kind == "newton" else h1_hierarchy
     mats, prolongs = build(dim, degree, n0, levels)
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = grown(mats, prolongs)
     for k, smoother in zip(mats[1:], vc.smoothers):
         d = k.diagonal()
         scaled = k.toarray() / np.sqrt(np.outer(d, d))
@@ -586,7 +603,7 @@ def test_float32_vcycle_takes_the_pcg_iterations_of_float64(dim, degree,
     else:
         mats, prolongs = h1_hierarchy(dim, degree, n0, levels)
         cfg = SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL)
-    vc = VCycleHierarchy(mats, prolongs)
+    vc = grown(mats, prolongs)
     intervals = [(s.lo, s.hi) for s in vc.smoothers]
     k = mats[-1]
     solver = SpdSolver(k, cfg, vc)
@@ -603,7 +620,7 @@ def test_one_level_hierarchy_is_the_float64_lu():
     # no level is smoothed, so nothing is rounded: the apply is the exact
     # LU solve and PCG converges in one iteration
     k = h1_interior(2, 1, 16)
-    vc = VCycleHierarchy([k], [])
+    vc = VCycleHierarchy(k)
     b = np.random.default_rng(10).standard_normal(k.shape[0])
     assert np.array_equal(vc.apply(b), factor_symmetric(k).solve(b))
     solver = SpdSolver(k, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL), vc)
@@ -637,11 +654,14 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
     assert len(applied) == sum(ops._riesz_solver().iteration_counts) > 1
     assert all(applied)
 
-    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    x = _prolong_iterate(newton_step(ctxs[:2], x), ctxs[1].space,
-                         ctxs[2].space)
+    x = scf_solve(ctxs[0])
+    coarser = _build_vcycle(ctxs[0], x.u)
+    x, coarser = newton_step(
+        ctxs[1], _prolong_iterate(x, ctxs[0].space, ctxs[1].space), None,
+        coarser)
+    x = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
     system = assemble_newton_system(ops, x)
-    vc = _build_vcycle(ctxs, system.g)
+    vc = _build_vcycle(ops, x.u, coarser, system.g)
     applied.clear()
     solvers.clear()
     iterations = []
@@ -673,7 +693,7 @@ def test_vcycle_symmetry_check_catches_a_different_post_interval():
                                                                  x)
 
     mats, prolongs = poisson_hierarchy(levels=4)
-    broken = VCycleHierarchy(mats, prolongs)
+    broken = grown(mats, prolongs)
     assert vcycle_asymmetry(broken, np.random.default_rng(6)) <= (
         VCYCLE_ROUNDING)
     broken.smoothers = [PostInterval(s, replace(s, lo=s.hi / 30))
@@ -695,7 +715,7 @@ def test_vcycle_symmetry_check_catches_lower_post_sweeps():
             return x
 
     mats, prolongs = poisson_hierarchy(levels=4)
-    broken = VCycleHierarchy(mats, prolongs)
+    broken = grown(mats, prolongs)
     broken.smoothers = [LowerSweeps() for _ in broken.smoothers]
     assert vcycle_asymmetry(broken, np.random.default_rng(6)) > (
         VCYCLE_ROUNDING)
@@ -711,7 +731,7 @@ def test_vcycle_rejects_a_level_with_nonpositive_diagonal(shift):
     with pytest.raises(CoercivityError, match=(
             rf"^V-cycle level {len(mats)} \(1 is the coarsest\), "
             rf"{k.shape[0]} interior dofs: .*nonpositive diagonal entry")):
-        VCycleHierarchy([*mats[:-1], k], prolongs)
+        grown([*mats[:-1], k], prolongs)
 
 
 def test_vcycle_apply_factors_nothing(monkeypatch):
@@ -728,7 +748,7 @@ def test_vcycle_apply_factors_nothing(monkeypatch):
     mats, prolongs = poisson_hierarchy(levels=4)
     # set-up factors the coarse matrix and nothing else, and a refined
     # hierarchy shares that LU
-    vc = VCycleHierarchy(mats[:-1], prolongs[:-1])
+    vc = grown(mats[:-1], prolongs[:-1])
     vc = vc.refined(mats[-1], prolongs[-1])
     assert calls == ["splu"]
     calls.clear()
@@ -743,7 +763,7 @@ def test_refined_hierarchies_share_the_restrictions():
     # matrices and prolongations copy only the data of the float64 ones
     # given, not their index arrays
     mats, prolongs = poisson_hierarchy(levels=4)
-    coarse = VCycleHierarchy(mats[:-1], prolongs[:-1])
+    coarse = grown(mats[:-1], prolongs[:-1])
     fine = coarse.refined(mats[-1], prolongs[-1])
     other = coarse.refined(mats[-1], prolongs[-1])
     assert len(coarse.restricts) == len(mats) - 2

@@ -15,12 +15,11 @@ from gpmg.assembly import (
     FemSpace,
     Operators,
     _interior_prolongation,
-    prolongation_matrix,
 )
 from gpmg.eigsolve import ScfConfig, scf_solve
 from gpmg.errors import ConfigurationError, StagnationError, UsageError
 from gpmg.expr import parse
-from gpmg.linsolve import SolverConfig, SpdSolver, VCycleHierarchy
+from gpmg.linsolve import SolverConfig, SpdSolver
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
 from gpmg.newton import (
     FULL_STEP,
@@ -60,11 +59,24 @@ def linear_eigenpair(ctx):
     return IterateX(lam=vals[0], u=u)
 
 
+def linked_start(ctxs, cfg=None):
+    """The driver's path up to ctxs[-1]: the coarse solve, the Newton
+    V-cycle on G at its solution, and one step on each level between,
+    each refining that V-cycle. Returns ctxs[-1]'s prolongated start and
+    the V-cycle of the level below it."""
+    x = scf_solve(ctxs[0])
+    vcycle = _build_vcycle(ctxs[0], x.u)
+    for coarse, fine in zip(ctxs, ctxs[1:-1]):
+        x, vcycle = newton_step(
+            fine, _prolong_iterate(x, coarse.space, fine.space), cfg, vcycle)
+    return _prolong_iterate(x, ctxs[-2].space, ctxs[-1].space), vcycle
+
+
 def test_newton_fixed_point():
     # an exact discrete solution is a fixed point of the Newton step
     ctx = ctx_1d(zeta=0.0)
     x0 = linear_eigenpair(ctx)
-    x1 = newton_step([ctx], x0)
+    x1, _ = newton_step(ctx, x0)
     assert abs(x1.lam - x0.lam) <= 1e-9
     assert np.max(np.abs(x1.u - x0.u)) <= 1e-8
 
@@ -79,38 +91,40 @@ def test_newton_contracts_from_perturbed_start():
     )
     x0 = IterateX(lam=x_star.lam + 0.3, u=u)
     r0 = np.linalg.norm(ctx.residual(x0.lam, x0.u))
-    x1 = newton_step([ctx], x0)
+    x1, _ = newton_step(ctx, x0)
     r1 = np.linalg.norm(ctx.residual(x1.lam, x1.u))
     assert r1 <= r0 / 10.0
 
 
 def test_mg_cg_step_uses_the_levels_it_is_given():
-    # levels = the hierarchy up to the step's own level: mg_cg matches the
-    # direct solve there, and a single level leaves no V-cycle for it
+    # the step refines the coarser levels' V-cycle it is given: mg_cg
+    # matches the direct solve there, and without a V-cycle `auto` solves
+    # directly and mg_cg has none to run on
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
-    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    x = newton_step(ctxs[:2], x)
-    x0 = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
-    x_mg = newton_step(ctxs, x0, SolverConfig(method="mg_cg"))
-    x_dir = newton_step(ctxs[-1:], x0, SolverConfig(method="direct"))
-    assert abs(x_mg.lam - x_dir.lam) <= 1e-10
-    assert np.max(np.abs(x_mg.u - x_dir.u)) <= 1e-10
+    x0, coarser = linked_start(ctxs)
+    x_mg, vcycle = newton_step(ctxs[-1], x0, SolverConfig(method="mg_cg"),
+                               coarser)
+    assert len(vcycle.mats) == len(ctxs) and len(coarser.mats) == 2
+    for method, given in (("direct", coarser), ("auto", None)):
+        x_dir, none = newton_step(ctxs[-1], x0, SolverConfig(method=method),
+                                  given)
+        assert none is None
+        assert abs(x_mg.lam - x_dir.lam) <= 1e-10
+        assert np.max(np.abs(x_mg.u - x_dir.u)) <= 1e-10
     with pytest.raises(ConfigurationError):
-        newton_step(ctxs[-1:], x0, SolverConfig(method="mg_cg"))
+        newton_step(ctxs[-1], x0, SolverConfig(method="mg_cg"))
 
 
 def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     # one weighted-mass assembly, on the finest space: the V-cycle's top
     # matrix is the step's own Newton matrix, not a second assembly of it,
-    # and its coarser matrices are Galerkin products, not assembled at all
+    # and its coarser levels are the given V-cycle's, not assembled again
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
-    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    x = newton_step(ctxs[:2], x)
-    x0 = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
+    x0, coarser = linked_start(ctxs)
     assembled, solved = [], []
     assemble = newton_mod.assemble_field_weighted_mass
     solve = newton_mod.solve_bordered
@@ -126,10 +140,15 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     monkeypatch.setattr(newton_mod, "assemble_field_weighted_mass",
                         recording_assemble)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
-    newton_step(ctxs, x0, SolverConfig(method="mg_cg"))
+    _, returned = newton_step(ctxs[-1], x0, SolverConfig(method="mg_cg"),
+                              coarser)
     assert [id(s) for s in assembled] == [id(ctxs[-1].space)]
     (system, vcycle), = solved
-    assert len(vcycle.mats) == len(ctxs)
+    assert vcycle is returned and len(vcycle.mats) == len(ctxs)
+    for name in ("mats", "prolongs", "smoothers"):
+        assert all(a is b for a, b in zip(getattr(vcycle, name),
+                                          getattr(coarser, name)))
+    assert vcycle.coarse_lu is coarser.coarse_lu
     # the V-cycle holds the step's SPD matrix G rounded to float32, on its
     # index arrays
     top = vcycle.mats[-1]
@@ -145,9 +164,7 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
-    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    x = newton_step(ctxs[:2], x)
-    x = _prolong_iterate(x, ctxs[1].space, ctxs[2].space)
+    x, coarser = linked_start(ctxs)
     vcycles = []
     build = newton_mod._build_vcycle
 
@@ -157,7 +174,8 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
 
     monkeypatch.setattr(newton_mod, "_build_vcycle", recording_build)
     cfg = SolverConfig(method="mg_cg")
-    newton_step(ctxs, newton_step(ctxs, x, cfg), cfg)
+    newton_step(ctxs[-1], newton_step(ctxs[-1], x, cfg, coarser)[0], cfg,
+                coarser)
     riesz = ctxs[-1]._riesz_solver().vcycle
     assert len(vcycles) == 2 and len(riesz.prolongs) == len(ctxs) - 1
     for first, second, h1 in zip(*(v.prolongs for v in vcycles),
@@ -174,33 +192,72 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
 def test_mg_cg_newton_step_peaks_within_a_budget_per_nonzero():
     # one mg_cg Newton step on a 2D P1 level of 16,129 interior dofs, its
     # Riesz solver and prolongations built beforehand, as `resi` builds
-    # them before every step of a run. Its tracemalloc peak above its
-    # start, per nonzero of K, is 26.0 bytes, set in the projected PCG
-    # solve by G (8), its float32 copy (4), the coarser Galerkin products
-    # and the solve's vectors (1.1 each). The step keeps G only and applies
-    # K as G p - (lam0 + s) M p; the Schur path, which kept K and solved
-    # twice, peaked at 27.2. A data-sized temporary costs 8: with |K| built
-    # whole for ||K||_inf the step peaked at 32.3, and with P' (K P) for
-    # the Galerkin products at 30.1
+    # them before every step of a run, and its coarser Newton V-cycle
+    # grown by the steps below it, as the driver grows it. Its tracemalloc
+    # peak above its start, per nonzero of K, is 23.0 bytes, set in the
+    # projected PCG solve by G (8), its float32 copy (4) and the solve's
+    # vectors (1.1 each). The step keeps G only and applies K as
+    # G p - (lam0 + s) M p; the Schur path, which kept K and solved twice,
+    # peaked at 27.2. A data-sized temporary costs 8: with |K| built whole
+    # for ||K||_inf the step peaked at 32.3. Coarser float64 Galerkin
+    # products P' G P, formed by every step, put it at 26.0, and at 30.1
+    # formed as P' (G P)
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 6)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
     cfg = SolverConfig(method="mg_cg")
-    x = scf_solve(ctxs[0])
-    for idx in range(1, len(ctxs) - 1):
-        x = newton_step(ctxs[:idx + 1], _prolong_iterate(
-            x, ctxs[idx - 1].space, ctxs[idx].space), cfg)
-    x = _prolong_iterate(x, ctxs[-2].space, ctxs[-1].space)
+    x, coarser = linked_start(ctxs, cfg)
     resi(ctxs[-1], x)
     assert ctxs[-1].space.interior_dofs.size >= 16_000
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        newton_step(ctxs, x, cfg)
+        newton_step(ctxs[-1], x, cfg, coarser)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - start <= 27.0 * ctxs[-1].mass.nnz
+
+
+def test_a_run_sets_up_each_newton_vcycle_level_once(monkeypatch):
+    # a 4-level 2D P1 run grows one Newton V-cycle: one smoother set-up per
+    # linked level (3; a V-cycle rebuilt by every step makes 1 + 2 + 3)
+    # and one coarsest LU (3 when rebuilt). The H1 Riesz V-cycle, grown
+    # the same way, makes 3 and 1 too; the coarse solve's direct steps
+    # factor K and set up no smoother
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 4)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    owner, counts = ["coarse"], {}
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, owner[0] = owner[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                owner[0] = outer
+        return wrapped
+
+    def counting(kind, fn):
+        def wrapped(*args, **kwargs):
+            counts[owner[0], kind] = counts.get((owner[0], kind), 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    smoother = linsolve_mod.ChebyshevSmoother
+    monkeypatch.setattr(newton_mod, "_build_vcycle",
+                        within("newton", newton_mod._build_vcycle))
+    monkeypatch.setattr(Operators, "_riesz_solver",
+                        within("riesz", Operators._riesz_solver))
+    monkeypatch.setattr(linsolve_mod, "factor_symmetric",
+                        counting("lu", linsolve_mod.factor_symmetric))
+    monkeypatch.setattr(smoother, "for_matrix",
+                        counting("smoother", smoother.for_matrix))
+    multigrid_newton(ctxs)
+    assert counts.pop(("coarse", "lu")) > 0
+    assert counts == {("newton", "smoother"): 3, ("newton", "lu"): 1,
+                      ("riesz", "smoother"): 3, ("riesz", "lu"): 1}
 
 
 def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
@@ -212,10 +269,8 @@ def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
     cfg = SolverConfig(method="mg_cg")
-    x = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
-    x = newton_step(ctxs[:2], x)
-    x = newton_step(ctxs, _prolong_iterate(x, ctxs[1].space, ctxs[2].space),
-                    cfg)
+    x, coarser = linked_start(ctxs)
+    x, _ = newton_step(ctxs[-1], x, cfg, coarser)
     resi(ctxs[-1], x)
     built = []
     init = sp.coo_matrix.__init__
@@ -229,7 +284,7 @@ def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(sp.coo_matrix, "__init__", recording_init)
-    resi(ctxs[-1], newton_step(ctxs, x, cfg))
+    resi(ctxs[-1], newton_step(ctxs[-1], x, cfg, coarser)[0])
     assert not {"gpmg.assembly", "gpmg.newton"} & set(built)
 
 
@@ -238,7 +293,7 @@ def test_border_equation_exact_after_solve():
     # -(u0, u1) = -1/2 - (u0,u0)/2 up to solver tolerance
     ctx = ctx_1d(zeta=2.0, potential=parse("x1^2", 1))
     x0 = scf_solve(ctx, ScfConfig(tol=1e-6))
-    x1 = newton_step([ctx], x0)
+    x1, _ = newton_step(ctx, x0)
     ix = ctx.space.interior_dofs
     mu0 = ctx.mass @ x0.u[ix]
     lhs = -float(mu0 @ x1.u[ix])
@@ -248,50 +303,52 @@ def test_border_equation_exact_after_solve():
 
 @pytest.mark.parametrize("dim,degree,levels", [(2, 1, 4), (3, 2, 3)],
                          ids=["2d-p1", "3d-p2"])
-def test_newton_vcycle_coarse_matrices_are_galerkin_products(monkeypatch,
-                                                             dim, degree,
-                                                             levels):
-    # the top matrix is the step's own; each coarser one is P' K P of the
-    # next finer, formed in float64 as (P' K) P bit for bit, P' in CSR,
-    # on the coarse space's interior pattern, and P' (K P) to round-off.
-    # The hierarchy is handed those float64 matrices and holds the
-    # smoothed ones rounded to float32 on the same index arrays
+def test_newton_vcycle_coarse_matrices_are_the_coarser_steps_g(monkeypatch,
+                                                              dim, degree,
+                                                              levels):
+    # a driver run grows one Newton V-cycle: on the coarsest level G at the
+    # coarse solution, in float64, the matrix its LU factors; on each finer
+    # level the G of that level's own step, bit for bit, rounded to
+    # float32 on its index arrays, the space's interior pattern. Each
+    # step's V-cycle holds its coarser step's levels as they are
     hier = build_hierarchy(BoxDomain.unit(dim), (2,) * dim, levels)
     ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", dim))
-    space = ctxs[-1].space
-    u = np.zeros(space.n_dofs)
-    u[space.interior_dofs] = np.random.default_rng(dim).random(
-        space.interior_dofs.size)
-    k = assemble_newton_system(ctxs[-1], IterateX(lam=3.0, u=u)).k
-    given = []
+    assembled, vcycles = [], []
+    spd, solve = newton_mod._spd_matrix, newton_mod.solve_bordered
 
-    def recording(mats, prolongs, **kwargs):
-        given.extend(mats)
-        return VCycleHierarchy(mats, prolongs, **kwargs)
+    def recording_spd(ctx, u0):
+        assembled.append((ctx.space, spd(ctx, u0)))
+        return assembled[-1][1]
 
-    monkeypatch.setattr(newton_mod, "VCycleHierarchy", recording)
-    vc = _build_vcycle(ctxs, k)
-    assert len(given) == len(vc.mats) == levels
-    assert given[-1] is k
-    for i, (coarse, fine) in enumerate(zip(ctxs, ctxs[1:])):
-        p = prolongation_matrix(coarse.space, fine.space)[
-            fine.space.interior_dofs][:, coarse.space.interior_dofs].tocsr()
-        got, want = given[i], (p.T.tocsr() @ given[i + 1]) @ p
-        assert got.dtype == np.float64
-        assert got.shape == want.shape and (got != want).nnz == 0
-        other = (p.T @ (given[i + 1] @ p)).toarray()
-        assert (np.abs(got.toarray() - other).max()
-                <= 1e-14 * np.abs(other).max())
-        pattern = coarse.space.pattern()
-        assert np.array_equal(got.indptr, pattern.indptr)
-        assert np.array_equal(got.indices, pattern.indices)
-    # the coarsest level is the float64 matrix its LU factors
-    assert vc.mats[0] is given[0]
-    for held, mat in zip(vc.mats[1:], given[1:]):
-        assert np.array_equal(held.data, mat.data.astype(np.float32))
-        assert np.shares_memory(held.indices, mat.indices)
-        assert np.shares_memory(held.indptr, mat.indptr)
+    def recording_solve(system, cfg, vcycle=None):
+        vcycles.append(vcycle)
+        return solve(system, cfg, vcycle=vcycle)
+
+    monkeypatch.setattr(newton_mod, "_spd_matrix", recording_spd)
+    monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
+    _, trace = multigrid_newton(ctxs, solver_cfg=SolverConfig(method="mg_cg"))
+    # the coarse solve's steps come first; then one G per level
+    spaces, gs = zip(*assembled[-levels:])
+    assert [id(s) for s in spaces] == [id(c.space) for c in ctxs]
+    coarsest = spd(ctxs[0], trace[0].x.u)
+    assert gs[0].dtype == np.float64
+    assert np.array_equal(gs[0].data, coarsest.data)
+    steps = vcycles[-(levels - 1):]
+    vc = steps[-1]
+    assert len(vc.mats) == levels and vc.mats[0] is gs[0]
+    for held, g, ctx in zip(vc.mats[1:], gs[1:], ctxs[1:]):
+        assert held.dtype == np.float32
+        assert np.array_equal(held.data, g.data.astype(np.float32))
+        assert np.shares_memory(held.indices, g.indices)
+        assert np.shares_memory(held.indptr, g.indptr)
+        pattern = ctx.space.pattern()
+        assert np.array_equal(g.indptr, pattern.indptr)
+        assert np.array_equal(g.indices, pattern.indices)
+    for k, step in enumerate(steps):
+        assert len(step.mats) == k + 2
+        assert all(a is b for a, b in zip(step.mats, vc.mats))
+        assert step.coarse_lu is vc.coarse_lu
 
 
 def test_newton_requires_matching_space():
@@ -413,21 +470,21 @@ def test_damped_newton_carries_each_accepted_resi_forward(monkeypatch):
         return resi(ops, x)
 
     monkeypatch.setattr(newton_mod, "resi", counted)
-    x, history, thetas = damped_newton([ctx], x0, resi(ctx, x0), 1e-11, 12,
+    x, history, thetas = damped_newton(ctx, x0, resi(ctx, x0), 1e-11, 12,
                                        FULL_STEP)
     assert history[-1] <= 1e-11 < history[-2]
     assert thetas == [1.0] * (len(history) - 1)
     assert len(calls) == len(thetas)
     assert history[-1] == resi(ctx, x)
     # a spent budget returns the unconverged iterate, not an error
-    _, short, _ = damped_newton([ctx], x0, history[0], 1e-11, 1, FULL_STEP)
+    _, short, _ = damped_newton(ctx, x0, history[0], 1e-11, 1, FULL_STEP)
     assert short == history[:2]
 
 
 def test_mixing_accepts_theta_one_when_newton_decreases():
     ctx = ctx_1d(zeta=1.0)
     x0 = scf_solve(ctx, ScfConfig(tol=1e-4))
-    x1, theta, _ = mixing_iteration([ctx], x0)
+    x1, theta, _, _ = mixing_iteration(ctx, x0)
     assert theta == 1.0
     assert resi(ctx, x1) <= resi(ctx, x0)
 
@@ -441,9 +498,8 @@ def test_mixing_halves_theta_on_overshoot():
     hier = build_hierarchy(BoxDomain.unit(3), (2, 2, 2), 2)
     ctxs = build_contexts(hier, 2, Nonlinearity(zeta=100.0),
                           potential=potential)
-    x0 = scf_solve(ctxs[0])
-    x0p = _prolong_iterate(x0, ctxs[0].space, ctxs[1].space)
-    x1, theta, _ = mixing_iteration(ctxs, x0p)
+    x0p, coarser = linked_start(ctxs)
+    x1, theta, _, _ = mixing_iteration(ctxs[1], x0p, coarser=coarser)
     assert theta < 1.0
     assert resi(ctxs[1], x1) <= resi(ctxs[1], x0p)
 
@@ -457,11 +513,11 @@ def test_mixing_stagnation_error(monkeypatch):
     x0 = scf_solve(ctx, ScfConfig(tol=1e-4))
     steps = []
 
-    def recording_step(levels, x, cfg=None):
+    def recording_step(ops, x, cfg=None, coarser=None):
         u = x.u.copy()
         u[ctx.space.interior_dofs] += 1.0
         steps.append(IterateX(lam=x.lam + 1.0, u=u))
-        return steps[-1]
+        return steps[-1], None
 
     tried = []
 
@@ -475,7 +531,7 @@ def test_mixing_stagnation_error(monkeypatch):
     monkeypatch.setattr(newton_mod, "resi", rising_resi)
     params = MixingParams(theta_init=1.0, theta_min=0.1)
     with pytest.raises(StagnationError) as info:
-        mixing_iteration([ctx], x0, params=params)
+        mixing_iteration(ctx, x0, params=params)
     assert len(steps) == 1
     np.testing.assert_allclose(tried, [1.0, 0.5, 0.25, 0.125], rtol=1e-9)
     assert min(tried) >= params.theta_min > 0.5 * min(tried)
@@ -590,11 +646,12 @@ def _record_newton_solves(monkeypatch):
             solves[-1]["iterations"] = out[1]
         return out
 
-    def recording_mixing(levels, x0, params=None, cfg=None, resi_old=None):
+    def recording_mixing(ctx, x0, params=None, cfg=None, resi_old=None,
+                         coarser=None):
         if resi_old is None:
-            resi_old = resi(levels[-1], x0)
+            resi_old = resi(ctx, x0)
         steps.append((resi_old, x0.lam))
-        return mixing(levels, x0, params, cfg, resi_old)
+        return mixing(ctx, x0, params, cfg, resi_old, coarser)
 
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
     monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
@@ -652,17 +709,20 @@ def test_only_mg_cg_newton_steps_loosen_the_linear_tolerance(p1_2d_run):
 
 
 def test_converging_mg_cg_steps_return_to_the_rel_tol_floor(monkeypatch):
-    # damped_newton on two levels by mg_cg: the quadratic term falls from
-    # 4e-4 to 3e-16, and each step whose term is below rel_tol solves to
-    # rel_tol itself
+    # full mg_cg steps repeated on the second of two levels, each on the
+    # coarse level's V-cycle: the quadratic term falls from 4e-4 to 3e-16,
+    # and each step whose term is below rel_tol solves to rel_tol itself
     hier = build_hierarchy(BoxDomain.unit(2), (8, 8), 2)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=10.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
-    x0 = _prolong_iterate(scf_solve(ctxs[0]), ctxs[0].space, ctxs[1].space)
+    x, coarser = linked_start(ctxs)
     cfg = SolverConfig(method="mg_cg")
     steps, solves = _record_newton_solves(monkeypatch)
-    _, history, _ = damped_newton(ctxs, x0, resi(ctxs[1], x0), 1e-11, 8,
-                                  FULL_STEP, cfg)
+    history = [resi(ctxs[1], x)]
+    while history[-1] > 1e-11 and len(history) <= 8:
+        x, _, r, _ = newton_mod.mixing_iteration(ctxs[1], x, FULL_STEP, cfg,
+                                                 history[-1], coarser)
+        history.append(r)
     assert history[-1] <= 1e-11
     assert all(s["mg_cg"] for s in solves)
     terms = [(r / abs(lam0)) ** 2 for r, lam0 in steps]
