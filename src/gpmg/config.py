@@ -72,7 +72,7 @@ class RunConfig:
 
 
 def _to_bool(key, raw):
-    low = raw.strip().lower()
+    low = raw.lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
@@ -99,23 +99,19 @@ def _to_float(key, raw):
     return value
 
 
-def _to_str(key, raw):
-    return raw.strip()
-
-
-# Each key's converter and the field its value fills: a RunConfig field,
-# or "section.name", field `name` of the section dataclass RunConfig holds
-# as `section`. A key the file leaves out takes that field's default.
+# Each key's converter (None: the text itself) and the field its value
+# fills: a RunConfig field, or "section.name", field `name` of the section
+# dataclass RunConfig holds as `section`. A key the file leaves out takes
+# that field's default.
 _SCHEMA = {
     "problem.dim": (_to_int, "dim"),
-    "problem.potential": (_to_str, "potential_source"),
+    "problem.potential": (None, "potential_source"),
     "problem.zeta": (_to_float, "zeta"),
     "problem.sigma": (_to_float, "sigma"),
-    "problem.box": (_to_str, "box"),
+    "problem.box": (None, "box"),
     "discretization.degree": (_to_int, "degree"),
     "discretization.n0": (_to_int, "n0"),
     "discretization.levels": (_to_int, "levels"),
-    "solver.method": (_to_str, "solver.method"),
     "solver.rel_tol": (_to_float, "solver.rel_tol"),
     "solver.max_iter": (_to_int, "solver.max_iter"),
     "coarse.tol": (_to_float, "coarse.tol"),
@@ -149,7 +145,7 @@ def _parse_box(raw, dim):
             raise ConfigurationError(
                 f"problem.box: interval {part!r} is not 'lo,hi'"
             )
-        lo, hi = (_to_float("problem.box", n) for n in nums)
+        lo, hi = (_to_float("problem.box", n.strip()) for n in nums)
         if not lo < hi:
             raise ConfigurationError(f"problem.box: empty interval {part!r}")
         lower.append(lo)
@@ -169,7 +165,7 @@ def parse_config_text(text, origin="<config>"):
                 f"{origin}:{lineno}: expected 'key = value', got {line!r}"
             )
         key, _, raw = stripped.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA:
             raise ConfigurationError(f"{origin}:{lineno}: unknown key {key!r}")
         convert, target = _SCHEMA[key]
@@ -177,7 +173,7 @@ def parse_config_text(text, origin="<config>"):
         values = sections[section] if section else fields
         if name in values:
             raise ConfigurationError(f"{origin}:{lineno}: duplicate key {key!r}")
-        values[name] = convert(key, raw)
+        values[name] = raw if convert is None else convert(key, raw)
     for key in _REQUIRED:
         if _SCHEMA[key][1] not in fields:
             raise ConfigurationError(f"{origin}: missing required key {key!r}")

@@ -43,6 +43,8 @@ class ScfConfig:
             raise ConfigurationError("coarse.tol must be positive")
         if self.max_outer < 1:
             raise ConfigurationError("coarse.max_outer must be at least 1")
+        if self.dof_cap < 1:
+            raise ConfigurationError("coarse.dof_cap must be at least 1")
 
 
 def smallest_eigpair(kfull, m):
@@ -90,7 +92,7 @@ def scf_solve(ops, cfg=None):
     space = ops.space
     if space.n_dofs > cfg.dof_cap:
         raise ResourceLimitError(
-            f"scf_solve on {space.n_dofs} dofs exceeds the coarse-space cap "
+            f"the coarse space's {space.n_dofs} dofs exceed coarse.dof_cap = "
             f"{cfg.dof_cap}"
         )
     ix = space.interior_dofs

@@ -180,19 +180,10 @@ class ChebyshevSmoother:
 
 @dataclass
 class SolverConfig:
-    # the accepted values of `method` (config key solver.method)
-    METHODS = ("auto", "direct", "mg_cg")
-
-    method: str = "auto"
     rel_tol: float = 1e-10
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.method not in self.METHODS:
-            raise ConfigurationError(
-                f"solver.method must be one of {', '.join(self.METHODS)}, "
-                f"got {self.method!r}"
-            )
         if not 0.0 < self.rel_tol < 1.0:
             raise ConfigurationError("solver.rel_tol must be in (0, 1)")
         if self.max_iter < 1:

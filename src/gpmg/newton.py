@@ -10,9 +10,10 @@ with K = stiffness + potential mass + M_{f(u0^2)} + 2 M_{f'(u0^2) u0^2}
 - lam0 M on interior dofs. Every step is accepted by one rule, the mixing
 step's resi_new <= resi_old; plain Newton is the mixing step at theta = 1.
 The multigrid drivers solve the coarsest space nonlinearly once and take
-one (possibly damped) Newton step per level. A step solved by mg_cg is
-inexact, its linear tolerance following the step's own resi, and grows the
-run's one Newton V-cycle by its level.
+one (possibly damped) Newton step per level. A step given the coarser
+level's V-cycle solves by projected mg_cg, inexactly, its linear tolerance
+following the step's own resi, and grows the run's one Newton V-cycle by
+its level; a step given none solves directly.
 """
 
 import time
@@ -166,48 +167,34 @@ def _prolong_iterate(x0, coarse_space, fine_space):
                                                  fine_space))
 
 
-def _runs_mg_cg(cfg, dim, linked):
-    """Whether a Newton step on a level of dimension dim, linked or not to
-    a coarser level's V-cycle, solves by projected mg_cg: if linked and cfg
-    says mg_cg, or `auto` in 2D or 3D. `auto` solves 1D directly: a 1D LU
-    is a band solve, linear in the dofs, and as G's condition number grows
-    as h^-2 a 1D P2 hierarchy meets PCG's round-off floor at a few thousand
-    dofs (8.8e-10 relative at 16,383), where 2D would need ~10^9."""
-    if not linked and cfg.method == "mg_cg":
-        raise ConfigurationError("mg_cg requires a V-cycle hierarchy")
-    if not linked or cfg.method == "direct":
-        return False
-    return cfg.method == "mg_cg" or dim > 1
-
-
-def _step_config(ctx, cfg, resi_old, lam0, linked):
-    """cfg for a Newton step on ctx's level from an iterate with resi
-    resi_old and eigenvalue lam0. An mg_cg step solves to max(cfg.rel_tol,
-    (resi_old/|lam0|)^2): an inexact Newton step keeps the quadratic rate
-    when its linear residual is O(||F||) relative to ||F|| (Dembo,
-    Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and the step
-    solves the full-form system for u1, whose right side is O(1), so that
-    forcing term is a relative tolerance quadratic in resi. A direct step,
+def _step_config(cfg, resi_old, lam0, linked):
+    """cfg for a Newton step, linked or not to a coarser level's V-cycle,
+    from an iterate with resi resi_old and eigenvalue lam0. A linked step,
+    which solves by mg_cg, solves to max(cfg.rel_tol, (resi_old/|lam0|)^2):
+    an inexact Newton step keeps the quadratic rate when its linear
+    residual is O(||F||) relative to ||F|| (Dembo, Eisenstat & Steihaug,
+    SIAM J. Numer. Anal. 19, 1982), and the step solves the full-form
+    system for u1, whose right side is O(1), so that forcing term is a
+    relative tolerance quadratic in resi. A direct step,
     whose cost does not depend on the tolerance, keeps cfg.rel_tol, and so
     does a step whose quadratic term is not below 1 (lam0 = 0 included)."""
     ratio = resi_old / abs(lam0) if lam0 != 0.0 else np.inf
-    if (ratio < 1.0 and ratio**2 > cfg.rel_tol
-            and _runs_mg_cg(cfg, ctx.space.dim, linked)):
+    if linked and ratio < 1.0 and ratio**2 > cfg.rel_tol:
         return replace(cfg, rel_tol=ratio**2)
     return cfg
 
 
 def newton_step(ctx, x0, cfg=None, coarser=None):
     """One Newton step on ctx's level from x0, an iterate already on its
-    space. coarser is the next coarser level's Newton V-cycle, which an
-    mg_cg step refines with its own G; without it the step solves
-    directly, or raises under mg_cg. Returns the new iterate and the
-    step's V-cycle (None on a direct step)."""
+    space. Given coarser, the next coarser level's Newton V-cycle, the step
+    refines it with its own G and solves by projected mg_cg; without it
+    the step solves directly. Returns the new iterate and the step's
+    V-cycle (None on a direct step)."""
     cfg = cfg or SolverConfig()
     system = assemble_newton_system(ctx, x0)
     try:
-        mg_cg = _runs_mg_cg(cfg, ctx.space.dim, coarser is not None)
-        vcycle = _build_vcycle(ctx, x0.u, coarser, system.g) if mg_cg else None
+        vcycle = (None if coarser is None
+                  else _build_vcycle(ctx, x0.u, coarser, system.g))
         sol = solve_bordered(system, cfg, vcycle=vcycle)
     except CoercivityError as err:
         raise CoercivityError(
@@ -224,13 +211,13 @@ def mixing_iteration(ctx, x0, params=None, cfg=None, resi_old=None,
     solve once (`newton_step` on coarser), then halve theta from
     params.theta_init until resi does not rise, or raise StagnationError
     before theta drops below params.theta_min. resi_old is x0's resi,
-    computed here unless given; it sets the linear tolerance of an mg_cg
-    step (`_step_config`). Returns the accepted iterate, its theta, its
-    resi and the step's V-cycle."""
+    computed here unless given; it sets the linear tolerance of a step
+    given coarser (`_step_config`). Returns the accepted iterate, its
+    theta, its resi and the step's V-cycle."""
     params = params or MixingParams()
     if resi_old is None:
         resi_old = resi(ctx, x0)
-    cfg = _step_config(ctx, cfg or SolverConfig(), resi_old, x0.lam,
+    cfg = _step_config(cfg or SolverConfig(), resi_old, x0.lam,
                        coarser is not None)
     xhat, vcycle = newton_step(ctx, x0, cfg, coarser)
     theta = params.theta_init
@@ -335,9 +322,13 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
         try:
             if idx == 0:
                 x = scf_solve(ctx, scf_cfg)
-                # each linked mg_cg step refines this V-cycle by its level
-                if len(contexts) > 1 and _runs_mg_cg(solver_cfg,
-                                                     ctx.space.dim, True):
+                # each linked step refines this V-cycle by its level and
+                # solves by mg_cg. 1D steps solve directly: a 1D LU is a
+                # band solve, linear in the dofs, and as G's condition
+                # number grows as h^-2 a 1D P2 hierarchy meets PCG's
+                # round-off floor at a few thousand dofs (8.8e-10 relative
+                # at 16,383), where 2D would need ~10^9
+                if len(contexts) > 1 and ctx.space.dim > 1:
                     vcycle = _build_vcycle(ctx, x.u)
             else:
                 x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)

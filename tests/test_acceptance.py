@@ -283,9 +283,8 @@ def test_acceptance_8_linear_complexity():
         system = assemble_newton_system(ctx, x0p)
         vc = _build_vcycle(ctx, x0p.u, coarser, system.g)
         t_mg, t_dir = best_per_call([
-            lambda: solve_bordered(system, SolverConfig(method="mg_cg"),
-                                   vcycle=vc),
-            lambda: solve_bordered(system, SolverConfig(method="direct")),
+            lambda: solve_bordered(system, vcycle=vc),
+            lambda: solve_bordered(system),
         ])
         per_dof.append(t_mg / ctx.space.n_dofs)
         ratios.append(t_dir / t_mg)

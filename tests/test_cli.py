@@ -12,7 +12,7 @@ import gpmg.eigsolve as eigsolve_mod
 import gpmg.newton as newton_mod
 from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main, run
-from gpmg.config import RunConfig, load_config, parse_config_text
+from gpmg.config import _SCHEMA, RunConfig, load_config, parse_config_text
 from gpmg.eigsolve import ScfConfig
 from gpmg.errors import ConfigurationError, StagnationError
 from gpmg.linsolve import SolverConfig
@@ -91,7 +91,7 @@ def test_bad_values_rejected():
     base = "problem.dim = 1\nproblem.potential = 0\nproblem.zeta = 0\n"
     for extra in (
         "discretization.degree = 3\n",
-        "solver.method = qr\n",
+        "solver.rel_tol = 1.5\n",
         "mixing.theta_init = 1.5\n",
         "coarse.alpha = 0\n",
         "problem.dim = 1\n",  # duplicate
@@ -417,28 +417,39 @@ def test_max_iter_below_one_is_config_error(tmp_path, capsys, value):
     # solve: the count is rejected at load
     cfg = ("problem.dim = 2\nproblem.potential = x1^2\nproblem.zeta = 1.0\n"
            "discretization.n0 = 8\ndiscretization.levels = 4\n"
-           f"solver.method = mg_cg\nsolver.max_iter = {value}\n")
+           f"solver.max_iter = {value}\n")
     code, err = _one_line_exit(tmp_path, capsys, cfg)
     assert code == 2 and "solver.max_iter" in err
     with pytest.raises(ConfigurationError, match="max_iter"):
         SolverConfig(max_iter=int(value))
 
 
-def test_plain_cg_method_is_config_error(tmp_path, capsys):
-    # solver.method takes auto, direct or mg_cg; plain CG is not one
-    code, err = _one_line_exit(tmp_path, capsys,
-                               GPE_1D + "solver.method = cg\n")
-    assert code == 2 and "solver.method" in err and "'cg'" in err
-
-
-def test_readme_lists_the_solver_methods():
-    # the solver.method row of the README's key table lists, after the
-    # colon of its meaning, exactly the methods SolverConfig accepts
+def test_readme_key_table_lists_the_schema_keys():
+    # one row per config key, in the table under "Configuration files"
     readme = (CONFIG_DIR.parents[2] / "README.md").read_text()
-    row, = [line for line in readme.splitlines()
-            if line.startswith("| `solver.method` |")]
-    listing = row.split("|")[3].split(":", 1)[1].split(".", 1)[0]
-    assert set(re.findall(r"`(\w+)`", listing)) == set(SolverConfig.METHODS)
+    table = readme.split("| Key | Default | Meaning |", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(_SCHEMA)
+
+
+@pytest.mark.parametrize("key", ["discretization.n0", "problem.zeta",
+                                 "mixing.enabled"])
+def test_config_errors_quote_the_value_as_written(key):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{re.escape(key)}: expected .*, got 'abc'$"):
+        parse_config_text(f"{key} = abc\n")
+
+
+@pytest.mark.parametrize("cap,code,named", [
+    ("5", 4, "the coarse space's 17 dofs exceed coarse.dof_cap = 5"),
+    ("0", 2, "coarse.dof_cap must be at least 1"),
+    ("-1", 2, "coarse.dof_cap must be at least 1"),
+], ids=["5", "0", "-1"])
+def test_coarse_dof_cap_errors_name_the_key(tmp_path, capsys, cap, code,
+                                            named):
+    cfg = GPE_1D + f"coarse.dof_cap = {cap}\n"
+    assert _one_line_exit(tmp_path, capsys, cfg) == (code, f"error: {named}\n")
 
 
 def test_arpack_failure_is_solver_failure(tmp_path, capsys, monkeypatch):
@@ -555,28 +566,42 @@ def _csv_lambdas(tmp_path, capsys, cfg):
     ("x1^2 + 2*x2^2 - 30", 0.0, 8, 4),
 ], ids=["linear", "negative_potential"])
 def test_linked_mg_cg_levels_match_the_direct_solve(tmp_path, capsys,
-                                                    potential, zeta, n0,
-                                                    levels):
-    # 2D P1 at zeta = 0 under `auto`: every level above the coarsest
-    # solves by projected mg_cg, though lambda0 = lambda_H lies above the
-    # level's ground state and K is indefinite, and every level's lambda
-    # matches a `direct` run to 1e-8. With V = x1^2 + 2 x2^2 - 30 the
-    # eigenvalue is negative, and so is A + V M: the V-cycle's G is SPD
-    # only through the shift s = -min V
+                                                    monkeypatch, potential,
+                                                    zeta, n0, levels):
+    # 2D P1 at zeta = 0: every level above the coarsest solves by
+    # projected mg_cg, though lambda0 = lambda_H lies above the level's
+    # ground state and K is indefinite, and every level's lambda matches,
+    # to 1e-8, a run whose driver starts no Newton V-cycle and so solves
+    # every step directly. With V = x1^2 + 2 x2^2 - 30 the eigenvalue is
+    # negative, and so is A + V M: the V-cycle's G is SPD only through the
+    # shift s = -min V
     cfg = (f"problem.dim = 2\nproblem.potential = {potential}\n"
            f"problem.zeta = {zeta}\ndiscretization.degree = 1\n"
            f"discretization.n0 = {n0}\ndiscretization.levels = {levels}\n")
-    auto = _csv_lambdas(tmp_path, capsys, cfg)
-    direct = _csv_lambdas(tmp_path, capsys, cfg + "solver.method = direct\n")
-    assert len(auto) == levels
-    assert auto == pytest.approx(direct, rel=1e-8, abs=0.0)
-    assert (auto[-1] < 0.0) == potential.endswith("- 30")
+    linked = []
+    solve = newton_mod.solve_bordered
+
+    def recording(system, cfg, vcycle=None):
+        linked.append(vcycle is not None)
+        return solve(system, cfg, vcycle=vcycle)
+
+    monkeypatch.setattr(newton_mod, "solve_bordered", recording)
+    mg_cg = _csv_lambdas(tmp_path, capsys, cfg)
+    assert linked[-(levels - 1):] == [True] * (levels - 1)
+    assert linked.count(True) == levels - 1
+    linked.clear()
+    monkeypatch.setattr(newton_mod, "_build_vcycle", lambda *args: None)
+    direct = _csv_lambdas(tmp_path, capsys, cfg)
+    assert linked and not any(linked)
+    assert len(mg_cg) == levels
+    assert mg_cg == pytest.approx(direct, rel=1e-8, abs=0.0)
+    assert (mg_cg[-1] < 0.0) == potential.endswith("- 30")
 
 
 def test_linear_solver_failure_names_the_level(tmp_path, capsys):
-    # one PCG iteration cannot reach the tolerance of level 2's step
-    # (1.5e-6, from its resi)
-    cfg = GPE_1D + "solver.method = mg_cg\nsolver.max_iter = 1\n"
+    # one PCG iteration cannot reach the tolerance of level 2's projected
+    # mg_cg step (3.9e-3, from its resi; PCG stops at 1/100 of that)
+    cfg = P1_2D + "solver.max_iter = 1\n"
     code, err = _one_line_exit(tmp_path, capsys, cfg)
     assert code == 3 and "failed to converge in 1 iterations" in err
     assert err.startswith("error: level 2: ")
@@ -697,17 +722,19 @@ def test_level_step_that_raises_resi_is_stagnation(tmp_path, capsys,
     assert ("rerun with the mixing driver (--mixing)" in err) == (not flags)
 
 
-@pytest.mark.parametrize("key", ["coarse.alpha = 0.5", "coarse.inner = auto"])
-def test_removed_coarse_keys_are_unknown(tmp_path, capsys, key):
-    code, err = _one_line_exit(tmp_path, capsys, GPE_1D + key + "\n")
-    assert code == 2 and "unknown key" in err
+REMOVED_KEYS = [("coarse.alpha", "0.5"), ("coarse.inner", "auto"),
+                ("solver.pre_smooth", "2"), ("solver.post_smooth", "2"),
+                ("solver.method", "auto")]
 
 
-@pytest.mark.parametrize("key", ["solver.pre_smooth", "solver.post_smooth"])
-def test_removed_smoothing_keys_are_unknown(tmp_path, capsys, key):
-    # both V-cycles smooth with linsolve.CHEBYSHEV_DEGREE before and after
-    # coarse correction; the degree is no run setting
-    code, err = _one_line_exit(tmp_path, capsys, GPE_1D + f"{key} = 2\n")
+@pytest.mark.parametrize("key,value", REMOVED_KEYS,
+                         ids=[key for key, _ in REMOVED_KEYS])
+def test_removed_keys_are_unknown(tmp_path, capsys, key, value):
+    # the damped fixed-point coarse solve is gone; both V-cycles smooth
+    # with linsolve.CHEBYSHEV_DEGREE before and after coarse correction;
+    # a Newton step solves by mg_cg exactly when given a coarser V-cycle
+    code, err = _one_line_exit(tmp_path, capsys,
+                               GPE_1D + f"{key} = {value}\n")
     assert code == 2 and f"unknown key {key!r}" in err
 
 
@@ -738,11 +765,11 @@ discretization.levels = 2
 
 
 @pytest.mark.parametrize("key,value,code,named", [
-    ("problem.zeta", "1e108\nsolver.method = mg_cg", 3,
+    ("problem.zeta", "1e108", 3,
      "PCG overflowed: p'Kp = nan at PCG iteration 1"),
     ("problem.box", "1.0,1e100", 2,
      "problem.box and problem.potential: the assembled operators overflow"),
-], ids=["zeta-mg_cg", "box"])
+], ids=["zeta", "box"])
 def test_float_overflow_is_named(tmp_path, capsys, key, value, code, named):
     # a residual past the float32 V-cycle's range makes p'Kp nan, which is
     # no curvature; x1^2 times the cell volumes of a 1 x 1e100 box

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gpmg.cli import run
 from gpmg.config import _SCHEMA, _to_bool, _to_float, _to_int
-from gpmg.linsolve import SolverConfig
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -68,8 +67,6 @@ def _typed_value(key):
         return potentials
     if key == "problem.box":
         return st.lists(intervals, min_size=1, max_size=3).map("; ".join)
-    if key == "solver.method":
-        return st.sampled_from([*SolverConfig.METHODS, "cg"])
     return _TYPED[_SCHEMA[key][0]]
 
 
@@ -94,7 +91,8 @@ def config_texts(draw):
     if lines and not draw(st.integers(0, 3)):
         lines.append(draw(st.one_of(
             st.sampled_from([lines[0], "solver.pre_smooth = 2",
-                             "coarse.alpha = 0.5", "problem = 1"]),
+                             "coarse.alpha = 0.5", "solver.method = auto",
+                             "problem = 1"]),
             st.text(max_size=20))))
     return "\n".join(draw(st.permutations(lines))) + "\n"
 

@@ -72,7 +72,7 @@ def test_direct_and_mg_cg_agree():
     b = rng.standard_normal(k.shape[0])
     x_dir = factor_symmetric(k).solve(b)
     vc = grown(mats, prolongs)
-    mg = SpdSolver(k, SolverConfig(method="mg_cg"), vcycle=vc)
+    mg = SpdSolver(k, SolverConfig(), vcycle=vc)
     x_mg = mg.solve(b)
     assert np.allclose(x_dir, x_mg, atol=1e-8)
     # the one ||K||_inf that solve_bordered also scales its check by
@@ -96,15 +96,6 @@ def test_vcycle_contracts_error():
     assert max(rates) < 0.25  # textbook V-cycle contraction
 
 
-def test_mg_cg_requires_hierarchy():
-    # a Newton step on a single level has no coarser one for the V-cycle
-    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 1)
-    ctx, = build_contexts(hier, 1, Nonlinearity(zeta=1.0))
-    with pytest.raises(ConfigurationError,
-                       match="mg_cg requires a V-cycle hierarchy"):
-        newton_step(ctx, scf_solve(ctx), SolverConfig(method="mg_cg"))
-
-
 def _record_bordered_solves(monkeypatch):
     """A list that fills, one entry per Newton step, with the interior dof
     count of the step's level and whether it was given a V-cycle."""
@@ -123,48 +114,57 @@ def _record_bordered_solves(monkeypatch):
     (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 2, 1),
 ], ids=["2d_p1", "2d_p2", "3d_p1", "3d_p2"])
 def test_auto_runs_mg_cg_on_every_linked_level(monkeypatch, dim, degree, n0):
-    # `auto` in 2D and 3D: the coarse solve's steps run direct, and the
-    # step on every finer level runs projected mg_cg, however few its dofs
-    # (level 2 of 3D P2 has 27); `direct` runs every step direct
+    # in 2D and 3D the coarse solve's steps run direct, and the step on
+    # every finer level runs projected mg_cg, however few its dofs (level 2
+    # of 3D P2 has 27); a run whose driver starts no Newton V-cycle runs
+    # every step direct, to the same eigenvalues
     hier = build_hierarchy(BoxDomain.unit(dim), (n0,) * dim, 3)
     potential = parse(" + ".join(f"{2**i}*x{i + 1}^2" for i in range(dim)),
                       dim)
     seen = _record_bordered_solves(monkeypatch)
     runs = {}
-    for method in ("auto", "direct"):
+    for linked in (True, False):
         seen.clear()
+        if not linked:
+            monkeypatch.setattr(newton_mod, "_build_vcycle",
+                                lambda *args: None)
         ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
                               potential=potential)
-        _, trace = multigrid_newton(ctxs,
-                                    solver_cfg=SolverConfig(method=method))
-        runs[method] = [r.lam for r in trace]
+        _, trace = multigrid_newton(ctxs)
+        runs[linked] = [r.lam for r in trace]
         sizes = [ops.space.interior_dofs.size for ops in ctxs]
-        linked = [(n, method == "auto") for n in sizes[1:]]
-        assert seen[-2:] == linked
+        assert seen[-2:] == [(n, linked) for n in sizes[1:]]
         assert all(n == sizes[0] and not mg for n, mg in seen[:-2])
-    assert runs["auto"] == pytest.approx(runs["direct"], rel=1e-6)
+    assert runs[True] == pytest.approx(runs[False], rel=1e-6)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_auto_never_picks_mg_cg_in_1d(monkeypatch, degree):
-    # 1D stays direct under `auto` on every level (`newton._runs_mg_cg`
-    # says why); `mg_cg` still runs the projected solve on linked levels,
-    # to the same eigenvalues up to the inexact steps' tolerance
+    # the driver solves every 1D step directly (its check says why); a
+    # step given a 1D V-cycle still runs the projected solve, to the
+    # direct step's iterate, and a chain of such steps reaches the
+    # driver's eigenvalues
     hier = build_hierarchy(BoxDomain.unit(1), (4,), 4)
+    ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2", 1))
     seen = _record_bordered_solves(monkeypatch)
-    runs = {}
-    for method in ("auto", "mg_cg"):
+    _, trace = multigrid_newton(ctxs)
+    assert [n for n, _ in seen[-3:]] == [ops.space.interior_dofs.size
+                                         for ops in ctxs[1:]]
+    assert not any(mg for _, mg in seen)
+    x = trace[0].x
+    vcycle = _build_vcycle(ctxs[0], x.u)
+    for idx in range(1, len(ctxs)):
+        x0 = _prolong_iterate(x, ctxs[idx - 1].space, ctxs[idx].space)
         seen.clear()
-        ctxs = build_contexts(hier, degree, Nonlinearity(zeta=1.0),
-                              potential=parse("x1^2", 1))
-        _, trace = multigrid_newton(ctxs,
-                                    solver_cfg=SolverConfig(method=method))
-        runs[method] = [r.lam for r in trace]
-        linked = [(ops.space.interior_dofs.size, method == "mg_cg")
-                  for ops in ctxs[1:]]
-        assert seen[-3:] == linked
-        assert not any(mg for _, mg in seen[:-3])
-    assert runs["mg_cg"] == pytest.approx(runs["auto"], rel=1e-6)
+        x_dir, none = newton_step(ctxs[idx], x0)
+        x, vcycle = newton_step(ctxs[idx], x0, None, vcycle)
+        n = ctxs[idx].space.interior_dofs.size
+        assert seen == [(n, False), (n, True)] and none is None
+        assert len(vcycle.mats) == idx + 1
+        assert abs(x.lam - x_dir.lam) <= 1e-9 * abs(x_dir.lam)
+        assert np.max(np.abs(x.u - x_dir.u)) <= 1e-9
+        assert x.lam == pytest.approx(trace[idx].lam, rel=1e-6)
 
 
 # the ids are the level-2 dof crossovers these cases patched when `auto`
@@ -175,8 +175,8 @@ def test_auto_never_picks_mg_cg_in_1d(monkeypatch, degree):
 ])
 def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
                                                           method):
-    # under `auto`, a step given the coarser level's V-cycle runs one
-    # projected PCG solve on that V-cycle refined with its G and factors
+    # a step given the coarser level's V-cycle runs one projected PCG
+    # solve on that V-cycle refined with its G and factors
     # nothing, the coarsest LU being the given V-cycle's; a step given no
     # V-cycle factors K once and runs no PCG
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 2)
@@ -229,7 +229,7 @@ def test_cg_failure_reports_achieved_residual():
     b = np.ones(k.shape[0])
     vc = grown(mats, prolongs)
     with pytest.raises(SolverError) as exc:
-        SpdSolver(k, SolverConfig(method="mg_cg", max_iter=1), vc).solve(b)
+        SpdSolver(k, SolverConfig(max_iter=1), vc).solve(b)
     assert exc.value.achieved is not None
 
 
@@ -317,10 +317,9 @@ def test_projected_pcg_solves_an_indefinite_k_coercive_on_the_tangent_space():
     g = sp.csr_matrix(np.diag(d + 2.0))
     system = BorderedSystem(g=g, m=m, r=np.ones(4), c=0.5,
                             mass=sp.identity(4, format="csr"), shift=2.0)
-    direct = solve_bordered(system, SolverConfig(method="direct"))
+    direct = solve_bordered(system)
     assert direct.schur < 0
-    sol = solve_bordered(system, SolverConfig(method="mg_cg"),
-                         vcycle=VCycleHierarchy(g))
+    sol = solve_bordered(system, vcycle=VCycleHierarchy(g))
     # the least p'Kp/p'p, at least K's least eigenvalue on the tangent
     assert 2.0 <= sol.schur <= 4.0
     assert np.allclose(sol.u, direct.u, atol=1e-12)
@@ -342,10 +341,9 @@ def test_indefinite_matrix_coercivity_error_on_iterative_path():
     with pytest.raises(CoercivityError, match=(
             r"^negative curvature p'Kp = -\S+ at PCG iteration 1: the "
             r"operator is not positive definite on the tangent space$")):
-        solve_bordered(system, SolverConfig(method="mg_cg"),
-                       vcycle=VCycleHierarchy(g))
+        solve_bordered(system, vcycle=VCycleHierarchy(g))
     # the direct path still produces the verified saddle-point solution
-    sol = solve_bordered(system, SolverConfig(method="direct"))
+    sol = solve_bordered(system)
     assert np.allclose(np.diag(d) @ sol.u - sol.lam * system.m, np.ones(4),
                        atol=1e-10)
 
@@ -383,7 +381,7 @@ def test_projected_pcg_matches_the_dense_bordered_solve(dim, degree, n0,
         assert np.linalg.eigvalsh(system.k.toarray())[0] < 0.0
     coarser = _build_vcycle(ctxs[1], x1.u,
                             _build_vcycle(ctxs[0], scf_solve(ctxs[0]).u))
-    sol = solve_bordered(system, SolverConfig(method="mg_cg"),
+    sol = solve_bordered(system,
                          vcycle=_build_vcycle(ctxs[2], x.u, coarser,
                                               system.g))
     u, lam = dense_bordered(system)
@@ -412,7 +410,7 @@ def test_near_singular_bordered_solve_meets_rel_tol_without_the_full_lu(
         return full(*args, **kwargs)
 
     monkeypatch.setattr(linsolve_mod, "_solve_bordered_full", recording_full)
-    cfg = SolverConfig(method="direct")
+    cfg = SolverConfig()
     sol = solve_bordered(system, cfg)
     u, lam = sol.u, sol.lam
     res = np.hypot(np.linalg.norm(k @ u - lam * system.m - system.r),
@@ -599,10 +597,10 @@ def test_float32_vcycle_takes_the_pcg_iterations_of_float64(dim, degree,
     # Riesz or the Newton tolerance, takes as many iterations with either
     if kind == "newton":
         mats, prolongs = newton_hierarchy(dim, degree, n0, levels)
-        cfg = SolverConfig(method="mg_cg")
+        cfg = SolverConfig()
     else:
         mats, prolongs = h1_hierarchy(dim, degree, n0, levels)
-        cfg = SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL)
+        cfg = SolverConfig(rel_tol=RIESZ_TOL)
     vc = grown(mats, prolongs)
     intervals = [(s.lo, s.hi) for s in vc.smoothers]
     k = mats[-1]
@@ -623,7 +621,7 @@ def test_one_level_hierarchy_is_the_float64_lu():
     vc = VCycleHierarchy(k)
     b = np.random.default_rng(10).standard_normal(k.shape[0])
     assert np.array_equal(vc.apply(b), factor_symmetric(k).solve(b))
-    solver = SpdSolver(k, SolverConfig(method="mg_cg", rel_tol=RIESZ_TOL), vc)
+    solver = SpdSolver(k, SolverConfig(rel_tol=RIESZ_TOL), vc)
     solver.solve(b)
     solver.solve(k @ b)
     assert solver.iteration_counts == [1, 1]
@@ -673,7 +671,7 @@ def test_every_vcycle_apply_is_a_cg_iteration(monkeypatch):
         return out
 
     monkeypatch.setattr(linsolve_mod, "pcg", recording_pcg)
-    solve_bordered(system, SolverConfig(method="mg_cg"), vcycle=vc)
+    solve_bordered(system, vcycle=vc)
     # the projected solve makes no SpdSolver: one apply to the border m,
     # then one per iteration
     assert solvers == [] and len(iterations) == 1

@@ -17,7 +17,7 @@ from gpmg.assembly import (
     _interior_prolongation,
 )
 from gpmg.eigsolve import ScfConfig, scf_solve
-from gpmg.errors import ConfigurationError, StagnationError, UsageError
+from gpmg.errors import StagnationError, UsageError
 from gpmg.expr import parse
 from gpmg.linsolve import SolverConfig, SpdSolver
 from gpmg.mesh import BoxDomain, build_hierarchy, build_initial_mesh
@@ -97,24 +97,18 @@ def test_newton_contracts_from_perturbed_start():
 
 
 def test_mg_cg_step_uses_the_levels_it_is_given():
-    # the step refines the coarser levels' V-cycle it is given: mg_cg
-    # matches the direct solve there, and without a V-cycle `auto` solves
-    # directly and mg_cg has none to run on
+    # the step refines the coarser levels' V-cycle it is given, and its
+    # mg_cg solve matches the direct solve of a step given none
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
     x0, coarser = linked_start(ctxs)
-    x_mg, vcycle = newton_step(ctxs[-1], x0, SolverConfig(method="mg_cg"),
-                               coarser)
+    x_mg, vcycle = newton_step(ctxs[-1], x0, None, coarser)
     assert len(vcycle.mats) == len(ctxs) and len(coarser.mats) == 2
-    for method, given in (("direct", coarser), ("auto", None)):
-        x_dir, none = newton_step(ctxs[-1], x0, SolverConfig(method=method),
-                                  given)
-        assert none is None
-        assert abs(x_mg.lam - x_dir.lam) <= 1e-10
-        assert np.max(np.abs(x_mg.u - x_dir.u)) <= 1e-10
-    with pytest.raises(ConfigurationError):
-        newton_step(ctxs[-1], x0, SolverConfig(method="mg_cg"))
+    x_dir, none = newton_step(ctxs[-1], x0)
+    assert none is None
+    assert abs(x_mg.lam - x_dir.lam) <= 1e-10
+    assert np.max(np.abs(x_mg.u - x_dir.u)) <= 1e-10
 
 
 def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
@@ -140,8 +134,7 @@ def test_mg_cg_step_assembles_each_newton_matrix_once(monkeypatch):
     monkeypatch.setattr(newton_mod, "assemble_field_weighted_mass",
                         recording_assemble)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
-    _, returned = newton_step(ctxs[-1], x0, SolverConfig(method="mg_cg"),
-                              coarser)
+    _, returned = newton_step(ctxs[-1], x0, None, coarser)
     assert [id(s) for s in assembled] == [id(ctxs[-1].space)]
     (system, vcycle), = solved
     assert vcycle is returned and len(vcycle.mats) == len(ctxs)
@@ -173,7 +166,7 @@ def test_mg_cg_steps_share_the_interior_prolongations(monkeypatch):
         return vcycles[-1]
 
     monkeypatch.setattr(newton_mod, "_build_vcycle", recording_build)
-    cfg = SolverConfig(method="mg_cg")
+    cfg = SolverConfig()
     newton_step(ctxs[-1], newton_step(ctxs[-1], x, cfg, coarser)[0], cfg,
                 coarser)
     riesz = ctxs[-1]._riesz_solver().vcycle
@@ -205,7 +198,7 @@ def test_mg_cg_newton_step_peaks_within_a_budget_per_nonzero():
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 6)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
-    cfg = SolverConfig(method="mg_cg")
+    cfg = SolverConfig()
     x, coarser = linked_start(ctxs, cfg)
     resi(ctxs[-1], x)
     assert ctxs[-1].space.interior_dofs.size >= 16_000
@@ -268,7 +261,7 @@ def test_repeated_mg_cg_step_builds_no_coo_matrix(monkeypatch):
     hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 3)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2", 2))
-    cfg = SolverConfig(method="mg_cg")
+    cfg = SolverConfig()
     x, coarser = linked_start(ctxs)
     x, _ = newton_step(ctxs[-1], x, cfg, coarser)
     resi(ctxs[-1], x)
@@ -327,7 +320,7 @@ def test_newton_vcycle_coarse_matrices_are_the_coarser_steps_g(monkeypatch,
 
     monkeypatch.setattr(newton_mod, "_spd_matrix", recording_spd)
     monkeypatch.setattr(newton_mod, "solve_bordered", recording_solve)
-    _, trace = multigrid_newton(ctxs, solver_cfg=SolverConfig(method="mg_cg"))
+    _, trace = multigrid_newton(ctxs)
     # the coarse solve's steps come first; then one G per level
     spaces, gs = zip(*assembled[-levels:])
     assert [id(s) for s in spaces] == [id(c.space) for c in ctxs]
@@ -716,7 +709,7 @@ def test_converging_mg_cg_steps_return_to_the_rel_tol_floor(monkeypatch):
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=10.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
     x, coarser = linked_start(ctxs)
-    cfg = SolverConfig(method="mg_cg")
+    cfg = SolverConfig()
     steps, solves = _record_newton_solves(monkeypatch)
     history = [resi(ctxs[1], x)]
     while history[-1] > 1e-11 and len(history) <= 8:
