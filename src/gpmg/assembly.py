@@ -28,7 +28,8 @@ import scipy.sparse as sp
 from . import expr as expr_mod
 from .elements import quadrature, reference_element, shape_gradients, shape_values
 from .errors import ConfigurationError, UsageError
-from .linsolve import SolverConfig, SpdSolver, VCycleHierarchy, as_float32
+from .linsolve import (SolverConfig, SpdSolver, VCycleHierarchy, as_float32,
+                       dot)
 from .nonlinearity import f_eval
 
 __all__ = [
@@ -573,7 +574,7 @@ class Operators:
         8.2e-10 and 6.3e-10 relative and high by at most 3.3e-14
         (`tools/riesz_accuracy.py` reprints the table)."""
         z = self._riesz_solver().solve(functional)
-        return float(np.sqrt(max(z @ functional, 0.0)))
+        return float(np.sqrt(max(dot(z, functional), 0.0)))
 
     def l2_norm(self, u):
         ui = u[self.space.interior_dofs]

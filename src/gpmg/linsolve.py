@@ -22,6 +22,7 @@ interval) is set up when the level joins a hierarchy.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,20 @@ __all__ = [
     "VCycleHierarchy",
     "SpdSolver",
     "as_float32",
+    "dot",
     "factor_symmetric",
     "inf_norm",
     "pcg",
     "solve_bordered",
 ]
+
+
+def dot(a, b):
+    """a'b by numpy's own loop, not by OpenBLAS's threaded ddot, which
+    spins a helper thread on the core a worker thread needs; redone by `@`
+    if not finite, as einsum ignores np.errstate(over="raise")."""
+    s = float(np.einsum("i,i->", a, b))
+    return s if math.isfinite(s) else float(a @ b)
 
 
 def factor_symmetric(a):
@@ -104,8 +114,12 @@ def as_float32(a):
     a = a.tocsr()
     if a.dtype == np.float32:
         return a
-    return sp.csr_matrix((a.data.astype(np.float32), a.indices, a.indptr),
-                         shape=a.shape)
+    with np.errstate(over="ignore"):
+        data = a.data.astype(np.float32)
+    if not np.isfinite(data).all() and np.isfinite(a.data).all():
+        raise SolverError(f"matrix entry {np.abs(a.data).max():.3e} is past "
+                          "the float32 range of the V-cycle (3.4e38)")
+    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 def _residual(k, b, x):
@@ -144,9 +158,9 @@ class ChebyshevSmoother:
         v = np.random.default_rng(0).standard_normal(k.shape[0])
         for _ in range(CHEBYSHEV_POWER_STEPS):
             v = dinv * (k @ v)
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(dot(v, v))
         # Rayleigh quotient of the pencil (K, D): never above lambda_max
-        estimate = float(v @ (k @ v)) / float(v @ (diag * v))
+        estimate = dot(v, k @ v) / dot(v, diag * v)
         hi = CHEBYSHEV_HI_FACTOR * estimate
         return cls(dinv.astype(np.float32), hi / CHEBYSHEV_LO_RATIO, hi)
 
@@ -299,18 +313,18 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
         res = b.copy()
     else:
         m, t = border
-        mm = float(m @ m)
+        mm = dot(m, m)
         w = precond(m)
-        mw = float(m @ w)
-        x = (t / mw) * w if x is None else x + ((t - m @ x) / mw) * w
+        mw = dot(m, w)
+        x = (t / mw) * w if x is None else x + ((t - dot(m, x)) / mw) * w
         res = matvec(x)
         np.subtract(b, res, out=res)
-        res -= (float(m @ res) / mm) * m
-    start = float(np.linalg.norm(res))
+        res -= (dot(m, res) / mm) * m
+    start = math.sqrt(dot(res, res))
     curvature = np.inf
     least, least_at = np.inf, 0
     for iteration in range(max_iter + 1):
-        rnorm = float(np.linalg.norm(res))
+        rnorm = math.sqrt(dot(res, res))
         if rnorm <= rel_tol * start:
             return x, iteration, curvature
         if iteration == max_iter:
@@ -326,8 +340,8 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
             )
         z = precond(res)
         if border is not None:
-            z -= (float(m @ z) / mw) * w
-        rho = float(res @ z)
+            z -= (dot(m, z) / mw) * w
+        rho = dot(res, z)
         if iteration == 0:
             p = z
         else:
@@ -335,7 +349,7 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
             p += z
         del z
         q = matvec(p)
-        pq = float(p @ q)
+        pq = dot(p, q)
         if not np.isfinite(pq):  # e.g. past the float32 V-cycle's range
             raise SolverError(f"PCG overflowed: p'Kp = {pq:.3e} at PCG "
                               f"iteration {iteration + 1}")
@@ -344,14 +358,14 @@ def pcg(matvec, b, precond, rel_tol, max_iter, border=None, x=None):
                 f"negative curvature p'Kp = {pq:.3e} at PCG iteration "
                 f"{iteration + 1}: the operator is not positive definite"
                 + ("" if border is None else " on the tangent space"))
-        curvature = min(curvature, pq / float(p @ p))
+        curvature = min(curvature, pq / dot(p, p))
         alpha = rho / pq
         x += alpha * p
         q *= alpha
         res -= q
         del q
         if border is not None:
-            res -= (float(m @ res) / mm) * m
+            res -= (dot(m, res) / mm) * m
         rho_prev = rho
     raise SolverError(
         f"PCG failed to converge in {max_iter} iterations (relative "
@@ -377,17 +391,21 @@ class SpdSolver:
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        bnorm = float(np.linalg.norm(b))
+        bnorm = math.sqrt(dot(b, b))
         if bnorm == 0.0:
             return np.zeros_like(b)
-        x, iterations, _ = pcg(self.k.__matmul__, b, self.vcycle.apply,
+        # b / s is in the float32 V-cycle's range; s, a power of 2, is exact
+        s = math.ldexp(1.0, math.frexp(bnorm)[1])
+        x, iterations, _ = pcg(self.k.__matmul__, b / s, self.vcycle.apply,
                                self.cfg.rel_tol * 0.1, self.cfg.max_iter)
+        x *= s
         self.iteration_counts.append(iterations)
         # ||Kx - b|| / (||K|| ||x|| + ||b||): unlike the plain relative
         # residual this stays near eps for a stable solve even when ||x||
         # >> ||b||
-        achieved = float(np.linalg.norm(self.k @ x - b)) / (
-            self.knorm * float(np.linalg.norm(x)) + bnorm)
+        r = self.k @ x - b
+        achieved = math.sqrt(dot(r, r)) / (
+            self.knorm * math.sqrt(dot(x, x)) + bnorm)
         if achieved > self.cfg.rel_tol:
             raise SolverError(
                 f"linear solve backward error {achieved:.3e} above "
@@ -464,13 +482,13 @@ def solve_bordered(system, cfg=None, vcycle=None):
     """
     cfg = cfg or SolverConfig()
     m = system.m
-    if np.linalg.norm(m) == 0.0:
+    if dot(m, m) == 0.0:
         raise ConfigurationError("bordered system needs a nonzero border m")
     if vcycle is not None:
         u1, _, curvature = pcg(system.k_matvec, system.r, vcycle.apply,
                                cfg.rel_tol * 0.01, cfg.max_iter,
                                border=(m, -system.c), x=system.start)
-        lam1 = float(m @ (system.k_matvec(u1) - system.r)) / float(m @ m)
+        lam1 = dot(m, system.k_matvec(u1) - system.r) / dot(m, m)
         return BorderedSolution(u=u1, lam=lam1, schur=curvature)
     k = system.k
     try:
@@ -480,21 +498,21 @@ def solve_bordered(system, cfg=None, vcycle=None):
         # regular, so factor it whole
         return _solve_bordered_full(system, cfg)
     y = lu.solve(m)
-    my = float(m @ y)
-    knorm, mnorm = inf_norm(k), float(np.linalg.norm(m))
-    data_norm = float(np.linalg.norm(system.r)) + abs(system.c)
+    my = dot(m, y)
+    knorm, mnorm = inf_norm(k), math.sqrt(dot(m, m))
+    data_norm = math.sqrt(dot(system.r, system.r)) + abs(system.c)
     u1, lam1 = np.zeros_like(m), 0.0
     res_u, res_c = system.r, system.c
     for _ in range(4):
         z = lu.solve(res_u)
-        step = -(res_c + float(m @ z)) / my
+        step = -(res_c + dot(m, z)) / my
         z += step * y
         u1 += z
         lam1 += step
         res_u = system.r - (k @ u1 - lam1 * m)
-        res_c = system.c + float(m @ u1)
-        if float(np.hypot(np.linalg.norm(res_u), res_c)) <= cfg.rel_tol * (
-                knorm * float(np.linalg.norm(u1)) + abs(lam1) * mnorm
+        res_c = system.c + dot(m, u1)
+        if np.hypot(math.sqrt(dot(res_u, res_u)), res_c) <= cfg.rel_tol * (
+                knorm * math.sqrt(dot(u1, u1)) + abs(lam1) * mnorm
                 + data_norm):
             return BorderedSolution(u=u1, lam=lam1, schur=my)
     return _solve_bordered_full(system, cfg, schur=my)

@@ -16,7 +16,10 @@ following the step's own resi, and grows the run's one Newton V-cycle by
 its level; a step given none solves directly.
 """
 
+import contextvars
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +39,7 @@ from .errors import (
     StagnationError,
     UsageError,
 )
-from .linsolve import BorderedSystem, SolverConfig, solve_bordered
+from .linsolve import BorderedSystem, SolverConfig, dot, solve_bordered
 from .nonlinearity import f_eval, fprime_eval
 from .state import IterateX, TraceRow
 
@@ -101,7 +104,7 @@ def resi(ctx, x):
     plus half the normalization defect. Both read one product M u."""
     u = x.u[ctx.space.interior_dofs]
     mu = ctx.mass @ u
-    defect = abs(1.0 - float(u @ mu))
+    defect = abs(1.0 - dot(u, mu))
     return ctx.riesz_norm(ctx.residual(x.lam, x.u, mu)) + 0.5 * defect
 
 
@@ -139,7 +142,7 @@ def assemble_newton_system(ctx, x0):
         r += 2.0 * assemble_field_load(
             space, u0, lambda t: fprime_eval(ctx.nl, t**2) * t**3
         )
-    c = -0.5 - 0.5 * float(u0i @ m)
+    c = -0.5 - 0.5 * dot(u0i, m)
     return BorderedSystem(g=g, m=m, r=r, c=c, mass=ctx.mass,
                           shift=x0.lam + ctx.shift, start=u0i)
 
@@ -306,60 +309,94 @@ def multigrid_mixing(contexts, params=None, scf_cfg=None, solver_cfg=None,
                        solver_cfg, renormalize, reference_lambda)
 
 
+@contextmanager
+def _at_level(idx, params):
+    """Every solver failure (exit 3) names the level it ended, idx + 1."""
+    try:
+        yield
+    except (SolverError, CoercivityError, NonConvergenceError,
+            StagnationError) as err:
+        hint = (isinstance(err, StagnationError) and params is None
+                and "; rerun with the mixing driver (--mixing)" or "")
+        err.args = (f"level {idx + 1}: {err}{hint}",)
+        raise
+
+
+# Finest interior dofs from which `_run_driver` overlaps the trace's resi
+# with the steps. Break-even on a 2-vCPU box: 3,375 (ex2_mixing, 20 of 30
+# pairs lost) and 3,969 (2D P1, 3 levels) gain nothing; 16,129 gain.
+OVERLAP_MIN_DOFS = 10_000
+
+
 def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
                 reference_lambda):
     """The final iterate (renormalized on request) and one TraceRow per
     level, each holding that level's raw iterate. params None is plain
-    Newton: the full step, and no theta in the trace."""
+    Newton: the full step, and no theta in the trace. With at least
+    OVERLAP_MIN_DOFS finest interior dofs, rows 1..L-2's traced resi run on
+    a worker thread, outside their time_ms."""
     # imported here: eigsolve builds the coarse solve on this module's step
     from .eigsolve import scf_solve
 
     solver_cfg = solver_cfg or SolverConfig()
-    rows, vcycle = [], None
-    for idx, ctx in enumerate(contexts):
-        t0 = time.perf_counter()
-        theta = resi_new = None
-        try:
-            if idx == 0:
-                x = scf_solve(ctx, scf_cfg)
-                # each linked step refines this V-cycle by its level and
-                # solves by mg_cg. 1D steps solve directly: a 1D LU is a
-                # band solve, linear in the dofs, and as G's condition
-                # number grows as h^-2 a 1D P2 hierarchy meets PCG's
-                # round-off floor at a few thousand dofs (8.8e-10 relative
-                # at 16,383), where 2D would need ~10^9
-                if len(contexts) > 1 and ctx.space.dim > 1:
-                    vcycle = _build_vcycle(ctx, x.u)
-            else:
-                x0p = _prolong_iterate(x, contexts[idx - 1].space, ctx.space)
-                # on the finest level x0p is the previous row's iterate
-                # prolongated once, so that row's traced resi is x0p's resi
-                resi_old = rows[-1].resi if idx == len(contexts) - 1 else None
-                x, theta, resi_new, vcycle = mixing_iteration(
-                    ctx, x0p, params or FULL_STEP, solver_cfg, resi_old,
-                    vcycle)
-            step_ms = (time.perf_counter() - t0) * 1e3
-            traced = _traced_resi(contexts, x, idx, resi_new)
-        except (SolverError, CoercivityError, NonConvergenceError,
-                StagnationError) as err:
-            # every solver failure (exit 3) names the level it ended
-            hint = ("; rerun with the mixing driver (--mixing)"
-                    if isinstance(err, StagnationError) and params is None
-                    else "")
-            err.args = (f"level {idx + 1}: {err}{hint}",)
-            raise
-        rows.append(TraceRow(
-            level=idx + 1,
-            n_dofs=ctx.space.n_dofs,
-            lam=x.lam,
-            resi=traced,
-            theta=None if params is None else theta,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            err_lambda=(abs(x.lam - reference_lambda)
-                        if reference_lambda is not None else None),
-            step_ms=step_ms,
-            x=x,
-        ))
+    finest = contexts[-1]
+    overlap = finest.space.interior_dofs.size >= OVERLAP_MIN_DOFS
+    rows, pending, vcycle = [], [], None
+    pool = ThreadPoolExecutor(max_workers=1)  # a thread from its 1st submit
+    try:
+        for idx, ctx in enumerate(contexts):
+            t0 = time.perf_counter()
+            theta = resi_new = traced = None
+            with _at_level(idx, params):
+                if idx == 0:
+                    x = scf_solve(ctx, scf_cfg)
+                    # each linked step refines this V-cycle by its level and
+                    # solves by mg_cg. 1D steps solve directly: a 1D LU is a
+                    # band solve, linear in the dofs, and as G's condition
+                    # number grows as h^-2 a 1D P2 hierarchy meets PCG's
+                    # round-off floor at a few thousand dofs (8.8e-10
+                    # relative at 16,383), where 2D would need ~10^9
+                    if len(contexts) > 1 and ctx.space.dim > 1:
+                        vcycle = _build_vcycle(ctx, x.u)
+                else:
+                    x0p = _prolong_iterate(x, contexts[idx - 1].space,
+                                           ctx.space)
+                    # on the finest level x0p is the previous row's iterate
+                    # prolongated once, so that row's traced resi is x0p's
+                    resi_old = (rows[-1].resi if idx == len(contexts) - 1
+                                else None)
+                    x, theta, resi_new, vcycle = mixing_iteration(
+                        ctx, x0p, params or FULL_STEP, solver_cfg, resi_old,
+                        vcycle)
+                step_ms = (time.perf_counter() - t0) * 1e3
+                if overlap and idx < len(contexts) - 2:
+                    if not pending:
+                        # the worker only reads: build what it reads lazily,
+                        # the Riesz solvers, interior prolongations and rule
+                        finest._riesz_solver()
+                        finest.space.rule(finest.space.weighted_degree)
+                    # a copy of this thread's context carries np.errstate
+                    pending.append(pool.submit(contextvars.copy_context().run,
+                                               _traced_resi, contexts, x, idx))
+                else:
+                    traced = _traced_resi(contexts, x, idx, resi_new)
+            rows.append(TraceRow(
+                level=idx + 1,
+                n_dofs=ctx.space.n_dofs,
+                lam=x.lam,
+                resi=traced,
+                theta=None if params is None else theta,
+                wall_time_ms=(time.perf_counter() - t0) * 1e3,
+                err_lambda=(abs(x.lam - reference_lambda)
+                            if reference_lambda is not None else None),
+                step_ms=step_ms,
+                x=x,
+            ))
+    finally:
+        with pool:  # in level order: the lowest failing level's error wins
+            for idx, future in enumerate(pending):
+                with _at_level(idx, params):
+                    rows[idx].resi = future.result()
     if renormalize:
         x = _finalize(contexts[-1], x)
     return x, rows

@@ -30,7 +30,7 @@ class TraceRow:
     err_lambda: Optional[float] = None
     err_h1: Optional[float] = None
     # time of the level's step alone, without the finest-space resi
-    # diagnostic that wall_time_ms includes
+    # diagnostic that wall_time_ms includes unless a worker thread ran it
     step_ms: float = 0.0
     # the level's raw iterate, before any renormalization
     x: Optional[IterateX] = field(default=None, repr=False)

@@ -1,4 +1,5 @@
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from gpmg.assembly import prolongation_matrix
 from gpmg.cli import CSV_HEADER, main, run
 from gpmg.config import _SCHEMA, RunConfig, load_config, parse_config_text
 from gpmg.eigsolve import ScfConfig
-from gpmg.errors import ConfigurationError, StagnationError
+from gpmg.errors import ConfigurationError, SolverError, StagnationError
 from gpmg.linsolve import SolverConfig
 from gpmg.mesh import build_hierarchy
 from gpmg.newton import (
@@ -766,19 +767,63 @@ discretization.levels = 2
 
 @pytest.mark.parametrize("key,value,code,named", [
     ("problem.zeta", "1e108", 3,
-     "PCG overflowed: p'Kp = nan at PCG iteration 1"),
+     "level 2: matrix entry 5.327e+106 is past the float32 range"),
     ("problem.box", "1.0,1e100", 2,
      "problem.box and problem.potential: the assembled operators overflow"),
 ], ids=["zeta", "box"])
 def test_float_overflow_is_named(tmp_path, capsys, key, value, code, named):
-    # a residual past the float32 V-cycle's range makes p'Kp nan, which is
-    # no curvature; x1^2 times the cell volumes of a 1 x 1e100 box
+    # level 2's Newton matrix has entries past the float32 V-cycle's range,
+    # which is no loss of curvature; x1^2 times the cell volumes of a
+    # 1 x 1e100 box
     # overflows the potential mass, which the coarse eigensolver would
     # reject as an internal error (exit 5)
     cfg = (P1_2D.replace("problem.zeta = 1.0\n", "") + f"{key} = {value}\n"
            + ("" if key == "problem.zeta" else "problem.zeta = 1.0\n"))
     got, err = _one_line_exit(tmp_path, capsys, cfg)
     assert got == code and named in err and "curvature" not in err
+
+
+# 2D P1 from n0 = 16 over 4 levels: 16,129 finest interior dofs, at least
+# newton.OVERLAP_MIN_DOFS, so rows 1 and 2 take their traced resi on the
+# driver's worker thread
+P1_2D_OVERLAP = P1_2D.replace("n0 = 4", "n0 = 16").replace("levels = 2",
+                                                          "levels = 4")
+
+
+@pytest.mark.parametrize("step_fails", [False, True],
+                         ids=["resi", "resi-then-step"])
+def test_worker_failure_names_the_lowest_failing_level(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       step_fails):
+    # row 1's traced resi fails on the worker thread; with step_fails it
+    # waits until level 3's step has failed on the driver thread. Either
+    # way level 1's error is reported, as a serial run reports it, and the
+    # worker thread is gone when the run returns
+    traced_resi, mixing = newton_mod._traced_resi, newton_mod.mixing_iteration
+    step_failed, workers = threading.Event(), []
+
+    def failing_resi(contexts, x, level_idx, resi_own=None):
+        if level_idx == 0:
+            workers.append(threading.get_ident())
+            if step_fails:
+                assert step_failed.wait(timeout=60)
+            raise SolverError("traced resi failed")
+        return traced_resi(contexts, x, level_idx, resi_own)
+
+    def failing_step(ctx, x0, *args):
+        if step_fails and ctx.space.n_dofs == 65**2:
+            step_failed.set()
+            raise SolverError("step failed")
+        return mixing(ctx, x0, *args)
+
+    monkeypatch.setattr(newton_mod, "_traced_resi", failing_resi)
+    monkeypatch.setattr(newton_mod, "mixing_iteration", failing_step)
+    threads = threading.active_count()
+    code, err = _one_line_exit(tmp_path, capsys, P1_2D_OVERLAP)
+    assert code == 3 and err.startswith("error: level 1: traced resi failed")
+    assert workers and workers[0] != threading.get_ident()
+    assert step_failed.is_set() == step_fails
+    assert threading.active_count() == threads
 
 
 def test_overflowing_potential_is_config_error(tmp_path, capsys):

@@ -24,6 +24,7 @@ from gpmg.linsolve import (
     SolverConfig,
     SpdSolver,
     VCycleHierarchy,
+    dot,
     factor_symmetric,
     solve_bordered,
 )
@@ -221,6 +222,20 @@ def test_newton_step_solves_with_the_method_auto_resolves(monkeypatch, linked,
     else:
         assert (borders, factors) == ([], [system.k.shape])
         assert vc is None
+
+
+def test_dot_matches_matmul_and_raises_on_overflow():
+    # numpy's own loop sums in another order than OpenBLAS's ddot; on
+    # positive entries, where no cancellation magnifies that, the two agree
+    # to round-off
+    a, b = np.random.default_rng(0).random((2, 300_000))
+    assert abs(dot(a, b) - a @ b) <= 1e-14 * (a @ b)
+    huge = np.full(2, 1e200)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            huge @ huge
+        with pytest.raises(FloatingPointError):
+            dot(huge, huge)
 
 
 def test_cg_failure_reports_achieved_residual():

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from gpmg.newton import (
     _build_vcycle,
     _prolong_iterate,
     _prolong_to_finest,
+    _traced_resi,
     assemble_newton_system,
     build_contexts,
     damped_newton,
@@ -753,6 +755,51 @@ def test_driver_reuses_the_traced_resi_of_the_finest_start(monkeypatch,
     for row in trace:
         u = _prolong_to_finest(ctxs, row.x.u, row.level - 1)
         assert row.resi == resi(ctxs[-1], IterateX(lam=row.x.lam, u=u))
+
+
+def test_overlapped_rows_hold_their_iterates_finest_resi():
+    # 16,129 finest interior dofs: rows 1 and 2 take their traced resi on
+    # the driver's worker thread, the very value this thread computes
+    hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 4)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    assert ctxs[-1].space.interior_dofs.size >= newton_mod.OVERLAP_MIN_DOFS
+    _, trace = multigrid_newton(ctxs)
+    for k, row in enumerate(trace):
+        assert row.resi == _traced_resi(ctxs, row.x, k)
+
+
+def test_concurrent_riesz_norms_match_serial_ones():
+    # the driver's worker thread evaluates finest-space resi beside the
+    # driver thread's own, on one shared Riesz solver: three threads at a
+    # short switch interval get the serial norms bit for bit, and the
+    # solver records every solve
+    hier = build_hierarchy(BoxDomain.unit(2), (8, 8), 3)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    finest = ctxs[-1]
+    rng = np.random.default_rng(0)
+    functionals = rng.standard_normal((6, finest.space.interior_dofs.size))
+    want = [finest.riesz_norm(f) for f in functionals]
+    counts = finest._riesz_solver().iteration_counts
+    solves, got = len(counts), []
+
+    def work():
+        got.append([finest.riesz_norm(f) for f in functionals])
+
+    threads = [threading.Thread(target=work) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 3
+    assert len(counts) == solves + 3 * len(functionals)
 
 
 def test_multigrid_newton_trace_fields():
