@@ -394,7 +394,7 @@ class SpdSolver:
         bnorm = math.sqrt(dot(b, b))
         if bnorm == 0.0:
             return np.zeros_like(b)
-        # b / s is in the float32 V-cycle's range; s, a power of 2, is exact
+        # b / s is in the float32 V-cycle's range; s is a power of 2: exact
         s = math.ldexp(1.0, math.frexp(bnorm)[1])
         x, iterations, _ = pcg(self.k.__matmul__, b / s, self.vcycle.apply,
                                self.cfg.rel_tol * 0.1, self.cfg.max_iter)

@@ -316,16 +316,17 @@ def _at_level(idx, params):
         yield
     except (SolverError, CoercivityError, NonConvergenceError,
             StagnationError) as err:
-        hint = (isinstance(err, StagnationError) and params is None
-                and "; rerun with the mixing driver (--mixing)" or "")
+        rerun = isinstance(err, StagnationError) and params is None
+        hint = "; rerun with the mixing driver (--mixing)" if rerun else ""
         err.args = (f"level {idx + 1}: {err}{hint}",)
         raise
 
 
 # Finest interior dofs from which `_run_driver` overlaps the trace's resi
-# with the steps. Break-even on a 2-vCPU box: 3,375 (ex2_mixing, 20 of 30
-# pairs lost) and 3,969 (2D P1, 3 levels) gain nothing; 16,129 gain.
-OVERLAP_MIN_DOFS = 10_000
+# with the steps. On a 2-vCPU box the overlapped driver lost at 16,129 (2D
+# P1, 4 levels) and 29,791 (example2.cfg, 4 levels), tied at 49,729 and
+# gained from 65,025 (2D P1, 5 levels: 21%) on.
+OVERLAP_MIN_DOFS = 50_000
 
 
 def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
@@ -342,7 +343,7 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
     finest = contexts[-1]
     overlap = finest.space.interior_dofs.size >= OVERLAP_MIN_DOFS
     rows, pending, vcycle = [], [], None
-    pool = ThreadPoolExecutor(max_workers=1)  # a thread from its 1st submit
+    pool = ThreadPoolExecutor(max_workers=1)  # no thread until a submit
     try:
         for idx, ctx in enumerate(contexts):
             t0 = time.perf_counter()

@@ -783,11 +783,11 @@ def test_float_overflow_is_named(tmp_path, capsys, key, value, code, named):
     assert got == code and named in err and "curvature" not in err
 
 
-# 2D P1 from n0 = 16 over 4 levels: 16,129 finest interior dofs, at least
-# newton.OVERLAP_MIN_DOFS, so rows 1 and 2 take their traced resi on the
+# 2D P1 from n0 = 16 over 5 levels: 65,025 finest interior dofs, at least
+# newton.OVERLAP_MIN_DOFS, so rows 1-3 take their traced resi on the
 # driver's worker thread
 P1_2D_OVERLAP = P1_2D.replace("n0 = 4", "n0 = 16").replace("levels = 2",
-                                                          "levels = 4")
+                                                          "levels = 5")
 
 
 @pytest.mark.parametrize("step_fails", [False, True],

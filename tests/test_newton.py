@@ -758,9 +758,9 @@ def test_driver_reuses_the_traced_resi_of_the_finest_start(monkeypatch,
 
 
 def test_overlapped_rows_hold_their_iterates_finest_resi():
-    # 16,129 finest interior dofs: rows 1 and 2 take their traced resi on
-    # the driver's worker thread, the very value this thread computes
-    hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 4)
+    # 65,025 finest interior dofs: rows 1-3 take their traced resi on the
+    # driver's worker thread, the very value this thread computes
+    hier = build_hierarchy(BoxDomain.unit(2), (16, 16), 5)
     ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
                           potential=parse("x1^2 + 2*x2^2", 2))
     assert ctxs[-1].space.interior_dofs.size >= newton_mod.OVERLAP_MIN_DOFS
