@@ -1,9 +1,11 @@
-"""Command-line drivers: solve, study, bench.
+"""Command-line drivers: solve, study.
 
 CSV rows use the fixed header
 ``level,n_dofs,lambda,err_lambda,err_h1,resi,theta,time_ms`` with absent
-values left empty. `study` appends fitted convergence slopes as `#`
-comment lines; `bench` uses its own timing header.
+values left empty. `time_ms` is the level's own work: rows 1..L-2 leave
+out their finest-space resi diagnostic, row L-1 keeps it (the finest step
+reads it), and row 1 includes building the finest Riesz hierarchy.
+`study` appends fitted convergence slopes as `#` comment lines.
 
 Exit codes: 0 ok, 2 configuration error, 3 solver non-convergence,
 4 resource cap exceeded, 5 internal error (an unexpected exception).
@@ -13,12 +15,10 @@ import argparse
 import dataclasses
 import math
 import sys
-import time
 
 import numpy as np
 
 from .config import load_config
-from .eigsolve import scf_solve
 from .errors import (
     ConfigurationError,
     GpmgError,
@@ -34,7 +34,7 @@ from .newton import (
     multigrid_newton,
 )
 
-__all__ = ["main", "run", "cmd_solve", "cmd_study", "cmd_bench"]
+__all__ = ["main", "run", "cmd_solve", "cmd_study"]
 
 CSV_HEADER = "level,n_dofs,lambda,err_lambda,err_h1,resi,theta,time_ms"
 
@@ -76,20 +76,18 @@ def _build(cfg, levels=None):
                           potential=cfg.potential)
 
 
-def _run(cfg, contexts, renormalize=False):
+def _run(cfg, contexts):
     if cfg.mixing_enabled:
         return multigrid_mixing(contexts, params=cfg.mixing,
                                 scf_cfg=cfg.coarse, solver_cfg=cfg.solver,
-                                renormalize=renormalize,
                                 reference_lambda=cfg.reference_lambda)
     return multigrid_newton(contexts, scf_cfg=cfg.coarse,
-                            solver_cfg=cfg.solver, renormalize=renormalize,
+                            solver_cfg=cfg.solver,
                             reference_lambda=cfg.reference_lambda)
 
 
-def cmd_solve(cfg, out_path=None, renormalize=False):
-    contexts = _build(cfg)
-    _, trace = _run(cfg, contexts, renormalize=renormalize)
+def cmd_solve(cfg, out_path=None):
+    _, trace = _run(cfg, _build(cfg))
     _emit(_report_rows(trace), out_path)
     return 0
 
@@ -103,8 +101,10 @@ def cmd_study(cfg, out_path=None, renormalize=False):
     extra level's value otherwise.
     """
     contexts = _build(cfg, levels=cfg.levels + 1)
-    x_ref, trace = _run(cfg, contexts, renormalize=renormalize)
-    ref_ops = contexts[-1]
+    _, trace = _run(cfg, contexts)
+    xs = [_finalize(ctx, row.x) if renormalize else row.x
+          for ctx, row in zip(contexts, trace)]
+    x_ref, ref_ops = xs[-1], contexts[-1]
     ref_lam = (cfg.reference_lambda if cfg.reference_lambda is not None
                else x_ref.lam)
 
@@ -112,8 +112,7 @@ def cmd_study(cfg, out_path=None, renormalize=False):
     m_ref = ref_ops.mass @ x_ref.u[ix]
 
     rows = trace[:cfg.levels]
-    for idx, row in enumerate(rows):
-        x_k = _finalize(contexts[idx], row.x) if renormalize else row.x
+    for idx, (row, x_k) in enumerate(zip(rows, xs)):
         v = _prolong_to_finest(contexts, x_k.u, idx)
         sign = 1.0 if float(v[ix] @ m_ref) >= 0 else -1.0
         row.err_h1 = ref_ops.h1_norm(sign * v - x_ref.u)
@@ -131,37 +130,6 @@ def cmd_study(cfg, out_path=None, renormalize=False):
     return 0
 
 
-BENCH_HEADER = "level,n_dofs,mg_time_ms,direct_time_ms"
-
-
-def cmd_bench(cfg, out_path=None, direct=False):
-    """Cumulative multigrid step time per level, from one driver run (the
-    finest-space resi diagnostic excluded); optionally a from-scratch
-    nonlinear solve on each level for comparison (capped rows marked '-')."""
-    contexts = _build(cfg)
-    _, trace = _run(cfg, contexts)
-    lines = [BENCH_HEADER]
-    mg_ms = 0.0
-    for ctx, row in zip(contexts, trace):
-        mg_ms += row.step_ms
-        direct_cell = ""
-        if direct:
-            try:
-                t0 = time.perf_counter()
-                scf_solve(ctx, cfg.coarse)
-                direct_cell = f"{(time.perf_counter() - t0) * 1e3:.3f}"
-            except ResourceLimitError:
-                direct_cell = "-"
-        lines.append(",".join([
-            str(row.level),
-            str(row.n_dofs),
-            f"{mg_ms:.3f}",
-            direct_cell,
-        ]))
-    _emit(lines, out_path)
-    return 0
-
-
 def _parser():
     p = argparse.ArgumentParser(
         prog="gpmg",
@@ -169,21 +137,18 @@ def _parser():
                     "eigenvalue problems.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("solve", "study", "bench"):
+    for name in ("solve", "study"):
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)
         s.add_argument("--mixing", action="store_true",
                        help="use the adaptively damped (mixing) driver; "
                             "a config with mixing.enabled = true uses it "
                             "without this flag, which cannot switch it off")
-        if name == "bench":
-            s.add_argument("--direct", action="store_true",
-                           help="also time a from-scratch solve on every "
-                                "level")
-        else:
+        if name == "study":
             s.add_argument("--renormalize", action="store_true",
-                           help="L2-normalize the final iterate and "
-                                "recompute lambda from the Rayleigh identity")
+                           help="L2-normalize each level's iterate and the "
+                                "reference and recompute lambda from the "
+                                "Rayleigh identity")
         s.add_argument("--levels", type=int, default=None,
                        help="override discretization.levels")
         s.add_argument("--out", default=None, help="write CSV here "
@@ -199,19 +164,14 @@ def main(argv=None):
             cfg = dataclasses.replace(cfg, levels=args.levels)
         if args.mixing:
             cfg.mixing_enabled = True
-        if args.command == "bench":
-            return cmd_bench(cfg, out_path=args.out, direct=args.direct)
-        command = cmd_solve if args.command == "solve" else cmd_study
-        return command(cfg, out_path=args.out, renormalize=args.renormalize)
-    except ResourceLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except (ConfigurationError, UsageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        if args.command == "solve":
+            return cmd_solve(cfg, out_path=args.out)
+        return cmd_study(cfg, out_path=args.out, renormalize=args.renormalize)
     except GpmgError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        if isinstance(err, ResourceLimitError):
+            return 4
+        return 2 if isinstance(err, (ConfigurationError, UsageError)) else 3
 
 
 def run(argv=None):

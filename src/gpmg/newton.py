@@ -295,18 +295,17 @@ def _traced_resi(contexts, x, level_idx, resi_own=None):
     return resi(contexts[-1], IterateX(lam=x.lam, u=v))
 
 
-def multigrid_newton(contexts, scf_cfg=None, solver_cfg=None, renormalize=False,
+def multigrid_newton(contexts, scf_cfg=None, solver_cfg=None,
                      reference_lambda=None):
     """Coarse nonlinear solve, then one full Newton step per level."""
-    return _run_driver(contexts, None, scf_cfg, solver_cfg, renormalize,
-                       reference_lambda)
+    return _run_driver(contexts, None, scf_cfg, solver_cfg, reference_lambda)
 
 
 def multigrid_mixing(contexts, params=None, scf_cfg=None, solver_cfg=None,
-                     renormalize=False, reference_lambda=None):
+                     reference_lambda=None):
     """Coarse nonlinear solve, then one adaptively damped step per level."""
     return _run_driver(contexts, params or MixingParams(), scf_cfg,
-                       solver_cfg, renormalize, reference_lambda)
+                       solver_cfg, reference_lambda)
 
 
 @contextmanager
@@ -329,13 +328,14 @@ def _at_level(idx, params):
 OVERLAP_MIN_DOFS = 50_000
 
 
-def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
-                reference_lambda):
-    """The final iterate (renormalized on request) and one TraceRow per
-    level, each holding that level's raw iterate. params None is plain
-    Newton: the full step, and no theta in the trace. With at least
-    OVERLAP_MIN_DOFS finest interior dofs, rows 1..L-2's traced resi run on
-    a worker thread, outside their time_ms."""
+def _run_driver(contexts, params, scf_cfg, solver_cfg, reference_lambda):
+    """The final iterate and one TraceRow per level, each holding that
+    level's iterate. params None is plain Newton: the full step, and no
+    theta in the trace. A row's time_ms is its level's own work: row 1's
+    includes building the finest Riesz hierarchy, and rows 1..L-2 leave
+    out their finest-space traced resi, which runs after the clock stops,
+    on a worker thread from OVERLAP_MIN_DOFS finest interior dofs up. Row
+    L-1 keeps its traced resi, as the finest step reads it as resi_old."""
     # imported here: eigsolve builds the coarse solve on this module's step
     from .eigsolve import scf_solve
 
@@ -359,6 +359,11 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
                     # relative at 16,383), where 2D would need ~10^9
                     if len(contexts) > 1 and ctx.space.dim > 1:
                         vcycle = _build_vcycle(ctx, x.u)
+                    # on this row's clock, what every traced resi reads (a
+                    # worker thread only reads): the Riesz solvers, interior
+                    # prolongations and rule
+                    finest._riesz_solver()
+                    finest.space.rule(finest.space.weighted_degree)
                 else:
                     x0p = _prolong_iterate(x, contexts[idx - 1].space,
                                            ctx.space)
@@ -369,28 +374,24 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
                     x, theta, resi_new, vcycle = mixing_iteration(
                         ctx, x0p, params or FULL_STEP, solver_cfg, resi_old,
                         vcycle)
-                step_ms = (time.perf_counter() - t0) * 1e3
-                if overlap and idx < len(contexts) - 2:
-                    if not pending:
-                        # the worker only reads: build what it reads lazily,
-                        # the Riesz solvers, interior prolongations and rule
-                        finest._riesz_solver()
-                        finest.space.rule(finest.space.weighted_degree)
+                if idx >= len(contexts) - 2:
+                    traced = _traced_resi(contexts, x, idx, resi_new)
+                wall_ms = (time.perf_counter() - t0) * 1e3
+                if traced is None and overlap:
                     # a copy of this thread's context carries np.errstate
                     pending.append(pool.submit(contextvars.copy_context().run,
                                                _traced_resi, contexts, x, idx))
-                else:
-                    traced = _traced_resi(contexts, x, idx, resi_new)
+                elif traced is None:
+                    traced = _traced_resi(contexts, x, idx)
             rows.append(TraceRow(
                 level=idx + 1,
                 n_dofs=ctx.space.n_dofs,
                 lam=x.lam,
                 resi=traced,
                 theta=None if params is None else theta,
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
+                wall_time_ms=wall_ms,
                 err_lambda=(abs(x.lam - reference_lambda)
                             if reference_lambda is not None else None),
-                step_ms=step_ms,
                 x=x,
             ))
     finally:
@@ -398,6 +399,4 @@ def _run_driver(contexts, params, scf_cfg, solver_cfg, renormalize,
             for idx, future in enumerate(pending):
                 with _at_level(idx, params):
                     rows[idx].resi = future.result()
-    if renormalize:
-        x = _finalize(contexts[-1], x)
     return x, rows

@@ -26,11 +26,11 @@ class TraceRow:
     lam: float
     resi: Optional[float] = None
     theta: Optional[float] = None
+    # the level's own work (the CSV's time_ms): rows 1..L-2 leave out
+    # their finest-space resi diagnostic, row L-1 keeps it (the finest step
+    # reads it), row 1 includes building the finest Riesz hierarchy
     wall_time_ms: float = 0.0
     err_lambda: Optional[float] = None
     err_h1: Optional[float] = None
-    # time of the level's step alone, without the finest-space resi
-    # diagnostic that wall_time_ms includes unless a worker thread ran it
-    step_ms: float = 0.0
-    # the level's raw iterate, before any renormalization
+    # the level's iterate, as its step left it
     x: Optional[IterateX] = field(default=None, repr=False)

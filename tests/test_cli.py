@@ -20,6 +20,7 @@ from gpmg.linsolve import SolverConfig
 from gpmg.mesh import build_hierarchy
 from gpmg.newton import (
     MixingParams,
+    _finalize,
     build_contexts,
     multigrid_mixing,
     multigrid_newton,
@@ -186,7 +187,7 @@ def test_levels_override_is_checked_as_the_config_key(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("solve", "--direct"), ("study", "--direct"), ("bench", "--renormalize"),
+    ("solve", "--direct"), ("study", "--direct"), ("solve", "--renormalize"),
 ])
 def test_flags_are_registered_only_where_they_act(tmp_path, capsys, command,
                                                   flag):
@@ -225,12 +226,6 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == CSV_HEADER
-
-
-def test_renormalize_flag(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "solve", "--config",
-                         write(tmp_path, GPE_1D), "--renormalize")
-    assert code == 0
 
 
 # ---- study ----
@@ -274,12 +269,12 @@ def study_oracle(cfg, renormalize):
     def run(contexts):
         if cfg.mixing_enabled:
             params = MixingParams(cfg.mixing.theta_init, cfg.mixing.theta_min)
-            return multigrid_mixing(contexts, params=params,
-                                    scf_cfg=cfg.coarse, solver_cfg=cfg.solver,
-                                    renormalize=renormalize)[0]
-        return multigrid_newton(contexts, scf_cfg=cfg.coarse,
-                                solver_cfg=cfg.solver,
-                                renormalize=renormalize)[0]
+            x = multigrid_mixing(contexts, params=params, scf_cfg=cfg.coarse,
+                                 solver_cfg=cfg.solver)[0]
+        else:
+            x = multigrid_newton(contexts, scf_cfg=cfg.coarse,
+                                 solver_cfg=cfg.solver)[0]
+        return _finalize(contexts[-1], x) if renormalize else x
 
     x_ref = run(ctxs)
     ref_ops = ctxs[-1]
@@ -314,7 +309,7 @@ def test_study_errors_match_per_depth_runs(tmp_path, capsys, flags):
     ]
 
 
-@pytest.mark.parametrize("command", ["study", "bench"])
+@pytest.mark.parametrize("command", ["study"])
 def test_study_and_bench_run_the_driver_once(tmp_path, capsys, monkeypatch,
                                              command):
     calls = []
@@ -328,40 +323,6 @@ def test_study_and_bench_run_the_driver_once(tmp_path, capsys, monkeypatch,
     code, _, _ = run_cli(capsys, command, "--config", write(tmp_path, GPE_1D))
     assert code == 0
     assert len(calls) == 1
-
-
-# ---- bench ----
-
-def test_bench_emits_timing_table(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "bench", "--config",
-                           write(tmp_path, GPE_1D), "--direct")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "level,n_dofs,mg_time_ms,direct_time_ms"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert float(parts[2]) > 0
-        assert parts[3] == "-" or float(parts[3]) > 0
-
-
-def test_bench_time_is_cumulative(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "bench", "--config",
-                           write(tmp_path, LIN_1D))
-    assert code == 0
-    times = [float(line.split(",")[2])
-             for line in out.strip().splitlines()[1:]]
-    assert len(times) == 4
-    assert all(b >= a for a, b in zip(times, times[1:]))
-
-
-def test_bench_direct_cap_marks_dash(tmp_path, capsys):
-    cfg = GPE_1D + "coarse.dof_cap = 20\n"
-    code, out, _ = run_cli(capsys, "bench", "--config",
-                           write(tmp_path, cfg), "--direct")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1].split(",")[3] == "-"
 
 
 # ---- exit codes ----

@@ -101,7 +101,7 @@ def config_texts(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(text=config_texts(),
-       command=st.sampled_from(["solve", "study", "bench"]),
+       command=st.sampled_from(["solve", "study"]),
        levels=st.sampled_from([None, "0", "1", "2"]),
        mixing=st.booleans())
 def test_any_config_text_ends_in_a_documented_exit(tmp_path, capsys, text,

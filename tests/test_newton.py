@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from gpmg.newton import (
     FULL_STEP,
     MixingParams,
     _build_vcycle,
+    _finalize,
     _prolong_iterate,
     _prolong_to_finest,
     _traced_resi,
@@ -769,6 +771,31 @@ def test_overlapped_rows_hold_their_iterates_finest_resi():
         assert row.resi == _traced_resi(ctxs, row.x, k)
 
 
+@pytest.mark.parametrize("overlap", [True, False], ids=["worker", "serial"])
+def test_time_ms_leaves_out_rows_1_to_L_minus_2_diagnostics(monkeypatch,
+                                                           overlap):
+    # one rule on both sides of OVERLAP_MIN_DOFS: a traced resi that takes
+    # 0.25 s is off the clock of rows 1..L-2, whichever thread runs it, and
+    # on row L-1's, whose resi the finest step reads
+    hier = build_hierarchy(BoxDomain.unit(2), (4, 4), 4)
+    ctxs = build_contexts(hier, 1, Nonlinearity(zeta=1.0),
+                          potential=parse("x1^2 + 2*x2^2", 2))
+    monkeypatch.setattr(newton_mod, "OVERLAP_MIN_DOFS",
+                        0 if overlap else ctxs[-1].space.n_dofs + 1)
+    traced_resi = newton_mod._traced_resi
+
+    def slow_resi(contexts, x, level_idx, resi_own=None):
+        if level_idx < len(contexts) - 1:
+            time.sleep(0.25)
+        return traced_resi(contexts, x, level_idx, resi_own)
+
+    monkeypatch.setattr(newton_mod, "_traced_resi", slow_resi)
+    _, trace = multigrid_newton(ctxs)
+    assert all(row.wall_time_ms < 250.0 for row in trace[:-2])
+    assert trace[-2].wall_time_ms >= 250.0
+    assert all(row.resi is not None for row in trace)
+
+
 def test_concurrent_riesz_norms_match_serial_ones():
     # the driver's worker thread evaluates finest-space resi beside the
     # driver thread's own, on one shared Riesz solver: three threads at a
@@ -828,7 +855,7 @@ def test_renormalize_final_iterate():
     hier = build_hierarchy(BoxDomain.unit(1), (4,), 3)
     ctxs = build_contexts(hier, 2, Nonlinearity(zeta=1.0))
     x_raw, _ = multigrid_newton(ctxs)
-    x_rn, _ = multigrid_newton(ctxs, renormalize=True)
+    x_rn = _finalize(ctxs[-1], x_raw)
     norm = ctxs[-1].l2_norm(x_rn.u)
     assert abs(norm - 1.0) <= 1e-12
     assert np.isclose(x_rn.lam, ctxs[-1].rayleigh_lambda(x_rn.u),
